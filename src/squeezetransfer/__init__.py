@@ -35,7 +35,6 @@ from .sweep import GridSpec, Method, SweepConfig, emit, run_sweep
 from .witness import (
     BranchWitnesses,
     OssiReport,
-    WitnessBundle,
     branch_witnesses,
     kitagawa_ueda_xi,
     ossi,

@@ -52,18 +52,21 @@ def initial_vector(kind: InitialState, space: CompositeSpace) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ManifoldState:
-    """Four complex amplitudes over (phi1, phi2, phi3, phi4) at a given time."""
+    """Four complex amplitudes over (phi1, phi2, phi3, phi4) at a given time.
+
+    Amplitudes of shape (4, nt) with nt times hold one state per column.
+    """
 
     amplitudes: np.ndarray
-    time: float
+    time: float | np.ndarray
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (4,):
+        if amp.shape[:1] != (4,) or amp.ndim > 2:
             raise ValueError(f"need 4 amplitudes, got shape {amp.shape}")
-        norm = np.sum(np.abs(amp) ** 2)
-        if abs(norm - 1.0) >= NORM_TOL:
-            raise ValueError(f"manifold state norm {norm} != 1")
+        norm_dev = np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0))
+        if not norm_dev < NORM_TOL:
+            raise ValueError(f"manifold state norm deviates from 1 by {norm_dev}")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -100,7 +103,7 @@ def evolve_closed_form_grid(
 def evolve_closed_form(
     initial: InitialState, block: ManifoldBlock, t: float
 ) -> ManifoldState:
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
     amps = evolve_closed_form_grid(initial, block, np.array([t]))[:, 0]
     return ManifoldState(amps, t)
@@ -111,24 +114,26 @@ class CoefficientSet:
     """Moduli and cross terms of the manifold amplitudes.
 
     Cross-term fields hold X * conj(Y) for the letter pair in the name,
-    e.g. ab = A conj(B).
+    e.g. ab = A conj(B).  Every field is a scalar, or an (nt,) array when the
+    set comes from a (4, nt) state.
     """
 
-    abs_a2: float
-    abs_b2: float
-    abs_c2: float
-    abs_d2: float
-    ab: complex
-    ac: complex
-    ad: complex
-    bc: complex
-    bd: complex
-    cd: complex
+    abs_a2: float | np.ndarray
+    abs_b2: float | np.ndarray
+    abs_c2: float | np.ndarray
+    abs_d2: float | np.ndarray
+    ab: complex | np.ndarray
+    ac: complex | np.ndarray
+    ad: complex | np.ndarray
+    bc: complex | np.ndarray
+    bd: complex | np.ndarray
+    cd: complex | np.ndarray
 
     def __post_init__(self):
         total = self.abs_a2 + self.abs_b2 + self.abs_c2 + self.abs_d2
-        if abs(total - 1.0) >= NORM_TOL:
-            raise ValueError(f"coefficient moduli sum to {total}, expected 1")
+        total_dev = np.max(np.abs(total - 1.0))
+        if not total_dev < NORM_TOL:
+            raise ValueError(f"coefficient moduli sum deviates from 1 by {total_dev}")
         pairs = {
             "ab": (self.ab, self.abs_a2, self.abs_b2),
             "ac": (self.ac, self.abs_a2, self.abs_c2),
@@ -138,26 +143,27 @@ class CoefficientSet:
             "cd": (self.cd, self.abs_c2, self.abs_d2),
         }
         for name, (cross, m1, m2) in pairs.items():
-            if abs(cross) ** 2 > m1 * m2 + NORM_TOL:
+            excess = np.max(np.abs(cross) ** 2 - m1 * m2)
+            if not excess <= NORM_TOL:
                 raise ValueError(
                     f"cross term {name} violates Cauchy-Schwarz: "
-                    f"|{name}|^2 = {abs(cross)**2} > {m1 * m2}"
+                    f"|{name}|^2 exceeds the product of moduli by {excess}"
                 )
 
 
 def coefficients(state: ManifoldState) -> CoefficientSet:
     a, c, b, d = state.amplitudes  # (phi1, phi2, phi3, phi4) -> (A, C, B, D)
     return CoefficientSet(
-        abs_a2=float(abs(a) ** 2),
-        abs_b2=float(abs(b) ** 2),
-        abs_c2=float(abs(c) ** 2),
-        abs_d2=float(abs(d) ** 2),
-        ab=complex(a * np.conj(b)),
-        ac=complex(a * np.conj(c)),
-        ad=complex(a * np.conj(d)),
-        bc=complex(b * np.conj(c)),
-        bd=complex(b * np.conj(d)),
-        cd=complex(c * np.conj(d)),
+        abs_a2=np.abs(a) ** 2,
+        abs_b2=np.abs(b) ** 2,
+        abs_c2=np.abs(c) ** 2,
+        abs_d2=np.abs(d) ** 2,
+        ab=a * np.conj(b),
+        ac=a * np.conj(c),
+        ad=a * np.conj(d),
+        bc=b * np.conj(c),
+        bd=b * np.conj(d),
+        cd=c * np.conj(d),
     )
 
 
@@ -169,7 +175,7 @@ def _sector_constants(evecs: np.ndarray, weight: float) -> tuple[float, float]:
     the larger eigenvalue.  Requires c != 0 (true whenever lam > 0).
     """
     c, s = evecs[0, 0], evecs[1, 0]
-    if abs(c) < 1e-12:
+    if not abs(c) >= 1e-12:
         raise ValueError("leading eigenvector has no photonic component; "
                          "sector constants are undefined")
     return float(weight * c * c), float(s / c)
@@ -278,7 +284,7 @@ def evolve_numeric_oracle(
     initial: InitialState, h: HermitianOperator, t: float, lam: float = 1.0
 ) -> np.ndarray:
     """Full-space propagated state vector; independent of the closed form."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
     psi0 = initial_vector(initial, h.space)
     return SpectralPropagator(h, lam).evolve(psi0, t)
@@ -310,14 +316,15 @@ def analytic_rho_atoms(coeffs: CoefficientSet) -> np.ndarray:
     Basis order (gg, ge, eg, ee).  Follows from tracing the photons out of
     the manifold density operator; the symmetric/antisymmetric amplitude
     combinations (B +- D)/sqrt(2) populate the one-excitation sector.
+    Array-valued coefficients give a stack of shape (nt, 4, 4).
     """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = coeffs.abs_a2 + coeffs.abs_c2
+    rho = np.zeros(np.shape(coeffs.abs_a2) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = coeffs.abs_a2 + coeffs.abs_c2
     # |e g> has weight |B + D|^2 / 2, |g e> has |B - D|^2 / 2
-    rho[2, 2] = (coeffs.abs_b2 + coeffs.abs_d2 + 2 * np.real(coeffs.bd)) / 2
-    rho[1, 1] = (coeffs.abs_b2 + coeffs.abs_d2 - 2 * np.real(coeffs.bd)) / 2
-    rho[2, 1] = (coeffs.abs_b2 - coeffs.abs_d2 - 2j * np.imag(coeffs.bd)) / 2
-    rho[1, 2] = np.conj(rho[2, 1])
+    rho[..., 2, 2] = (coeffs.abs_b2 + coeffs.abs_d2 + 2 * np.real(coeffs.bd)) / 2
+    rho[..., 1, 1] = (coeffs.abs_b2 + coeffs.abs_d2 - 2 * np.real(coeffs.bd)) / 2
+    rho[..., 2, 1] = (coeffs.abs_b2 - coeffs.abs_d2 - 2j * np.imag(coeffs.bd)) / 2
+    rho[..., 1, 2] = np.conj(rho[..., 2, 1])
     return rho
 
 
@@ -325,16 +332,17 @@ def analytic_rho_photons(coeffs: CoefficientSet, n_max: int = 2) -> np.ndarray:
     """Reduced two-mode density matrix from the coefficients.
 
     Populated entries are |2,0>, |0,2> (combinations (A +- C)/sqrt(2)) and
-    the vacuum |0,0> with weight |B|^2 + |D|^2.
+    the vacuum |0,0> with weight |B|^2 + |D|^2.  Array-valued coefficients
+    give a stack of shape (nt, d^2, d^2).
     """
     d = n_max + 1
-    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho = np.zeros(np.shape(coeffs.abs_a2) + (d * d, d * d), dtype=complex)
     i20 = 2 * d + 0
     i02 = 0 * d + 2
     i00 = 0
-    rho[i20, i20] = (coeffs.abs_a2 + coeffs.abs_c2 + 2 * np.real(coeffs.ac)) / 2
-    rho[i02, i02] = (coeffs.abs_a2 + coeffs.abs_c2 - 2 * np.real(coeffs.ac)) / 2
-    rho[i20, i02] = (coeffs.abs_a2 - coeffs.abs_c2 - 2j * np.imag(coeffs.ac)) / 2
-    rho[i02, i20] = np.conj(rho[i20, i02])
-    rho[i00, i00] = coeffs.abs_b2 + coeffs.abs_d2
+    rho[..., i20, i20] = (coeffs.abs_a2 + coeffs.abs_c2 + 2 * np.real(coeffs.ac)) / 2
+    rho[..., i02, i02] = (coeffs.abs_a2 + coeffs.abs_c2 - 2 * np.real(coeffs.ac)) / 2
+    rho[..., i20, i02] = (coeffs.abs_a2 - coeffs.abs_c2 - 2j * np.imag(coeffs.ac)) / 2
+    rho[..., i02, i20] = np.conj(rho[..., i20, i02])
+    rho[..., i00, i00] = coeffs.abs_b2 + coeffs.abs_d2
     return rho

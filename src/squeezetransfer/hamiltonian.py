@@ -55,6 +55,9 @@ class ModelParams:
     e_e: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive (it sets the scale), got {self.lam}")
         if self.zeta < 0:
@@ -173,18 +176,18 @@ def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBl
     phi = manifold_basis(h.space)
     h4 = phi.conj().T @ h.matrix @ phi
     leakage = np.max(np.abs(h.matrix @ phi - phi @ h4))
-    if leakage >= LEAKAGE_TOL:
+    if not leakage < LEAKAGE_TOL:
         raise ModelInconsistencyError(
             f"Hamiltonian leaks out of the four-state manifold by {leakage:.3e}"
         )
     h4 = h4 / lam
-    if np.max(np.abs(h4.imag)) >= LEAKAGE_TOL:
+    if not np.max(np.abs(h4.imag)) < LEAKAGE_TOL:
         raise ModelInconsistencyError("projected block is not real")
     h4 = h4.real
     sym = h4[np.ix_([0, 2], [0, 2])]
     anti = h4[np.ix_([1, 3], [1, 3])]
     cross = h4[np.ix_([0, 2], [1, 3])]
-    if np.max(np.abs(cross)) >= LEAKAGE_TOL:
+    if not np.max(np.abs(cross)) < LEAKAGE_TOL:
         raise ModelInconsistencyError(
             f"symmetric and antisymmetric sectors mix by {np.max(np.abs(cross)):.3e}"
         )

@@ -153,7 +153,7 @@ class HermitianOperator(Operator):
     def __post_init__(self):
         super().__post_init__()
         dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev >= HERMITICITY_TOL:
+        if not dev < HERMITICITY_TOL:
             raise NumericalConsistencyError(
                 f"operator deviates from Hermiticity by {dev:.3e}"
             )
@@ -161,7 +161,11 @@ class HermitianOperator(Operator):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    `matrix` is one (d, d) matrix or a stack (..., d, d) of them, such as one
+    per time of a grid row; every matrix of a stack passes the same checks.
+    """
 
     space: CompositeSpace
     matrix: np.ndarray
@@ -169,22 +173,24 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         d = self.space.total_dim
-        if mat.shape != (d, d):
+        if mat.shape[-2:] != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match space dimension {d}"
             )
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev >= HERMITICITY_TOL:
+        dev = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
+        if not dev < HERMITICITY_TOL:
             raise NumericalConsistencyError(
                 f"density matrix deviates from Hermiticity by {dev:.3e}"
             )
-        tr = np.trace(mat)
-        if abs(tr - 1.0) >= TRACE_TOL:
-            raise NumericalConsistencyError(f"density matrix trace {tr} != 1")
-        evals = np.linalg.eigvalsh(mat)
-        if evals.min() < POSITIVITY_FLOOR:
+        tr_dev = np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0))
+        if not tr_dev < TRACE_TOL:
             raise NumericalConsistencyError(
-                f"density matrix has negative eigenvalue {evals.min():.3e}"
+                f"density matrix trace deviates from 1 by {tr_dev:.3e}"
+            )
+        lowest = np.linalg.eigvalsh(mat).min()
+        if not lowest >= POSITIVITY_FLOOR:
+            raise NumericalConsistencyError(
+                f"density matrix has negative eigenvalue {lowest:.3e}"
             )
         mat = mat.copy()
         mat.setflags(write=False)
@@ -253,16 +259,17 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(sub, reduced.reshape(d, d))
 
 
-def expectation(op: Operator, rho: DensityMatrix) -> float:
-    """Tr(op rho), checked real to within 1e-10."""
+def expectation(op: Operator, rho: DensityMatrix) -> float | np.ndarray:
+    """Tr(op rho), checked real to within 1e-10; one value per matrix of a stack."""
     if op.space != rho.space:
         raise DimensionMismatchError("operator and state live on different spaces")
-    val = complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
-    if abs(val.imag) >= IMAG_TOL:
+    val = np.einsum("ij,...ji->...", op.matrix, rho.matrix)
+    residue = np.max(np.abs(val.imag))
+    if not residue < IMAG_TOL:
         raise NumericalConsistencyError(
-            f"expectation value has imaginary residue {val.imag:.3e}"
+            f"expectation value has imaginary residue {residue:.3e}"
         )
-    return float(val.real)
+    return val.real
 
 
 def variance(op: Operator, rho: DensityMatrix) -> float:

@@ -1,7 +1,7 @@
 """Grid sweeps over hopping strength and time, with a CSV/JSON-emitting CLI.
 
-Every (zeta, t) cell is a pure function of the configuration; cells are
-computed independently (optionally across threads) and always emitted in
+Every (zeta, t) cell is a pure function of the configuration.  Each zeta row
+is computed as arrays over the time grid, and cells are always emitted in
 deterministic zeta-major order, so identical configurations produce
 byte-identical output files.
 """
@@ -13,7 +13,6 @@ import enum
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,14 +29,15 @@ from .dynamics import (
     initial_vector,
 )
 from .hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
-from .hilbert import CompositeSpace, DensityMatrix, atom, photon_mode, standard_space
-from .operators import (
-    QuadraturePair,
-    SpinTriple,
-    collective_atomic_spin,
-    photonic_pseudospin,
-    quadratures,
+from .hilbert import (
+    CompositeSpace,
+    DensityMatrix,
+    NumericalConsistencyError,
+    atom,
+    photon_mode,
+    standard_space,
 )
+from .operators import SpinTriple, collective_atomic_spin, photonic_pseudospin
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
@@ -59,7 +59,7 @@ DEFAULT_OBSERVABLES = ("ineq_a", "ineq_p", "var_x1", "var_x2")
 
 
 class SweepError(RuntimeError):
-    """A cell-level failure, annotated with the offending grid point."""
+    """A failed check on a zeta row, annotated with its zeta."""
 
 
 class Method(enum.Enum):
@@ -77,6 +77,8 @@ class GridSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"grid bounds must be finite, got {self.start}, {self.stop}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop} < start {self.start}")
 
@@ -96,18 +98,17 @@ class SweepConfig:
     method: Method = Method.CLOSED_FORM
     output_path: str = "sweep.csv"
     output_format: str = "csv"
-    threads: int = 1
 
     def __post_init__(self):
         if self.zeta_grid.start < 0:
             raise ValueError("zeta must be non-negative")
+        if self.time_grid.start < 0:
+            raise ValueError("time must be non-negative")
         unknown = [o for o in self.observables if o not in OBSERVABLES]
         if unknown:
             raise ValueError(f"unknown observables: {unknown}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -130,14 +131,13 @@ class SweepCell:
 
 @dataclass(frozen=True, eq=False)
 class _Workspace:
-    """Shared read-only operators reused by every cell."""
+    """Shared read-only operators reused by every row."""
 
     space: CompositeSpace
     atom_space: CompositeSpace
     photon_space: CompositeSpace
     atom_spin: SpinTriple
     photon_spin: SpinTriple
-    quad: QuadraturePair
 
 
 def _make_workspace(n_max: int = 2) -> _Workspace:
@@ -150,32 +150,31 @@ def _make_workspace(n_max: int = 2) -> _Workspace:
         photon_space=photon_space,
         atom_spin=collective_atomic_spin(atom_space),
         photon_spin=photonic_pseudospin(photon_space),
-        quad=quadratures(photon_space, 0),
     )
 
 
-def _cell_values(
-    amps: np.ndarray, t: float, branch: InitialState, config: SweepConfig, ws: _Workspace
-) -> dict[str, float]:
-    state = ManifoldState(amps, t)
-    coeffs = coefficients(state)
-    need_states = any(o in config.observables for o in ("ossi_full", "xi", "xi_e2"))
+def _row_columns(
+    amps: np.ndarray, times: np.ndarray, config: SweepConfig, ws: _Workspace
+) -> dict[str, np.ndarray]:
+    """Every requested column over one zeta row, from (4, nt) amplitudes."""
+    coeffs = coefficients(ManifoldState(amps, times))
+    obs = config.observables
     rho_a = rho_p = None
-    if need_states:
+    if any(o in obs for o in ("ossi_full", "xi", "xi_e2")):
         rho_a = DensityMatrix(ws.atom_space, analytic_rho_atoms(coeffs))
         rho_p = DensityMatrix(ws.photon_space, analytic_rho_photons(coeffs))
-    values: dict[str, float] = {}
-    for obs in config.observables:
-        if obs in ("ineq_a", "ineq_p"):
-            bw = branch_witnesses(coeffs, branch)
-            values[obs] = bw.ineq_a if obs == "ineq_a" else bw.ineq_p
-        elif obs in ("var_x1", "var_x2"):
-            values[obs] = closed_form_quadrature_variance(coeffs, branch)
-        elif obs == "xi":
-            values[obs] = kitagawa_ueda_xi(rho_a, ws.atom_spin, 2)
-        elif obs == "xi_e2":
-            values[obs] = sorensen_xi_e2(rho_a, ws.atom_spin, 2)
-        elif obs == "ossi_full":
+    values: dict[str, np.ndarray] = {}
+    for o in obs:
+        if o in ("ineq_a", "ineq_p"):
+            bw = branch_witnesses(coeffs, config.branch)
+            values[o] = bw.ineq_a if o == "ineq_a" else bw.ineq_p
+        elif o in ("var_x1", "var_x2"):
+            values[o] = closed_form_quadrature_variance(coeffs, config.branch)
+        elif o == "xi":
+            values[o] = kitagawa_ueda_xi(rho_a, ws.atom_spin, 2)
+        elif o == "xi_e2":
+            values[o] = sorensen_xi_e2(rho_a, ws.atom_spin, 2)
+        elif o == "ossi_full":
             for side, rho, spin in (
                 ("atoms", rho_a, ws.atom_spin),
                 ("photons", rho_p, ws.photon_spin),
@@ -189,13 +188,18 @@ def _cell_values(
     return values
 
 
-def _disagreement(primary: dict[str, float], other: dict[str, float]) -> float:
-    worst = 0.0
-    for key, val in primary.items():
-        oth = other[key]
-        if math.isnan(val) and math.isnan(oth):
-            continue
-        worst = max(worst, abs(val - oth))
+def _max_disagreement(
+    primary: dict[str, np.ndarray], other: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Largest |difference| over the columns of each cell.
+
+    NaN on both routes counts as agreement; NaN on one route only is inf.
+    """
+    worst = np.zeros(np.shape(next(iter(primary.values()))))
+    for key, a in primary.items():
+        b = other[key]
+        diff = np.where(np.isnan(a) == np.isnan(b), np.abs(a - b), np.inf)
+        worst = np.fmax(worst, diff)  # fmax skips the NaN of a NaN pair
     return worst
 
 
@@ -205,40 +209,34 @@ def _cells_for_zeta(config: SweepConfig, zeta: float, ws: _Workspace) -> list[Sw
     block = extract_manifold_block(h, params.lam)
     times = config.time_grid.values()
 
-    amps_cf = amps_or = None
+    routes = []
     if config.method in (Method.CLOSED_FORM, Method.BOTH):
-        amps_cf = evolve_closed_form_grid(config.branch, block, times)
+        routes.append(evolve_closed_form_grid(config.branch, block, times))
     if config.method in (Method.NUMERIC_ORACLE, Method.BOTH):
         prop = SpectralPropagator(h, params.lam)
         full = prop.evolve_grid(initial_vector(config.branch, ws.space), times)
-        amps_or = block.basis.conj().T @ full
+        routes.append(block.basis.conj().T @ full)
+    try:
+        columns = [_row_columns(amps, times, config, ws) for amps in routes]
+    except (ValueError, NumericalConsistencyError) as exc:
+        raise SweepError(f"row zeta={zeta}: {exc}") from exc
+    disagreement = [None] * times.size
+    if config.method is Method.BOTH:
+        disagreement = _max_disagreement(*columns).tolist()
 
-    primary = amps_cf if amps_cf is not None else amps_or
-    cells = []
-    for it, t in enumerate(times):
-        try:
-            values = _cell_values(primary[:, it], t, config.branch, config, ws)
-            disagreement = None
-            if config.method is Method.BOTH:
-                other = _cell_values(amps_or[:, it], t, config.branch, config, ws)
-                disagreement = _disagreement(values, other)
-        except Exception as exc:
-            raise SweepError(f"cell zeta={zeta}, t={t}: {exc}") from exc
-        cells.append(SweepCell(float(zeta), float(t), values, disagreement))
-    return cells
+    keys = list(columns[0])
+    rows = zip(times.tolist(), disagreement, *(columns[0][k].tolist() for k in keys))
+    return [
+        SweepCell(float(zeta), t, dict(zip(keys, vals)), d) for t, d, *vals in rows
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """One cell per grid point, in deterministic zeta-major order."""
     ws = _make_workspace()
-    zetas = config.zeta_grid.values()
-    if config.threads == 1:
-        chunks = [_cells_for_zeta(config, z, ws) for z in zetas]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(_cells_for_zeta, config, z, ws) for z in zetas]
-            chunks = [f.result() for f in futures]
-    return [cell for chunk in chunks for cell in chunk]
+    return [
+        cell for z in config.zeta_grid.values() for cell in _cells_for_zeta(config, z, ws)
+    ]
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -333,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--params-file",
         help="JSON file with flat keys among: omega, mu, eta, lambda, e_g, e_e",
     )
-    parser.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -341,7 +338,12 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
     params = ModelParams()
     if args.params_file:
         with open(args.params_file, "r", encoding="utf-8") as fh:
-            params = ModelParams.from_mapping(json.load(fh))
+            mapping = json.load(fh)
+        if "zeta" in mapping:
+            raise ValueError(
+                "zeta is not a --params-file key; give it with --zeta or --zeta-range"
+            )
+        params = ModelParams.from_mapping(mapping)
     if args.zeta is not None:
         zeta_grid = GridSpec(args.zeta, args.zeta, 1)
     else:
@@ -360,7 +362,6 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         method=Method(args.method),
         output_path=args.output,
         output_format=args.format,
-        threads=args.threads,
     )
 
 

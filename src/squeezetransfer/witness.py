@@ -2,7 +2,9 @@
 
 Generic path: the four collective-spin inequalities evaluated on a density
 matrix (violation of any witnesses particle entanglement), the Kitagawa-Ueda
-parameter xi, and the Sorensen parameter xi_e^2.
+parameter xi, and the Sorensen parameter xi_e^2.  Each is a function of the
+spin mean and covariance; given a stacked DensityMatrix (one matrix per time)
+every value becomes an array over the stack.
 
 Closed-form path: the per-branch witness expressions in the manifold
 coefficients, plus the per-branch quadrature-variance expressions.  The two
@@ -16,10 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import CoefficientSet, InitialState
 from .hilbert import DensityMatrix, Operator, expectation
@@ -37,17 +37,18 @@ class BranchMismatchError(ValueError):
 
 
 def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.ndarray]:
-    """(mean vector, 3x3 symmetrized covariance matrix)."""
+    """(mean vector, 3x3 symmetrized covariance matrix), with shapes (..., 3)
+    and (..., 3, 3) for a stack of matrices."""
     comps = spin.components
-    mean = np.array([expectation(s, rho) for s in comps])
-    cov = np.zeros((3, 3))
+    mean = np.stack([expectation(s, rho) for s in comps], axis=-1)
+    cov = np.zeros(mean.shape + (3,))
     for i in range(3):
         for j in range(i, 3):
             sym = (
                 comps[i].matrix @ comps[j].matrix + comps[j].matrix @ comps[i].matrix
             ) / 2
             val = expectation(Operator(rho.space, sym), rho)
-            cov[i, j] = cov[j, i] = val - mean[i] * mean[j]
+            cov[..., i, j] = cov[..., j, i] = val - mean[..., i] * mean[..., j]
     return mean, cov
 
 
@@ -60,20 +61,19 @@ class OssiReport:
     """
 
     n_particles: int
-    slack_a: float
-    slack_b: float
-    slack_c: dict[str, float]
-    slack_d: dict[str, float]
+    slack_a: float | np.ndarray
+    slack_b: float | np.ndarray
+    slack_c: dict[str, float | np.ndarray]
+    slack_d: dict[str, float | np.ndarray]
 
     @property
-    def min_slack(self) -> float:
-        return min(
-            [self.slack_a, self.slack_b]
-            + list(self.slack_c.values())
-            + list(self.slack_d.values())
+    def min_slack(self) -> float | np.ndarray:
+        return np.min(
+            [self.slack_a, self.slack_b, *self.slack_c.values(), *self.slack_d.values()],
+            axis=0,
         )
 
-    def violated(self, tol: float = VIOLATION_TOL) -> bool:
+    def violated(self, tol: float = VIOLATION_TOL) -> bool | np.ndarray:
         return self.min_slack < -tol
 
 
@@ -83,32 +83,30 @@ def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
     n = n_particles
     mean, cov = spin_moments(rho, spin)
-    second = np.diag(cov) + mean**2  # <J_k^2>
-    var = np.diag(cov)
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    second = var + mean**2  # <J_k^2>
 
-    slack_a = n * (n + 2) / 4 - float(second.sum())
-    slack_b = float(var.sum()) - n / 2
+    slack_a = n * (n + 2) / 4 - second.sum(axis=-1)
+    slack_b = var.sum(axis=-1) - n / 2
     slack_c = {}
     slack_d = {}
     for m in range(3):
         k, l = [i for i in range(3) if i != m]
-        slack_c[_AXES[m]] = float(
-            (n - 1) * var[m] - second[k] - second[l] + n / 2
+        slack_c[_AXES[m]] = (n - 1) * var[..., m] - second[..., k] - second[..., l] + n / 2
+        slack_d[_AXES[m]] = (
+            (n - 1) * (var[..., k] + var[..., l]) - second[..., m] - n * (n - 2) / 4
         )
-        slack_d[_AXES[m]] = float(
-            (n - 1) * (var[k] + var[l]) - second[m] - n * (n - 2) / 4
-        )
-    return OssiReport(n, float(slack_a), float(slack_b), slack_c, slack_d)
+    return OssiReport(n, slack_a, slack_b, slack_c, slack_d)
 
 
 @dataclass(frozen=True)
 class BranchWitnesses:
     """Closed-form witness values with their per-branch violation orientation."""
 
-    ineq_a: float
-    ineq_p: float
-    a_violated: bool
-    p_violated: bool
+    ineq_a: float | np.ndarray
+    ineq_p: float | np.ndarray
+    a_violated: bool | np.ndarray
+    p_violated: bool | np.ndarray
 
 
 def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitnesses:
@@ -119,9 +117,9 @@ def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitn
     ineq_a = 3|B|^2 - |D|^2 - 2(|B|^2 + |D|^2)^2 and ineq_p = 2|A|^2 - 1,
     squeezing flagged by negative values.
     """
-    antisym = coeffs.abs_c2 + coeffs.abs_d2
     if branch is InitialState.ENTANGLED_SYMMETRIC:
-        if antisym > 1e-10:
+        antisym = np.max(coeffs.abs_c2 + coeffs.abs_d2)
+        if not antisym <= 1e-10:
             raise BranchMismatchError(
                 f"entangled branch must have no antisymmetric weight, "
                 f"found |C|^2 + |D|^2 = {antisym:.3e}"
@@ -129,8 +127,8 @@ def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitn
         ineq_a = 4 - 5 * coeffs.abs_a2
         ineq_p = coeffs.abs_a2
         return BranchWitnesses(
-            float(ineq_a),
-            float(ineq_p),
+            ineq_a,
+            ineq_p,
             a_violated=ineq_a > VIOLATION_TOL,
             p_violated=ineq_p > VIOLATION_TOL,
         )
@@ -138,41 +136,40 @@ def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitn
     ineq_a = 3 * coeffs.abs_b2 - coeffs.abs_d2 - 2 * s**2
     ineq_p = 2 * coeffs.abs_a2 - 1
     return BranchWitnesses(
-        float(ineq_a),
-        float(ineq_p),
+        ineq_a,
+        ineq_p,
         a_violated=ineq_a < -VIOLATION_TOL,
         p_violated=ineq_p < -VIOLATION_TOL,
     )
 
 
-def _orthonormal_transverse(n0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(n0))] = 1.0
-    e1 = axis - np.dot(axis, n0) * n0
-    e1 /= np.linalg.norm(e1)
+def _transverse_basis(n0: np.ndarray) -> np.ndarray:
+    """Columns e1, e2 spanning the plane orthogonal to the unit vector(s) n0:
+    shape (..., 3, 2)."""
+    axis = np.eye(3)[np.argmin(np.abs(n0), axis=-1)]
+    e1 = axis - np.sum(axis * n0, axis=-1, keepdims=True) * n0
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(n0, e1)
-    return e1, e2
+    return np.stack([e1, e2], axis=-1)
 
 
 def kitagawa_ueda_xi(
     rho: DensityMatrix, spin: SpinTriple, n_particles: int
-) -> float:
+) -> float | np.ndarray:
     """Minimal transverse standard deviation over sqrt(J/2) with J = N/2.
 
     Returns nan when the mean spin direction is undefined (|<J>| too small).
     """
     mean, cov = spin_moments(rho, spin)
-    norm = np.linalg.norm(mean)
-    if norm <= MEAN_SPIN_FLOOR:
-        return math.nan
-    n0 = mean / norm
-    e1, e2 = _orthonormal_transverse(n0)
-    basis = np.column_stack([e1, e2])
-    m = basis.T @ cov @ basis
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    lam_min = max(lam_min, 0.0)
+    norm = np.linalg.norm(mean, axis=-1)
+    defined = norm > MEAN_SPIN_FLOOR
+    n0 = mean / np.where(defined, norm, 1.0)[..., None]
+    basis = _transverse_basis(n0)
+    m = basis.swapaxes(-1, -2) @ cov @ basis
+    lam_min = np.maximum(np.linalg.eigvalsh(m)[..., 0], 0.0)
     j_total = n_particles / 2
-    return math.sqrt(lam_min) / math.sqrt(j_total / 2)
+    xi = np.sqrt(lam_min) / math.sqrt(j_total / 2)
+    return np.where(defined, xi, math.nan)[()]  # [()]: a scalar for one state
 
 
 def transverse_variance(
@@ -184,67 +181,46 @@ def transverse_variance(
     """
     mean, cov = spin_moments(rho, spin)
     norm = np.linalg.norm(mean)
-    if norm <= MEAN_SPIN_FLOOR:
+    if not norm > MEAN_SPIN_FLOOR:
         raise ValueError("mean spin direction undefined")
-    e1, e2 = _orthonormal_transverse(mean / norm)
-    n = math.cos(angle) * e1 + math.sin(angle) * e2
+    n = _transverse_basis(mean / norm) @ np.array([math.cos(angle), math.sin(angle)])
     return float(n @ cov @ n)
 
 
 def sorensen_xi_e2(
     rho: DensityMatrix, spin: SpinTriple, n_particles: int
-) -> float:
-    """N Var(J_n1) / (<J_n2>^2 + <J_n3>^2) minimized over orthonormal frames.
+) -> float | np.ndarray:
+    """N Var(J_n1) / (<J_n2>^2 + <J_n3>^2), minimal over orthonormal frames.
 
-    The denominator equals |<J>|^2 - <J_n1>^2, so only the direction n1 is
-    optimized: a deterministic spherical grid followed by simplex refinement.
-    Returns nan when every frame has a vanishing denominator.
+    The denominator equals |<J>|^2 - <J_n1>^2, so only n1 varies.  In the
+    frame (e1, e2, m) with m the unit mean spin, split the covariance into
+    its transverse 2x2 block C_perp, the coupling c to m, and C_mm.  Writing
+    n1 = u + s m with u transverse, the minimum over s and then over the
+    direction of u is exact:
+
+        xi_e^2 = N lambda_min(C_perp - c c^T / C_mm) / |<J>|^2,
+
+    the Schur complement of C_mm (Sorensen & Molmer, PRL 86, 4431 (2001)).
+    When C_mm <= DENOMINATOR_FLOOR, positivity forces c -> 0 and the c c^T
+    term is dropped.  Returns nan when |<J>|^2 <= DENOMINATOR_FLOOR.
     """
     mean, cov = spin_moments(rho, spin)
-    m2 = float(mean @ mean)
-    if m2 <= DENOMINATOR_FLOOR:
-        return math.nan
-
-    def ratio(angles: np.ndarray) -> float:
-        theta, phi = angles
-        n1 = np.array(
-            [
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            ]
-        )
-        denom = m2 - float(n1 @ mean) ** 2
-        if denom <= DENOMINATOR_FLOOR:
-            return math.inf
-        return n_particles * float(n1 @ cov @ n1) / denom
-
-    thetas = np.linspace(0.0, math.pi, 19)
-    phis = np.linspace(0.0, 2 * math.pi, 37)
-    best = math.inf
-    best_angles = None
-    for theta in thetas:
-        for phi in phis:
-            val = ratio(np.array([theta, phi]))
-            if val < best:
-                best = val
-                best_angles = (theta, phi)
-    if best_angles is None or math.isinf(best):
-        return math.nan
-    res = optimize.minimize(
-        ratio,
-        np.array(best_angles),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 500},
-    )
-    if math.isfinite(res.fun) and res.fun < best:
-        best = float(res.fun)
-    return best
+    m2 = np.sum(mean**2, axis=-1)
+    defined = m2 > DENOMINATOR_FLOOR
+    m_hat = mean / np.sqrt(np.where(defined, m2, 1.0))[..., None]
+    basis = _transverse_basis(m_hat)
+    c_perp = basis.swapaxes(-1, -2) @ cov @ basis
+    c = np.einsum("...ia,...ij,...j->...a", basis, cov, m_hat)
+    c_mm = np.einsum("...i,...ij,...j->...", m_hat, cov, m_hat)
+    c_mm = np.where(c_mm > DENOMINATOR_FLOOR, c_mm, math.inf)
+    schur = c_perp - c[..., :, None] * c[..., None, :] / c_mm[..., None, None]
+    lam_min = np.linalg.eigvalsh(schur)[..., 0]
+    return (n_particles * lam_min / np.where(defined, m2, math.nan))[()]
 
 
 def quadrature_variances(
     rho_photons: DensityMatrix, pair: QuadraturePair
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Generic (Delta X1)^2 and (Delta X2)^2 for the designated mode."""
     out = []
     for op in (pair.x1, pair.x2):
@@ -256,7 +232,7 @@ def quadrature_variances(
 
 def closed_form_quadrature_variance(
     coeffs: CoefficientSet, branch: InitialState
-) -> float:
+) -> float | np.ndarray:
     """Per-branch quadrature-variance closed form (equal for X1 and X2)."""
     if branch is InitialState.ENTANGLED_SYMMETRIC:
         return 0.25 + 0.5 * coeffs.abs_a2
@@ -264,49 +240,4 @@ def closed_form_quadrature_variance(
         (7 / 8) * coeffs.abs_a2
         + 0.25 * (2 * np.real(coeffs.ac) + coeffs.abs_d2)
         + 0.5 * coeffs.abs_b2
-    )
-
-
-@dataclass(frozen=True)
-class WitnessBundle:
-    """Everything the sweep can report for one state."""
-
-    ossi_atoms: OssiReport
-    ossi_photons: OssiReport
-    ineq_a: float
-    ineq_p: float
-    a_violated: bool
-    p_violated: bool
-    xi: float
-    xi_e2: float
-    var_x1: float
-    var_x2: float
-
-
-def evaluate_bundle(
-    coeffs: CoefficientSet,
-    branch: InitialState,
-    rho_atoms: DensityMatrix,
-    rho_photons: DensityMatrix,
-    atom_spin: SpinTriple,
-    photon_spin: SpinTriple,
-    pair: Optional[QuadraturePair] = None,
-) -> WitnessBundle:
-    bw = branch_witnesses(coeffs, branch)
-    var_cf = closed_form_quadrature_variance(coeffs, branch)
-    if pair is not None:
-        var_x1, var_x2 = quadrature_variances(rho_photons, pair)
-    else:
-        var_x1 = var_x2 = var_cf
-    return WitnessBundle(
-        ossi_atoms=ossi(rho_atoms, atom_spin, 2),
-        ossi_photons=ossi(rho_photons, photon_spin, 2),
-        ineq_a=bw.ineq_a,
-        ineq_p=bw.ineq_p,
-        a_violated=bw.a_violated,
-        p_violated=bw.p_violated,
-        xi=kitagawa_ueda_xi(rho_atoms, atom_spin, 2),
-        xi_e2=sorensen_xi_e2(rho_atoms, atom_spin, 2),
-        var_x1=var_x1,
-        var_x2=var_x2,
     )

@@ -48,6 +48,16 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             ManifoldState(np.array([1.0, 1.0, 0.0, 0.0]), 0.0)
 
+    def test_manifold_state_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ManifoldState(np.array([np.nan, 0.0, 0.0, 0.0]), 0.0)
+
+    def test_manifold_state_row_rejects_one_bad_column(self):
+        amps = np.zeros((4, 3), dtype=complex)
+        amps[0] = [1.0, 1.0, 1.1]
+        with pytest.raises(ValueError):
+            ManifoldState(amps, np.arange(3.0))
+
 
 class TestClosedFormEvolution:
     @pytest.mark.parametrize("branch", BRANCHES)
@@ -72,6 +82,12 @@ class TestClosedFormEvolution:
     def test_rejects_negative_time(self, default_block):
         with pytest.raises(ValueError):
             evolve_closed_form(InitialState.ENTANGLED_SYMMETRIC, default_block, -0.1)
+
+    def test_rejects_nan_time(self, default_block, default_hamiltonian):
+        with pytest.raises(ValueError):
+            evolve_closed_form(InitialState.ENTANGLED_SYMMETRIC, default_block, np.nan)
+        with pytest.raises(ValueError):
+            evolve_numeric_oracle(InitialState.ENTANGLED_SYMMETRIC, default_hamiltonian, np.nan)
 
     def test_full_revival_of_photonic_amplitude(self, default_block):
         # at one Rabi period the atomic amplitude vanishes identically
@@ -125,6 +141,29 @@ class TestCoefficients:
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(ValueError):
             CoefficientSet(0.5, 0.5, 0.0, 0.0, 0.9 + 0j, 0j, 0j, 0j, 0j, 0j)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            CoefficientSet(1.0, 0.0, 0.0, 0.0, complex(np.nan), 0j, 0j, 0j, 0j, 0j)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_row_matches_single_states(self, branch, default_block):
+        times = np.array(TIMES)
+        amps = evolve_closed_form_grid(branch, default_block, times)
+        row = coefficients(ManifoldState(amps, times))
+        rho_a, rho_p = analytic_rho_atoms(row), analytic_rho_photons(row)
+        assert rho_a.shape == (len(TIMES), 4, 4)
+        assert rho_p.shape == (len(TIMES), 9, 9)
+        for k, t in enumerate(TIMES):
+            single = coefficients(ManifoldState(amps[:, k], t))
+            for field in (
+                "abs_a2", "abs_b2", "abs_c2", "abs_d2", "ab", "ac", "ad", "bc", "bd", "cd",
+            ):
+                assert getattr(row, field)[k] == pytest.approx(
+                    getattr(single, field), abs=1e-15
+                ), field
+            assert np.allclose(rho_a[k], analytic_rho_atoms(single), atol=1e-15)
+            assert np.allclose(rho_p[k], analytic_rho_photons(single), atol=1e-15)
 
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("t", TIMES)

@@ -52,6 +52,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams.from_mapping({"kappa": 1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["omega", "mu", "eta", "lam", "zeta", "e_g", "e_e"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**{name: value})
+
 
 class TestBuildHamiltonian:
     def test_hermitian(self, default_hamiltonian):

@@ -179,3 +179,28 @@ def test_density_matrix_rejects_negative_eigenvalue(atom_space):
     mat = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(NumericalConsistencyError):
         DensityMatrix(atom_space, mat)
+
+
+def test_checks_fail_closed_on_nan(atom_space):
+    mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    mat[3, 3] = np.nan
+    with pytest.raises(NumericalConsistencyError):
+        HermitianOperator(atom_space, mat)
+    with pytest.raises(NumericalConsistencyError):
+        DensityMatrix(atom_space, mat)
+    rho = DensityMatrix(atom_space, np.diag([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(NumericalConsistencyError):
+        expectation(Operator(atom_space, mat * 1j), rho)
+
+
+def test_density_matrix_stack_checks_every_matrix(atom_space, atom_spin):
+    good = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    with pytest.raises(NumericalConsistencyError):
+        DensityMatrix(atom_space, np.stack([good, good, bad]))
+    other = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+    stack = DensityMatrix(atom_space, np.stack([good, other]))
+    values = expectation(atom_spin.z, stack)
+    assert values.shape == (2,)
+    assert values[0] == expectation(atom_spin.z, DensityMatrix(atom_space, good))
+    assert values[1] == expectation(atom_spin.z, DensityMatrix(atom_space, other))

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezetransfer
 from squeezetransfer.dynamics import InitialState, coefficients, evolve_closed_form
 from squeezetransfer.sweep import (
+    DEFAULT_OBSERVABLES,
     GridSpec,
     Method,
     SweepCell,
@@ -15,6 +22,7 @@ from squeezetransfer.sweep import (
     main,
     run_sweep,
     _build_parser,
+    _max_disagreement,
 )
 
 
@@ -42,6 +50,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 3)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite(self, bounds):
+        with pytest.raises(ValueError):
+            GridSpec(*bounds, 3)
+
 
 class TestSweepConfig:
     def test_columns_expand_ossi(self):
@@ -58,6 +71,10 @@ class TestSweepConfig:
     def test_rejects_negative_zeta(self):
         with pytest.raises(ValueError):
             small_config(zeta_grid=GridSpec(-0.5, 1.0, 3))
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="time"):
+            small_config(time_grid=GridSpec(-5.0, 5.0, 3))
 
 
 class TestRunSweep:
@@ -106,9 +123,20 @@ class TestRunSweep:
             4 - 5 * coeffs.abs_a2, abs=1e-12
         )
 
-    @pytest.mark.parametrize("branch", list(InitialState))
-    def test_methods_agree(self, branch):
-        cfg = small_config(branch=branch, method=Method.BOTH)
+    @pytest.mark.parametrize(
+        "branch,observables",
+        [pytest.param(b, DEFAULT_OBSERVABLES, id=str(b)) for b in InitialState]
+        + [
+            pytest.param(
+                b,
+                ("ineq_a", "ineq_p", "ossi_full", "xi", "xi_e2", "var_x1", "var_x2"),
+                id=f"{b}-all_observables",
+            )
+            for b in InitialState
+        ],
+    )
+    def test_methods_agree(self, branch, observables):
+        cfg = small_config(branch=branch, method=Method.BOTH, observables=observables)
         cells = run_sweep(cfg)
         worst = max(c.method_disagreement for c in cells)
         assert worst < 1e-8
@@ -122,20 +150,6 @@ class TestRunSweep:
             for key, val in cell.values.items():
                 assert val == pytest.approx(ref[key], abs=1e-14)
 
-    def test_threaded_matches_serial(self):
-        cfg_serial = small_config(observables=("ineq_a", "ossi_full", "xi"))
-        cfg_threaded = small_config(
-            observables=("ineq_a", "ossi_full", "xi"), threads=4
-        )
-        serial = run_sweep(cfg_serial)
-        threaded = run_sweep(cfg_threaded)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert (a.zeta, a.t) == (b.zeta, b.t)
-            for key in a.values:
-                va, vb = a.values[key], b.values[key]
-                assert (np.isnan(va) and np.isnan(vb)) or va == vb
-
     def test_xi_nan_at_t0(self):
         # both atoms in |g>: the mean spin exists, but at later revival-free
         # grid points the xi column must still serialize; check a nan case via
@@ -148,6 +162,18 @@ class TestRunSweep:
             )
         )
         assert np.isfinite(cells[0].values["xi"])
+
+
+class TestMaxDisagreement:
+    def test_one_sided_nan_is_inf(self):
+        primary = {"a": np.array([1.0, np.nan, np.nan, 2.0]), "b": np.zeros(4)}
+        other = {"a": np.array([1.5, np.nan, 3.0, np.nan]), "b": np.array([0.0, 0.1, 0.0, 0.0])}
+        worst = _max_disagreement(primary, other)
+        assert worst.tolist() == [0.5, 0.1, math.inf, math.inf]
+
+    def test_agreement_is_zero(self):
+        row = {"a": np.array([np.nan, 1.0])}
+        assert _max_disagreement(row, row).tolist() == [0.0, 0.0]
 
 
 class TestEmit:
@@ -251,3 +277,50 @@ class TestCli:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--zeta", "nan"], ["--zeta-range", "0", "inf"], ["--time-range", "-5", "5"]],
+    )
+    def test_main_rejects_bad_grid(self, grid, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main([*grid, "--steps", "2", "3", "--output", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_main_rejects_nan_param(self, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text('{"mu": NaN}')
+        rc = main(["--params-file", str(pfile), "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_main_rejects_zeta_in_params_file(self, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"zeta": 1.7}))
+        rc = main(
+            [
+                "--params-file", str(pfile),
+                "--zeta-range", "0", "1",
+                "--steps", "2", "3",
+                "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--zeta" in err
+
+
+def test_import_leaves_scipy_out():
+    src = Path(squeezetransfer.__file__).resolve().parents[1]
+    code = "import sys, squeezetransfer.sweep; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

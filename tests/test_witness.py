@@ -6,18 +6,22 @@ from scipy.linalg import expm
 
 from squeezetransfer.dynamics import (
     InitialState,
+    ManifoldState,
     analytic_rho_atoms,
     analytic_rho_photons,
     coefficients,
+    density_matrices,
     evolve_closed_form,
+    evolve_closed_form_grid,
+    evolve_numeric_oracle,
 )
-from squeezetransfer.hilbert import DensityMatrix
-from squeezetransfer.operators import quadratures
+from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+from squeezetransfer.hilbert import CompositeSpace, DensityMatrix, atom
+from squeezetransfer.operators import collective_atomic_spin, quadratures
 from squeezetransfer.witness import (
     BranchMismatchError,
     branch_witnesses,
     closed_form_quadrature_variance,
-    evaluate_bundle,
     kitagawa_ueda_xi,
     ossi,
     quadrature_variances,
@@ -188,6 +192,84 @@ class TestXiE2:
         assert val < 1.0
         assert val == pytest.approx(expected, abs=1e-4)
 
+    def test_exact_minimum_never_above_direction_search(self, atom_space, atom_spin, rng):
+        # brute-force minimum of N Var(J_n) / (|<J>|^2 - <J_n>^2) over a
+        # dense grid of directions n; the exact value may only lie below it
+        theta, phi = np.meshgrid(
+            np.linspace(0.0, np.pi, 181), np.linspace(0.0, 2 * np.pi, 361)
+        )
+        dirs = np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+            axis=-1,
+        ).reshape(-1, 3)
+        for _ in range(20):
+            v = rng.normal(size=(4, 2)) @ np.array([1.0, 1j])
+            rho = DensityMatrix(
+                atom_space, 0.7 * np.outer(v, v.conj()) / np.vdot(v, v).real
+                + 0.3 * random_separable_two_qubit(rng)
+            )
+            mean, cov = spin_moments(rho, atom_spin)
+            denom = mean @ mean - (dirs @ mean) ** 2
+            keep = denom > 1e-6
+            ratios = 2 * np.einsum("ni,ij,nj->n", dirs, cov, dirs)[keep] / denom[keep]
+            exact = sorensen_xi_e2(rho, atom_spin, 2)
+            assert exact <= ratios.min() + 1e-12
+            assert exact == pytest.approx(ratios.min(), rel=1e-3)
+
+    def test_exact_at_t0_on_both_routes(self, space):
+        # at t = 0 the atoms are in |gg>: the ratio is 1 in every frame and the
+        # covariance along the mean spin vanishes up to round-off
+        params = ModelParams(mu=-0.10481414916324346, eta=0.017691690118380732, zeta=0.5)
+        branch = InitialState.SEPARABLE_ONE_CAVITY
+        h = build_hamiltonian(params, space)
+        coeffs = coefficients(evolve_closed_form(branch, extract_manifold_block(h), 0.0))
+        atom_space = CompositeSpace((atom(), atom()))
+        spin = collective_atomic_spin(atom_space)
+        rho_cf = DensityMatrix(atom_space, analytic_rho_atoms(coeffs))
+        _, rho_or, _ = density_matrices(evolve_numeric_oracle(branch, h, 0.0), space)
+        for rho in (rho_cf, rho_or):
+            assert sorensen_xi_e2(rho, spin, 2) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestStackedStates:
+    def test_row_matches_single_states(
+        self, default_block, atom_space, photon_space, atom_spin, photon_spin
+    ):
+        times = np.linspace(0.0, 6.0, 13)
+        amps = evolve_closed_form_grid(InitialState.SEPARABLE_ONE_CAVITY, default_block, times)
+        row = coefficients(ManifoldState(amps, times))
+        stacks = (
+            (DensityMatrix(atom_space, analytic_rho_atoms(row)), atom_space, atom_spin),
+            (DensityMatrix(photon_space, analytic_rho_photons(row)), photon_space, photon_spin),
+        )
+        for stack, sp, spin in stacks:
+            report = ossi(stack, spin, 2)
+            xi = kitagawa_ueda_xi(stack, spin, 2)
+            xi_e2 = sorensen_xi_e2(stack, spin, 2)
+            for k in range(times.size):
+                single = DensityMatrix(sp, stack.matrix[k])
+                one = ossi(single, spin, 2)
+                assert report.slack_a[k] == pytest.approx(one.slack_a, abs=1e-14)
+                assert report.slack_b[k] == pytest.approx(one.slack_b, abs=1e-14)
+                for ax in ("x", "y", "z"):
+                    assert report.slack_c[ax][k] == pytest.approx(one.slack_c[ax], abs=1e-14)
+                    assert report.slack_d[ax][k] == pytest.approx(one.slack_d[ax], abs=1e-14)
+                assert report.min_slack[k] == pytest.approx(one.min_slack, abs=1e-14)
+                assert xi[k] == pytest.approx(
+                    kitagawa_ueda_xi(single, spin, 2), abs=1e-14, nan_ok=True
+                )
+                assert xi_e2[k] == pytest.approx(
+                    sorensen_xi_e2(single, spin, 2), abs=1e-12, nan_ok=True
+                )
+
+    def test_nan_where_mean_spin_vanishes(self, atom_space, atom_spin):
+        stack = np.stack([css_state(atom_space).matrix, singlet_state(atom_space).matrix])
+        rho = DensityMatrix(atom_space, stack)
+        xi = kitagawa_ueda_xi(rho, atom_spin, 2)
+        xi_e2 = sorensen_xi_e2(rho, atom_spin, 2)
+        assert xi[0] == pytest.approx(1.0, abs=1e-10) and math.isnan(xi[1])
+        assert xi_e2[0] == pytest.approx(1.0, abs=1e-10) and math.isnan(xi_e2[1])
+
 
 class TestQuadratures:
     def test_entangled_t0_closed_form(self, default_block):
@@ -215,29 +297,3 @@ class TestQuadratures:
         cf = closed_form_quadrature_variance(coeffs, InitialState.ENTANGLED_SYMMETRIC)
         assert v1 == pytest.approx(cf, abs=1e-10)
         assert v2 == pytest.approx(cf, abs=1e-10)
-
-
-class TestBundle:
-    def test_bundle_consistent_fields(
-        self, default_block, atom_space, photon_space, atom_spin, photon_spin
-    ):
-        coeffs = branch_state(default_block, InitialState.ENTANGLED_SYMMETRIC, 1.3)
-        rho_a = DensityMatrix(atom_space, analytic_rho_atoms(coeffs))
-        rho_p = DensityMatrix(photon_space, analytic_rho_photons(coeffs))
-        bundle = evaluate_bundle(
-            coeffs,
-            InitialState.ENTANGLED_SYMMETRIC,
-            rho_a,
-            rho_p,
-            atom_spin,
-            photon_spin,
-        )
-        bw = branch_witnesses(coeffs, InitialState.ENTANGLED_SYMMETRIC)
-        assert bundle.ineq_a == bw.ineq_a
-        assert bundle.ineq_p == bw.ineq_p
-        assert bundle.var_x1 == bundle.var_x2
-        assert bundle.var_x1 == pytest.approx(
-            closed_form_quadrature_variance(coeffs, InitialState.ENTANGLED_SYMMETRIC),
-            abs=1e-12,
-        )
-        assert bundle.ossi_atoms.n_particles == 2
