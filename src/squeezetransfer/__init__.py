@@ -31,7 +31,7 @@ from .operators import (
     photonic_pseudospin,
     quadratures,
 )
-from .sweep import GridSpec, Method, SweepConfig, emit, run_sweep
+from .sweep import GridSpec, Method, SweepConfig, SweepResult, emit, run_sweep
 from .witness import (
     BranchWitnesses,
     OssiReport,

@@ -138,9 +138,6 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
     @property
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < HERMITICITY_TOL)

@@ -1,9 +1,9 @@
 """Grid sweeps over hopping strength and time, with a CSV/JSON-emitting CLI.
 
-Every (zeta, t) cell is a pure function of the configuration.  Each zeta row
-is computed as arrays over the time grid, and cells are always emitted in
-deterministic zeta-major order, so identical configurations produce
-byte-identical output files.
+Every (zeta, t) cell is a pure function of the configuration.  The model
+operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, and each zeta
+row is computed as arrays over the time grid.  Output is written straight from
+flat zeta-major columns, so identical configurations give byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ import argparse
 import enum
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +28,13 @@ from .dynamics import (
     coefficients,
     evolve_closed_form_grid,
     initial_vector,
+    project_amplitudes,
 )
-from .hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+from .hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block, hopping_operator
 from .hilbert import (
     CompositeSpace,
     DensityMatrix,
+    HermitianOperator,
     NumericalConsistencyError,
     atom,
     photon_mode,
@@ -47,6 +50,7 @@ from .witness import (
 )
 
 DISAGREEMENT_TOL = 1e-8
+_CSV_BLOCK_ROWS = 4096
 
 _OSSI_COLUMNS = tuple(
     f"{side}_slack_{name}"
@@ -83,9 +87,7 @@ class GridSpec:
             raise ValueError(f"grid stop {self.stop} < start {self.start}")
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
+        return np.linspace(self.start, self.stop, self.steps)  # one step gives [start]
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,21 @@ class SweepConfig:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        cols: list[str] = []
-        for obs in self.observables:
-            if obs == "ossi_full":
-                cols.extend(_OSSI_COLUMNS)
-            else:
-                cols.append(obs)
-        return tuple(cols)
+        expand = {"ossi_full": _OSSI_COLUMNS}
+        return tuple(c for obs in self.observables for c in expand.get(obs, (obs,)))
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    zeta: float
-    t: float
-    values: dict[str, float]
-    method_disagreement: Optional[float] = None
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Flat zeta-major columns, one entry per (zeta, t) cell."""
+
+    zeta: np.ndarray
+    t: np.ndarray
+    values: dict[str, np.ndarray]
+    method_disagreement: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.zeta.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +168,7 @@ def _row_columns(
     values: dict[str, np.ndarray] = {}
     for o in obs:
         if o in ("ineq_a", "ineq_p"):
-            bw = branch_witnesses(coeffs, config.branch)
-            values[o] = bw.ineq_a if o == "ineq_a" else bw.ineq_p
+            values[o] = getattr(branch_witnesses(coeffs, config.branch), o)
         elif o in ("var_x1", "var_x2"):
             values[o] = closed_form_quadrature_variance(coeffs, config.branch)
         elif o == "xi":
@@ -203,90 +204,89 @@ def _max_disagreement(
     return worst
 
 
-def _cells_for_zeta(config: SweepConfig, zeta: float, ws: _Workspace) -> list[SweepCell]:
-    params = config.params.replace(zeta=zeta)
-    h = build_hamiltonian(params, ws.space)
-    block = extract_manifold_block(h, params.lam)
+def _row(config: SweepConfig, zeta: float, matrix: np.ndarray, ws: _Workspace) -> dict:
+    """Every output column of one zeta row, with method_disagreement under BOTH."""
+    h = HermitianOperator(ws.space, matrix)
+    block = extract_manifold_block(h, config.params.lam)
     times = config.time_grid.values()
 
     routes = []
     if config.method in (Method.CLOSED_FORM, Method.BOTH):
         routes.append(evolve_closed_form_grid(config.branch, block, times))
     if config.method in (Method.NUMERIC_ORACLE, Method.BOTH):
-        prop = SpectralPropagator(h, params.lam)
+        prop = SpectralPropagator(h, config.params.lam)
         full = prop.evolve_grid(initial_vector(config.branch, ws.space), times)
-        routes.append(block.basis.conj().T @ full)
+        routes.append(project_amplitudes(full, block))
     try:
         columns = [_row_columns(amps, times, config, ws) for amps in routes]
     except (ValueError, NumericalConsistencyError) as exc:
         raise SweepError(f"row zeta={zeta}: {exc}") from exc
-    disagreement = [None] * times.size
     if config.method is Method.BOTH:
-        disagreement = _max_disagreement(*columns).tolist()
-
-    keys = list(columns[0])
-    rows = zip(times.tolist(), disagreement, *(columns[0][k].tolist() for k in keys))
-    return [
-        SweepCell(float(zeta), t, dict(zip(keys, vals)), d) for t, d, *vals in rows
-    ]
+        columns[0]["method_disagreement"] = _max_disagreement(*columns)
+    return columns[0]
 
 
-def run_sweep(config: SweepConfig) -> list[SweepCell]:
-    """One cell per grid point, in deterministic zeta-major order."""
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Every grid cell as flat columns, in deterministic zeta-major order."""
     ws = _make_workspace()
-    return [
-        cell for z in config.zeta_grid.values() for cell in _cells_for_zeta(config, z, ws)
-    ]
+    # build_hamiltonian's last step is h += zeta * hop, so h_local + zeta * hop
+    # is the same float arithmetic as building H(zeta) directly.
+    h_local = build_hamiltonian(config.params.replace(zeta=0.0), ws.space).matrix
+    hop = hopping_operator(ws.space).matrix
+    zetas, times = config.zeta_grid.values(), config.time_grid.values()
+    rows = [_row(config, z, h_local + z * hop, ws) for z in zetas]
+    values = {k: np.concatenate([row[k] for row in rows]) for k in rows[0]}
+    disagreement = values.pop("method_disagreement", None)
+    zeta, t = np.repeat(zetas, times.size), np.tile(times, zetas.size)
+    return SweepResult(zeta, t, values, disagreement)
 
 
-def _fmt(value: Optional[float]) -> str:
-    if value is None or math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
+def _csv_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
+    """CSV text in blocks of rows, so the whole file is never held at once."""
+    yield ",".join(names) + "\n"
+    # %.17g prints nan, inf and -0 the same way as f"{v:.17g}".
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    table = np.column_stack(data)
+    for i in range(0, len(table), _CSV_BLOCK_ROWS):
+        yield "".join(row % tuple(r) for r in table[i : i + _CSV_BLOCK_ROWS].tolist())
+
+
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write a sibling temporary file, then move it over `path`."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the write or the replace failed
+            os.remove(tmp)
 
 
 def emit(
-    cells: Sequence[SweepCell],
+    result: SweepResult,
     columns: Sequence[str],
     output_format: str,
     path: str,
     include_disagreement: bool = False,
 ) -> None:
-    """Write cells to disk; byte-stable for identical inputs."""
-    if not cells:
+    """Write the result's columns to disk atomically; byte-stable for identical inputs."""
+    if not len(result):
         raise ValueError("no cells to emit")
+    names = ["zeta", "t", *columns]
+    data = [result.zeta, result.t, *(result.values[c] for c in columns)]
+    if include_disagreement:
+        names.append("method_disagreement")
+        data.append(result.method_disagreement)
     if output_format == "csv":
-        header = ["zeta", "t"] + list(columns)
-        if include_disagreement:
-            header.append("method_disagreement")
-        lines = [",".join(header)]
-        for cell in cells:
-            row = [_fmt(cell.zeta), _fmt(cell.t)]
-            row.extend(_fmt(cell.values[c]) for c in columns)
-            if include_disagreement:
-                row.append(_fmt(cell.method_disagreement))
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        chunks = _csv_chunks(names, data)
     elif output_format == "json":
-        records = []
-        for cell in cells:
-            rec: dict = {"zeta": cell.zeta, "t": cell.t}
-            for c in columns:
-                v = cell.values[c]
-                rec[c] = None if math.isnan(v) else v
-            if include_disagreement:
-                d = cell.method_disagreement
-                rec["method_disagreement"] = (
-                    None if d is None or math.isnan(d) else d
-                )
-            records.append(rec)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
+        lists = [[None if math.isnan(v) else v for v in col.tolist()] for col in data]
+        records = [dict(zip(names, vals)) for vals in zip(*lists)]
+        chunks = [json.dumps(records, indent=2) + "\n"]
     else:
         raise ValueError(f"unknown output format {output_format!r}")
+    _write_atomic(path, chunks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,27 +366,27 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        cells = run_sweep(config)
-        emit(
-            cells,
-            config.columns,
-            config.output_format,
-            config.output_path,
-            include_disagreement=config.method is Method.BOTH,
-        )
+        result = run_sweep(config)
+        emit(result, config.columns, config.output_format, config.output_path,
+             include_disagreement=config.method is Method.BOTH)
     except (ValueError, SweepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.method is Method.BOTH:
-        worst = max(c.method_disagreement for c in cells)
-        print(f"wrote {len(cells)} cells to {config.output_path} "
-              f"(max method disagreement {worst:.3e})")
-    else:
-        print(f"wrote {len(cells)} cells to {config.output_path}")
+    summary = f"wrote {len(result)} cells to {config.output_path}"
+    if config.method is not Method.BOTH:
+        print(summary)
+        return 0
+    i = int(np.argmax(result.method_disagreement))
+    worst = result.method_disagreement[i]
+    cell = f"zeta={result.zeta[i]:g}, t={result.t[i]:g}"
+    print(f"{summary} (max method disagreement {worst:.3e} at {cell})")
+    if not worst <= DISAGREEMENT_TOL:
+        print(f"error: the dynamics routes disagree by {worst:.3e} at {cell}, "
+              f"above {DISAGREEMENT_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

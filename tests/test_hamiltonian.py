@@ -92,6 +92,16 @@ class TestBuildHamiltonian:
         h_half = build_hamiltonian(ModelParams(zeta=0.5), space).matrix
         assert np.allclose(h_half, 0.5 * (h0 + h1), atol=1e-14)
 
+    @pytest.mark.parametrize("zeta", [0.0, 0.01, 0.5, 1.37, 2.0])
+    def test_local_plus_hopping_is_exact(self, space, zeta):
+        # The sweep builds H(zeta) as H(0) + zeta * Hop; that must be the same
+        # float arithmetic as a direct build, not merely close to it.
+        params = ModelParams(mu=0.13, eta=-0.07, e_g=0.3, e_e=-0.1)
+        h_local = build_hamiltonian(params, space).matrix
+        hop = hopping_operator(space).matrix
+        direct = build_hamiltonian(params.replace(zeta=zeta), space).matrix
+        assert np.array_equal(h_local + zeta * hop, direct)
+
     def test_swap_symmetry(self, space, default_hamiltonian):
         # exchanging the two cavities is a symmetry of the model
         d = space.total_dim

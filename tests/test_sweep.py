@@ -15,8 +15,8 @@ from squeezetransfer.sweep import (
     DEFAULT_OBSERVABLES,
     GridSpec,
     Method,
-    SweepCell,
     SweepConfig,
+    SweepResult,
     config_from_args,
     emit,
     main,
@@ -79,39 +79,37 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_cell_count_and_order(self):
-        cells = run_sweep(small_config())
-        assert len(cells) == 15
-        assert cells[0].zeta == 0.0 and cells[0].t == 0.0
-        assert cells[4].t == 4.0
-        assert cells[5].zeta == 0.5
+        result = run_sweep(small_config())
+        assert len(result) == 15
+        assert result.zeta[0] == 0.0 and result.t[0] == 0.0
+        assert result.t[4] == 4.0
+        assert result.zeta[5] == 0.5
 
     def test_entangled_reference_values_at_t0(self):
-        cells = run_sweep(
+        values = run_sweep(
             small_config(
                 zeta_grid=GridSpec(0.5, 0.5, 1), time_grid=GridSpec(0.0, 0.0, 1)
             )
-        )
-        cell = cells[0]
-        assert cell.values["ineq_a"] == pytest.approx(-1.0, abs=1e-12)
-        assert cell.values["ineq_p"] == pytest.approx(1.0, abs=1e-12)
-        assert cell.values["var_x1"] == pytest.approx(0.75, abs=1e-12)
-        assert cell.values["var_x2"] == pytest.approx(0.75, abs=1e-12)
+        ).values
+        assert values["ineq_a"][0] == pytest.approx(-1.0, abs=1e-12)
+        assert values["ineq_p"][0] == pytest.approx(1.0, abs=1e-12)
+        assert values["var_x1"][0] == pytest.approx(0.75, abs=1e-12)
+        assert values["var_x2"][0] == pytest.approx(0.75, abs=1e-12)
 
     def test_separable_reference_values_at_t0(self):
-        cells = run_sweep(
+        values = run_sweep(
             small_config(
                 branch=InitialState.SEPARABLE_ONE_CAVITY,
                 zeta_grid=GridSpec(0.5, 0.5, 1),
                 time_grid=GridSpec(0.0, 0.0, 1),
             )
-        )
-        cell = cells[0]
-        assert cell.values["ineq_a"] == pytest.approx(0.0, abs=1e-12)
-        assert cell.values["ineq_p"] == pytest.approx(0.0, abs=1e-12)
-        assert cell.values["var_x1"] == pytest.approx(0.6875, abs=1e-12)
+        ).values
+        assert values["ineq_a"][0] == pytest.approx(0.0, abs=1e-12)
+        assert values["ineq_p"][0] == pytest.approx(0.0, abs=1e-12)
+        assert values["var_x1"][0] == pytest.approx(0.6875, abs=1e-12)
 
     def test_matches_direct_evaluation(self, default_block):
-        cells = run_sweep(
+        result = run_sweep(
             small_config(
                 zeta_grid=GridSpec(0.5, 0.5, 1), time_grid=GridSpec(1.3, 1.3, 1)
             )
@@ -119,7 +117,7 @@ class TestRunSweep:
         coeffs = coefficients(
             evolve_closed_form(InitialState.ENTANGLED_SYMMETRIC, default_block, 1.3)
         )
-        assert cells[0].values["ineq_a"] == pytest.approx(
+        assert result.values["ineq_a"][0] == pytest.approx(
             4 - 5 * coeffs.abs_a2, abs=1e-12
         )
 
@@ -137,31 +135,44 @@ class TestRunSweep:
     )
     def test_methods_agree(self, branch, observables):
         cfg = small_config(branch=branch, method=Method.BOTH, observables=observables)
-        cells = run_sweep(cfg)
-        worst = max(c.method_disagreement for c in cells)
+        worst = run_sweep(cfg).method_disagreement.max()
         assert worst < 1e-8
+
+    def test_builds_hamiltonian_once(self, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        calls = []
+        real = sweep.build_hamiltonian
+
+        def counting(params, space):
+            calls.append(params.zeta)
+            return real(params, space)
+
+        monkeypatch.setattr(sweep, "build_hamiltonian", counting)
+        run_sweep(small_config(method=Method.BOTH))
+        assert calls == [0.0]
 
     def test_subgrid_is_consistent_with_supergrid(self):
         fine = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 5)))
         coarse = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 3)))
-        fine_map = {(c.zeta, c.t): c.values for c in fine}
-        for cell in coarse:
-            ref = fine_map[(cell.zeta, cell.t)]
-            for key, val in cell.values.items():
-                assert val == pytest.approx(ref[key], abs=1e-14)
+        fine_map = {(z, t): i for i, (z, t) in enumerate(zip(fine.zeta, fine.t))}
+        for j, (z, t) in enumerate(zip(coarse.zeta, coarse.t)):
+            i = fine_map[(z, t)]
+            for key, col in coarse.values.items():
+                assert col[j] == pytest.approx(fine.values[key][i], abs=1e-14)
 
     def test_xi_nan_at_t0(self):
         # both atoms in |g>: the mean spin exists, but at later revival-free
         # grid points the xi column must still serialize; check a nan case via
         # the separable branch where the photons dominate
-        cells = run_sweep(
+        result = run_sweep(
             small_config(
                 observables=("xi",),
                 zeta_grid=GridSpec(0.5, 0.5, 1),
                 time_grid=GridSpec(0.0, 0.0, 1),
             )
         )
-        assert np.isfinite(cells[0].values["xi"])
+        assert np.isfinite(result.values["xi"][0])
 
 
 class TestMaxDisagreement:
@@ -179,9 +190,9 @@ class TestMaxDisagreement:
 class TestEmit:
     def test_csv_layout(self, tmp_path):
         cfg = small_config()
-        cells = run_sweep(cfg)
+        result = run_sweep(cfg)
         path = tmp_path / "out.csv"
-        emit(cells, cfg.columns, "csv", str(path))
+        emit(result, cfg.columns, "csv", str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "zeta,t,ineq_a,ineq_p,var_x1,var_x2"
         assert len(lines) == 16
@@ -192,34 +203,92 @@ class TestEmit:
         cfg = small_config(method=Method.BOTH)
         digests = []
         for name in ("a.csv", "b.csv"):
-            cells = run_sweep(cfg)
+            result = run_sweep(cfg)
             path = tmp_path / name
-            emit(cells, cfg.columns, "csv", str(path), include_disagreement=True)
+            emit(result, cfg.columns, "csv", str(path), include_disagreement=True)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
     def test_nan_serialization(self, tmp_path):
-        cells = [SweepCell(0.0, 0.0, {"xi": float("nan")})]
+        result = SweepResult(np.zeros(1), np.zeros(1), {"xi": np.array([np.nan])})
         csv_path = tmp_path / "out.csv"
-        emit(cells, ("xi",), "csv", str(csv_path))
+        emit(result, ("xi",), "csv", str(csv_path))
         assert csv_path.read_text().splitlines()[1] == "0,0,nan"
         json_path = tmp_path / "out.json"
-        emit(cells, ("xi",), "json", str(json_path))
+        emit(result, ("xi",), "json", str(json_path))
         records = json.loads(json_path.read_text())
         assert records[0]["xi"] is None
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config()
-        cells = run_sweep(cfg)
+        result = run_sweep(cfg)
         path = tmp_path / "out.json"
-        emit(cells, cfg.columns, "json", str(path))
+        emit(result, cfg.columns, "json", str(path))
         records = json.loads(path.read_text())
-        assert len(records) == len(cells)
-        assert records[3]["ineq_a"] == cells[3].values["ineq_a"]
+        assert len(records) == len(result)
+        assert records[3]["ineq_a"] == result.values["ineq_a"][3]
 
     def test_rejects_empty(self, tmp_path):
+        empty = SweepResult(np.empty(0), np.empty(0), {"ineq_a": np.empty(0)})
         with pytest.raises(ValueError):
-            emit([], ("ineq_a",), "csv", str(tmp_path / "x.csv"))
+            emit(empty, ("ineq_a",), "csv", str(tmp_path / "x.csv"))
+
+    def test_special_values_match_reference_formatter(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, -2.5e-300, 6.02214076e23]
+        rng = np.random.default_rng(0)
+        n = 9 * 1000  # more rows than one block of CSV text
+        result = SweepResult(
+            zeta=np.repeat(np.linspace(0.0, 2.0, 9), 1000),
+            t=np.tile(np.linspace(0.0, 20.0, 1000), 9),
+            values={
+                "a": np.resize(special, n),
+                "b": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            },
+            method_disagreement=np.resize([0.0, np.nan, 1e-15, 0.5], n),
+        )
+
+        def ref(v):
+            return "nan" if math.isnan(v) else f"{v:.17g}"
+
+        def json_ref(v):
+            return None if math.isnan(v) else v
+
+        names = ("zeta", "t", "a", "b", "method_disagreement")
+        cells = list(zip(result.zeta.tolist(), result.t.tolist(), result.values["a"].tolist(),
+                         result.values["b"].tolist(), result.method_disagreement.tolist()))
+        csv_ref = "\n".join([",".join(names)] + [",".join(map(ref, c)) for c in cells]) + "\n"
+        records = [dict(zip(names, map(json_ref, c))) for c in cells]
+        json_text = json.dumps(records, indent=2) + "\n"
+
+        for fmt, expected in (("csv", csv_ref), ("json", json_text)):
+            path = tmp_path / f"out.{fmt}"
+            emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
+        import squeezetransfer.sweep as sweep
+
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old bytes\n")
+
+        def broken_open(file, *args, **kwargs):
+            with open(file, *args, **kwargs) as fh:
+                fh.write("zeta,t,")
+            raise OSError("disk full")
+
+        def broken_replace(src, dst):
+            raise OSError("cannot replace")
+
+        if failure == "write":
+            monkeypatch.setattr(sweep, "open", broken_open, raising=False)
+        else:
+            monkeypatch.setattr(sweep.os, "replace", broken_replace)
+        cfg = small_config()
+        with pytest.raises(OSError):
+            emit(run_sweep(cfg), cfg.columns, "csv", str(path))
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCli:
@@ -288,6 +357,35 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_main_fails_on_route_disagreement(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "--method", "both",
+                "--steps", "2", "3",
+                "--observables", "xi,xi_e2",
+                "--output", str(out),
+            ]
+        )
+        assert rc == 1
+        assert len(out.read_text().splitlines()) == 7
+        captured = capsys.readouterr()
+        assert "at zeta=0, t=10" in captured.out
+        assert "error:" in captured.err and "at zeta=0, t=10" in captured.err
+
+    def test_main_names_worst_cell(self, tmp_path, capsys):
+        rc = main(
+            [
+                "--method", "both",
+                "--steps", "2", "3",
+                "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "max method disagreement" in captured.out and "at zeta=" in captured.out
+        assert captured.err == ""
 
     def test_main_rejects_nan_param(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"
