@@ -17,7 +17,7 @@ The four states
 
 span a subspace the Hamiltonian maps into itself; within it the dynamics
 splits into two real-symmetric 2x2 blocks that differ only by the sign of
-the hopping contribution.
+the hopping contribution: the hopping operator projects to diag(2, -2, 0, 0).
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from typing import Mapping
 import numpy as np
 
 from .hilbert import (
+    HERMITICITY_TOL,
     CompositeSpace,
     HermitianOperator,
     Kind,
+    hermiticity_deviation,
 )
 from .operators import atomic_transition, ladder
 
@@ -131,19 +133,14 @@ def manifold_basis(space: CompositeSpace) -> np.ndarray:
     )
 
 
-def _ordered_block_eigen(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues descending; eigenvector signs fixed by a positive leading
+def _ordered_block_eigen(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues descending for each 2x2 block of a (..., 2, 2) stack;
+    eigenvector signs fixed by a positive leading (largest-magnitude)
     component so amplitude formulas are deterministic."""
-    evals, evecs = np.linalg.eigh(block)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    for j in range(evecs.shape[1]):
-        col = evecs[:, j]
-        lead = col[np.argmax(np.abs(col))]
-        if lead.real < 0:
-            evecs[:, j] = -col
-    return evals, evecs
+    evals, evecs = np.linalg.eigh(blocks)
+    evals, evecs = evals[..., ::-1], evecs[..., ::-1]
+    lead = np.take_along_axis(evecs, np.argmax(np.abs(evecs), axis=-2)[..., None, :], axis=-2)
+    return evals, np.where(lead.real < 0, -evecs, evecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,33 +168,54 @@ class ManifoldBlock:
         return float(self.omegas[2] - self.omegas[3])
 
 
-def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBlock:
-    """Project onto span{phi1..phi4} and split into parity sub-blocks."""
-    phi = manifold_basis(h.space)
-    h4 = phi.conj().T @ h.matrix @ phi
-    leakage = np.max(np.abs(h.matrix @ phi - phi @ h4))
+def _project(h: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """phi^dag h phi, and how far h maps span{phi1..phi4} out of itself."""
+    h4 = phi.conj().T @ h @ phi
+    return h4, float(np.max(np.abs(h @ phi - phi @ h4)))
+
+
+def _parity_blocks(h4: np.ndarray, leakage: float, phi: np.ndarray) -> list[ManifoldBlock]:
+    """Check (n, 4, 4) projected blocks in units of lam, of Hamiltonians that leak
+    by at most `leakage`, and split each into its parity sub-blocks."""
     if not leakage < LEAKAGE_TOL:
         raise ModelInconsistencyError(
             f"Hamiltonian leaks out of the four-state manifold by {leakage:.3e}"
         )
-    h4 = h4 / lam
     if not np.max(np.abs(h4.imag)) < LEAKAGE_TOL:
         raise ModelInconsistencyError("projected block is not real")
     h4 = h4.real
-    sym = h4[np.ix_([0, 2], [0, 2])]
-    anti = h4[np.ix_([1, 3], [1, 3])]
-    cross = h4[np.ix_([0, 2], [1, 3])]
-    if not np.max(np.abs(cross)) < LEAKAGE_TOL:
+    cross = np.max(np.abs(h4[:, [[0], [2]], [1, 3]]))
+    if not cross < LEAKAGE_TOL:
         raise ModelInconsistencyError(
-            f"symmetric and antisymmetric sectors mix by {np.max(np.abs(cross)):.3e}"
+            f"symmetric and antisymmetric sectors mix by {cross:.3e}"
         )
+    sym, anti = h4[:, [[0], [2]], [0, 2]], h4[:, [[1], [3]], [1, 3]]
     w_sym, v_sym = _ordered_block_eigen(sym)
     w_anti, v_anti = _ordered_block_eigen(anti)
-    return ManifoldBlock(
-        basis=phi,
-        h_sym=sym,
-        h_anti=anti,
-        omegas=np.concatenate([w_sym, w_anti]),
-        vecs_sym=v_sym,
-        vecs_anti=v_anti,
-    )
+    omegas = np.concatenate([w_sym, w_anti], axis=-1)
+    return [ManifoldBlock(phi, *f) for f in zip(sym, anti, omegas, v_sym, v_anti)]
+
+
+def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBlock:
+    """Project onto span{phi1..phi4} and split into parity sub-blocks."""
+    phi = manifold_basis(h.space)
+    h4, leakage = _project(h.matrix, phi)
+    return _parity_blocks(h4[None] / lam, leakage, phi)[0]
+
+
+def manifold_blocks(
+    h0: HermitianOperator, hop: HermitianOperator, zetas: np.ndarray, lam: float = 1.0
+) -> list[ManifoldBlock]:
+    """Blocks of H(zeta) = h0 + zeta * hop for every zeta, from one projection
+    of each: the basis does not depend on zeta, so the block is linear in it.
+    By the triangle inequality, x(h0) + max|zeta| * x(hop) bounds x(H(zeta))
+    for x the leakage and the Hermiticity deviation; both bounds are checked."""
+    zetas = np.asarray(zetas, dtype=float)
+    z_max = float(np.max(np.abs(zetas)))
+    phi = manifold_basis(h0.space)
+    (h4_0, leak_0), (h4_hop, leak_hop) = _project(h0.matrix, phi), _project(hop.matrix, phi)
+    herm = hermiticity_deviation(h0.matrix) + z_max * hermiticity_deviation(hop.matrix)
+    if not herm < HERMITICITY_TOL:
+        raise ModelInconsistencyError(f"Hamiltonian deviates from Hermiticity by {herm:.3e}")
+    h4 = (h4_0 + zetas[:, None, None] * h4_hop) / lam
+    return _parity_blocks(h4, leak_0 + z_max * leak_hop, phi)

@@ -120,6 +120,11 @@ def standard_space(n_max: int = 2) -> CompositeSpace:
     return CompositeSpace((atom(), photon_mode(n_max), atom(), photon_mode(n_max)))
 
 
+def hermiticity_deviation(matrix: np.ndarray) -> float:
+    """Largest entry of |M - M^dag| over one matrix or a stack (..., d, d)."""
+    return float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2))))
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix acting on a labeled composite space."""
@@ -138,10 +143,6 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < HERMITICITY_TOL)
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator(Operator):
@@ -149,7 +150,7 @@ class HermitianOperator(Operator):
 
     def __post_init__(self):
         super().__post_init__()
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
+        dev = hermiticity_deviation(self.matrix)
         if not dev < HERMITICITY_TOL:
             raise NumericalConsistencyError(
                 f"operator deviates from Hermiticity by {dev:.3e}"
@@ -174,7 +175,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match space dimension {d}"
             )
-        dev = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
+        dev = hermiticity_deviation(mat)
         if not dev < HERMITICITY_TOL:
             raise NumericalConsistencyError(
                 f"density matrix deviates from Hermiticity by {dev:.3e}"
@@ -229,10 +230,9 @@ def tensor_product(
                     f"dimension {d}"
                 )
         full = np.kron(full, local)
-    op = Operator(space, full)
-    if op.is_hermitian:
+    if hermiticity_deviation(full) < HERMITICITY_TOL:
         return HermitianOperator(space, full)
-    return op
+    return Operator(space, full)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -268,8 +268,3 @@ def expectation(op: Operator, rho: DensityMatrix) -> float | np.ndarray:
         )
     return val.real
 
-
-def variance(op: Operator, rho: DensityMatrix) -> float:
-    sq = Operator(op.space, op.matrix @ op.matrix)
-    mean = expectation(op, rho)
-    return expectation(sq, rho) - mean**2

@@ -1,9 +1,10 @@
 """Grid sweeps over hopping strength and time, with a CSV/JSON-emitting CLI.
 
 Every (zeta, t) cell is a pure function of the configuration.  The model
-operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, and each zeta
-row is computed as arrays over the time grid.  Output is written straight from
-flat zeta-major columns, so identical configurations give byte-identical files.
+operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
+four-state blocks are projected once, and each zeta row is computed as arrays
+over the time grid.  Output is written straight from flat zeta-major columns,
+so identical configurations give byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .dynamics import (
     initial_vector,
     project_amplitudes,
 )
-from .hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block, hopping_operator
+from .hamiltonian import (
+    ModelInconsistencyError, ModelParams, build_hamiltonian, hopping_operator, manifold_blocks
+)
 from .hilbert import (
     CompositeSpace,
     DensityMatrix,
@@ -106,6 +109,8 @@ class SweepConfig:
             raise ValueError("zeta must be non-negative")
         if self.time_grid.start < 0:
             raise ValueError("time must be non-negative")
+        if not self.observables or len(set(self.observables)) < len(self.observables):
+            raise ValueError(f"need distinct observables, got {list(self.observables) or 'none'}")
         unknown = [o for o in self.observables if o not in OBSERVABLES]
         if unknown:
             raise ValueError(f"unknown observables: {unknown}")
@@ -131,54 +136,35 @@ class SweepResult:
         return self.zeta.size
 
 
-@dataclass(frozen=True, eq=False)
-class _Workspace:
-    """Shared read-only operators reused by every row."""
-
-    space: CompositeSpace
-    atom_space: CompositeSpace
-    photon_space: CompositeSpace
-    atom_spin: SpinTriple
-    photon_spin: SpinTriple
-
-
-def _make_workspace(n_max: int = 2) -> _Workspace:
-    space = standard_space(n_max)
-    atom_space = CompositeSpace((atom(), atom()))
-    photon_space = CompositeSpace((photon_mode(n_max), photon_mode(n_max)))
-    return _Workspace(
-        space=space,
-        atom_space=atom_space,
-        photon_space=photon_space,
-        atom_spin=collective_atomic_spin(atom_space),
-        photon_spin=photonic_pseudospin(photon_space),
-    )
-
-
 def _row_columns(
-    amps: np.ndarray, times: np.ndarray, config: SweepConfig, ws: _Workspace
+    amps: np.ndarray, times: np.ndarray, config: SweepConfig,
+    atom_spin: SpinTriple, photon_spin: SpinTriple,
 ) -> dict[str, np.ndarray]:
     """Every requested column over one zeta row, from (4, nt) amplitudes."""
     coeffs = coefficients(ManifoldState(amps, times))
-    obs = config.observables
-    rho_a = rho_p = None
-    if any(o in obs for o in ("ossi_full", "xi", "xi_e2")):
-        rho_a = DensityMatrix(ws.atom_space, analytic_rho_atoms(coeffs))
-        rho_p = DensityMatrix(ws.photon_space, analytic_rho_photons(coeffs))
+    obs = set(config.observables)
+    rho_a = rho_p = witnesses = variance = None
+    if obs & {"ossi_full", "xi", "xi_e2"}:
+        rho_a = DensityMatrix(atom_spin.x.space, analytic_rho_atoms(coeffs))
+        rho_p = DensityMatrix(photon_spin.x.space, analytic_rho_photons(coeffs))
+    if obs & {"ineq_a", "ineq_p"}:
+        witnesses = branch_witnesses(coeffs, config.branch)
+    if obs & {"var_x1", "var_x2"}:
+        variance = closed_form_quadrature_variance(coeffs, config.branch)
     values: dict[str, np.ndarray] = {}
-    for o in obs:
+    for o in config.observables:
         if o in ("ineq_a", "ineq_p"):
-            values[o] = getattr(branch_witnesses(coeffs, config.branch), o)
+            values[o] = getattr(witnesses, o)
         elif o in ("var_x1", "var_x2"):
-            values[o] = closed_form_quadrature_variance(coeffs, config.branch)
+            values[o] = variance
         elif o == "xi":
-            values[o] = kitagawa_ueda_xi(rho_a, ws.atom_spin, 2)
+            values[o] = kitagawa_ueda_xi(rho_a, atom_spin, 2)
         elif o == "xi_e2":
-            values[o] = sorensen_xi_e2(rho_a, ws.atom_spin, 2)
+            values[o] = sorensen_xi_e2(rho_a, atom_spin, 2)
         elif o == "ossi_full":
             for side, rho, spin in (
-                ("atoms", rho_a, ws.atom_spin),
-                ("photons", rho_p, ws.photon_spin),
+                ("atoms", rho_a, atom_spin),
+                ("photons", rho_p, photon_spin),
             ):
                 rep = ossi(rho, spin, 2)
                 values[f"{side}_slack_a"] = rep.slack_a
@@ -204,37 +190,33 @@ def _max_disagreement(
     return worst
 
 
-def _row(config: SweepConfig, zeta: float, matrix: np.ndarray, ws: _Workspace) -> dict:
-    """Every output column of one zeta row, with method_disagreement under BOTH."""
-    h = HermitianOperator(ws.space, matrix)
-    block = extract_manifold_block(h, config.params.lam)
-    times = config.time_grid.values()
-
-    routes = []
-    if config.method in (Method.CLOSED_FORM, Method.BOTH):
-        routes.append(evolve_closed_form_grid(config.branch, block, times))
-    if config.method in (Method.NUMERIC_ORACLE, Method.BOTH):
-        prop = SpectralPropagator(h, config.params.lam)
-        full = prop.evolve_grid(initial_vector(config.branch, ws.space), times)
-        routes.append(project_amplitudes(full, block))
-    try:
-        columns = [_row_columns(amps, times, config, ws) for amps in routes]
-    except (ValueError, NumericalConsistencyError) as exc:
-        raise SweepError(f"row zeta={zeta}: {exc}") from exc
-    if config.method is Method.BOTH:
-        columns[0]["method_disagreement"] = _max_disagreement(*columns)
-    return columns[0]
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Every grid cell as flat columns, in deterministic zeta-major order."""
-    ws = _make_workspace()
-    # build_hamiltonian's last step is h += zeta * hop, so h_local + zeta * hop
-    # is the same float arithmetic as building H(zeta) directly.
-    h_local = build_hamiltonian(config.params.replace(zeta=0.0), ws.space).matrix
-    hop = hopping_operator(ws.space).matrix
+    space = standard_space()
+    atom_spin = collective_atomic_spin(CompositeSpace((atom(), atom())))
+    photon_spin = photonic_pseudospin(CompositeSpace((photon_mode(), photon_mode())))
+    h0 = build_hamiltonian(config.params.replace(zeta=0.0), space)
+    hop = hopping_operator(space)
+    psi0 = initial_vector(config.branch, space)
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
-    rows = [_row(config, z, h_local + z * hop, ws) for z in zetas]
+    rows = []
+    for zeta, block in zip(zetas, manifold_blocks(h0, hop, zetas, config.params.lam)):
+        try:
+            routes = []
+            if config.method in (Method.CLOSED_FORM, Method.BOTH):
+                routes.append(evolve_closed_form_grid(config.branch, block, times))
+            if config.method in (Method.NUMERIC_ORACLE, Method.BOTH):
+                # build_hamiltonian's last step is h += zeta * hop: the same
+                # float arithmetic as building H(zeta) directly.
+                h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
+                full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
+                routes.append(project_amplitudes(full, block))
+            columns = [_row_columns(a, times, config, atom_spin, photon_spin) for a in routes]
+        except (ValueError, NumericalConsistencyError) as exc:
+            raise SweepError(f"row zeta={zeta}: {exc}") from exc
+        if config.method is Method.BOTH:
+            columns[0]["method_disagreement"] = _max_disagreement(*columns)
+        rows.append(columns[0])
     values = {k: np.concatenate([row[k] for row in rows]) for k in rows[0]}
     disagreement = values.pop("method_disagreement", None)
     zeta, t = np.repeat(zetas, times.size), np.tile(times, zetas.size)
@@ -306,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--zeta", type=float, help="single hopping value (units of lambda)")
     parser.add_argument(
-        "--zeta-range", type=float, nargs=2, metavar=("MIN", "MAX"), default=[0.0, 2.0]
+        "--zeta-range", type=float, nargs=2, metavar=("MIN", "MAX"),
+        help="hopping range (units of lambda; default: 0 2)",
     )
     parser.add_argument(
         "--time-range", type=float, nargs=2, metavar=("MIN", "MAX"), default=[0.0, 20.0],
@@ -344,10 +327,12 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
                 "zeta is not a --params-file key; give it with --zeta or --zeta-range"
             )
         params = ModelParams.from_mapping(mapping)
-    if args.zeta is not None:
+    if args.zeta is None:
+        zeta_grid = GridSpec(*(args.zeta_range or (0.0, 2.0)), args.steps[0])
+    elif args.zeta_range is None:
         zeta_grid = GridSpec(args.zeta, args.zeta, 1)
     else:
-        zeta_grid = GridSpec(args.zeta_range[0], args.zeta_range[1], args.steps[0])
+        raise ValueError("give either --zeta or --zeta-range, not both")
     branch = (
         InitialState.ENTANGLED_SYMMETRIC
         if args.branch == "entangled"
@@ -372,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = run_sweep(config)
         emit(result, config.columns, config.output_format, config.output_path,
              include_disagreement=config.method is Method.BOTH)
-    except (ValueError, SweepError, OSError) as exc:
+    except (ValueError, SweepError, ModelInconsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = f"wrote {len(result)} cells to {config.output_path}"

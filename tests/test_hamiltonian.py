@@ -9,8 +9,15 @@ from squeezetransfer.hamiltonian import (
     extract_manifold_block,
     hopping_operator,
     manifold_basis,
+    manifold_blocks,
 )
-from squeezetransfer.hilbert import CompositeSpace, atom, photon_mode, standard_space
+from squeezetransfer.hilbert import (
+    CompositeSpace,
+    HermitianOperator,
+    atom,
+    photon_mode,
+    standard_space,
+)
 
 
 def eig2(a, b, c):
@@ -196,8 +203,6 @@ class TestManifoldBlock:
         j = space.basis_index(("e", 0, "g", 0))
         bad[i, j] += 0.1
         bad[j, i] += 0.1
-        from squeezetransfer.hilbert import HermitianOperator
-
         with pytest.raises(ModelInconsistencyError):
             extract_manifold_block(HermitianOperator(space, bad))
 
@@ -206,3 +211,49 @@ class TestManifoldBlock:
         block = extract_manifold_block(build_hamiltonian(ModelParams(zeta=0.5), sp))
         ref = extract_manifold_block(build_hamiltonian(ModelParams(zeta=0.5), standard_space()))
         assert np.allclose(block.omegas, ref.omegas, atol=1e-12)
+
+
+class TestManifoldBlocks:
+    PARAMS = ModelParams(mu=0.13, eta=-0.07, lam=1.3, e_g=0.3, e_e=-0.1)
+
+    def test_matches_per_zeta_extraction(self, space):
+        zetas = np.array([0.0, 0.25, 2.0])
+        h0 = build_hamiltonian(self.PARAMS, space)
+        blocks = manifold_blocks(h0, hopping_operator(space), zetas, self.PARAMS.lam)
+        assert len(blocks) == zetas.size
+        for zeta, block in zip(zetas, blocks):
+            ref = extract_manifold_block(
+                build_hamiltonian(self.PARAMS.replace(zeta=zeta), space), self.PARAMS.lam
+            )
+            for name in ("omegas", "vecs_sym", "vecs_anti", "h_sym", "h_anti"):
+                # allclose on the eigenvectors also pins their signs
+                assert np.allclose(getattr(block, name), getattr(ref, name), rtol=0, atol=1e-12)
+            assert np.array_equal(block.basis, ref.basis)
+            for vecs in (block.vecs_sym, block.vecs_anti):
+                # sign convention: each eigenvector's largest component is positive
+                assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] > 0)
+
+    def test_hopping_projects_to_photonic_diagonal(self, space):
+        h0 = build_hamiltonian(ModelParams(), space)
+        block0, block1 = manifold_blocks(h0, hopping_operator(space), [0.0, 1.0])
+        assert np.allclose(block1.h_sym - block0.h_sym, [[2, 0], [0, 0]], atol=1e-14)
+        assert np.allclose(block1.h_anti - block0.h_anti, [[-2, 0], [0, 0]], atol=1e-14)
+
+    @pytest.mark.parametrize("defect,message", [("leakage", "leaks"), ("hermiticity", "Hermiticity")])
+    def test_checks_bound_over_largest_zeta(self, space, defect, message):
+        # A 1e-13 defect in Hop passes every single-matrix check, but at
+        # zeta = 20 it moves H(zeta) by more than the 1e-12 tolerances.
+        bad = hopping_operator(space).matrix.copy()
+        i = space.basis_index(("e", 1, "g", 0))
+        if defect == "leakage":
+            j = space.basis_index(("e", 0, "g", 0))  # a manifold state
+            bad[i, j] += 1e-13
+            bad[j, i] += 1e-13
+        else:
+            j = space.basis_index(("g", 1, "g", 1))  # outside the manifold
+            bad[i, j] += 1e-13
+        hop = HermitianOperator(space, bad)
+        h0 = build_hamiltonian(ModelParams(), space)
+        assert len(manifold_blocks(h0, hop, [0.0, 1.0])) == 2
+        with pytest.raises(ModelInconsistencyError, match=message):
+            manifold_blocks(h0, hop, [0.0, 1.0, 20.0])

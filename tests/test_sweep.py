@@ -11,6 +11,7 @@ import pytest
 
 import squeezetransfer
 from squeezetransfer.dynamics import InitialState, coefficients, evolve_closed_form
+from squeezetransfer.hilbert import NumericalConsistencyError
 from squeezetransfer.sweep import (
     DEFAULT_OBSERVABLES,
     GridSpec,
@@ -151,6 +152,24 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "build_hamiltonian", counting)
         run_sweep(small_config(method=Method.BOTH))
         assert calls == [0.0]
+
+    def test_projects_the_model_once(self, monkeypatch):
+        import squeezetransfer.hamiltonian as hamiltonian
+        import squeezetransfer.sweep as sweep
+
+        extractions, sweeps = [], []
+        real_blocks = sweep.manifold_blocks
+
+        def counting_blocks(*args, **kwargs):
+            sweeps.append(args)
+            return real_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "extract_manifold_block",
+                            lambda *a, **k: extractions.append(a))
+        monkeypatch.setattr(sweep, "manifold_blocks", counting_blocks)
+        run_sweep(small_config(method=Method.BOTH))
+        assert extractions == []
+        assert len(sweeps) == 1
 
     def test_subgrid_is_consistent_with_supergrid(self):
         fine = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 5)))
@@ -330,10 +349,16 @@ class TestCli:
         )
         assert rc == 0
 
-    def test_main_reports_bad_observable(self, tmp_path, capsys):
-        rc = main(["--observables", "bogus", "--output", str(tmp_path / "x.csv")])
+    @pytest.mark.parametrize(
+        "observables",
+        [["bogus"], [","], [",", "--method", "both"], ["xi,xi"]],
+    )
+    def test_main_reports_bad_observable(self, observables, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["--observables", *observables, "--steps", "2", "3", "--output", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_reports_unwritable_output(self, tmp_path, capsys):
         rc = main(
@@ -349,13 +374,70 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "grid",
-        [["--zeta", "nan"], ["--zeta-range", "0", "inf"], ["--time-range", "-5", "5"]],
+        [
+            ["--zeta", "nan"],
+            ["--zeta-range", "0", "inf"],
+            ["--time-range", "-5", "5"],
+            ["--zeta", "0.5", "--zeta-range", "0", "1"],
+        ],
     )
     def test_main_rejects_bad_grid(self, grid, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main([*grid, "--steps", "2", "3", "--output", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_main_reports_model_error(self, tmp_path, capsys):
+        # At zeta = 1e5 the round-off in H(zeta) alone leaks out of the manifold
+        # by more than LEAKAGE_TOL.
+        out = tmp_path / "x.csv"
+        rc = main(["--zeta", "1e5", "--steps", "1", "3", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "leaks out of the four-state manifold" in err
+        assert not out.exists()
+
+    def test_main_fails_closed_on_leaky_hopping(self, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.sweep as sweep
+        from squeezetransfer.hilbert import HermitianOperator
+
+        real = sweep.hopping_operator
+
+        def leaky_hopping(space):
+            # 1e-13 of leakage passes at zeta = 1 but not over zeta up to 20
+            bad = real(space).matrix.copy()
+            i = space.basis_index(("e", 1, "g", 0))
+            j = space.basis_index(("e", 0, "g", 0))
+            bad[i, j] += 1e-13
+            bad[j, i] += 1e-13
+            return HermitianOperator(space, bad)
+
+        monkeypatch.setattr(sweep, "hopping_operator", leaky_hopping)
+        out = tmp_path / "x.csv"
+        rc = main(["--zeta-range", "0", "20", "--steps", "3", "2", "--output", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_main_names_failing_row(self, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        rows = []
+        real = sweep.branch_witnesses
+
+        def failing_on_second_row(coeffs, branch):
+            rows.append(branch)
+            if len(rows) == 2:
+                raise NumericalConsistencyError("injected failure")
+            return real(coeffs, branch)
+
+        monkeypatch.setattr(sweep, "branch_witnesses", failing_on_second_row)
+        out = tmp_path / "x.csv"
+        rc = main(["--zeta-range", "0", "1", "--steps", "3", "2", "--observables", "ineq_a",
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: row zeta=0.5: injected failure\n"
         assert not out.exists()
 
     def test_main_fails_on_route_disagreement(self, tmp_path, capsys):
