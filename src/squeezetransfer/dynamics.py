@@ -167,99 +167,6 @@ def coefficients(state: ManifoldState) -> CoefficientSet:
     )
 
 
-def _sector_constants(evecs: np.ndarray, weight: float) -> tuple[float, float]:
-    """(A_i, alpha_i) for one parity sector from its leading eigenvector.
-
-    Defined by the expansion of weight * phi_photonic over the eigenvectors:
-    A_i = weight * c^2 and alpha_i = s / c where (c, s) is the eigenvector of
-    the larger eigenvalue.  Requires c != 0 (true whenever lam > 0).
-    """
-    c, s = evecs[0, 0], evecs[1, 0]
-    if not abs(c) >= 1e-12:
-        raise ValueError("leading eigenvector has no photonic component; "
-                         "sector constants are undefined")
-    return float(weight * c * c), float(s / c)
-
-
-def coefficient_formulas(
-    block: ManifoldBlock, branch: InitialState, t: float
-) -> CoefficientSet:
-    """Coefficients from explicit algebraic formulas in the sector constants
-    (independent of the spectral propagation path).
-
-    The last exponent of the BC* cross term must be omega_4 - omega_2; the
-    superficially symmetric alternative omega_4 - omega_3 breaks
-    normalization and fails to match the amplitude product B conj(C).
-    """
-    w1, w2, w3, w4 = block.omegas
-    d12 = w1 - w2
-    d34 = w3 - w4
-    weight = 1.0 if branch is InitialState.ENTANGLED_SYMMETRIC else 1 / np.sqrt(2)
-    a1, alpha1 = _sector_constants(block.vecs_sym, weight)
-
-    abs_a2 = a1**2 * (1 + 2 * alpha1**2 * np.cos(d12 * t) + alpha1**4)
-    ab = alpha1 * a1**2 * (
-        1 - alpha1**2 + alpha1**2 * np.exp(1j * d12 * t) - np.exp(-1j * d12 * t)
-    )
-    abs_b2 = 2 * alpha1**2 * a1**2 * (1 - np.cos(d12 * t))
-
-    if branch is InitialState.ENTANGLED_SYMMETRIC:
-        return CoefficientSet(
-            abs_a2=float(abs_a2),
-            abs_b2=float(abs_b2),
-            abs_c2=0.0,
-            abs_d2=0.0,
-            ab=complex(ab),
-            ac=0j,
-            ad=0j,
-            bc=0j,
-            bd=0j,
-            cd=0j,
-        )
-
-    a3, alpha3 = _sector_constants(block.vecs_anti, weight)
-    e = np.exp
-    abs_c2 = a3**2 * (1 + 2 * alpha3**2 * np.cos(d34 * t) + alpha3**4)
-    abs_d2 = 2 * alpha3**2 * a3**2 * (1 - np.cos(d34 * t))
-    ac = a1 * a3 * (
-        e(1j * (w3 - w1) * t)
-        + alpha3**2 * e(1j * (w4 - w1) * t)
-        + alpha1**2 * e(1j * (w3 - w2) * t)
-        + alpha1**2 * alpha3**2 * e(1j * (w4 - w2) * t)
-    )
-    ad = alpha3 * a1 * a3 * (
-        e(1j * (w3 - w1) * t)
-        - e(1j * (w4 - w1) * t)
-        + alpha1**2 * (e(1j * (w3 - w2) * t) - e(1j * (w4 - w2) * t))
-    )
-    bc = alpha1 * a1 * a3 * (
-        e(1j * (w3 - w1) * t)
-        - e(1j * (w3 - w2) * t)
-        + alpha3**2 * (e(1j * (w4 - w1) * t) - e(1j * (w4 - w2) * t))
-    )
-    bd = alpha1 * alpha3 * a1 * a3 * (
-        e(1j * (w3 - w1) * t)
-        + e(1j * (w4 - w2) * t)
-        - e(1j * (w4 - w1) * t)
-        - e(1j * (w3 - w2) * t)
-    )
-    cd = alpha3 * a3**2 * (
-        1 - e(1j * (w4 - w3) * t) + alpha3**2 * (e(1j * (w3 - w4) * t) - 1)
-    )
-    return CoefficientSet(
-        abs_a2=float(abs_a2),
-        abs_b2=float(abs_b2),
-        abs_c2=float(abs_c2),
-        abs_d2=float(abs_d2),
-        ab=complex(ab),
-        ac=complex(ac),
-        ad=complex(ad),
-        bc=complex(bc),
-        bd=complex(bd),
-        cd=complex(cd),
-    )
-
-
 class SpectralPropagator:
     """exp(-i H t / lam) through one dense Hermitian eigendecomposition."""
 
@@ -288,11 +195,6 @@ def evolve_numeric_oracle(
         raise ValueError(f"time must be non-negative, got {t}")
     psi0 = initial_vector(initial, h.space)
     return SpectralPropagator(h, lam).evolve(psi0, t)
-
-
-def embed(state: ManifoldState, block: ManifoldBlock) -> np.ndarray:
-    """Manifold amplitudes as a full-space vector."""
-    return block.basis @ state.amplitudes
 
 
 def project_amplitudes(vec: np.ndarray, block: ManifoldBlock) -> np.ndarray:

@@ -23,6 +23,7 @@ the hopping contribution: the hopping operator projects to diag(2, -2, 0, 0).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -70,15 +71,26 @@ class ModelParams:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "ModelParams":
+        """Parameters from flat keys; every value must be a real number, not a bool."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(
+                f"parameters must be an object of names to numbers, got {type(mapping).__name__}"
+            )
         known = {"omega", "mu", "eta", "lam", "lambda", "zeta", "e_g", "e_e"}
         unknown = set(mapping) - known
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        kwargs = {k: float(v) for k, v in mapping.items() if k != "lambda"}
-        if "lambda" in mapping:
-            if "lam" in mapping:
+        for k, v in mapping.items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{k} must be a number, got {v!r}")
+        try:
+            kwargs = {k: float(v) for k, v in mapping.items()}
+        except OverflowError as exc:
+            raise ValueError(f"parameter out of float range: {exc}") from exc
+        if "lambda" in kwargs:
+            if "lam" in kwargs:
                 raise ValueError("give either 'lam' or 'lambda', not both")
-            kwargs["lam"] = float(mapping["lambda"])
+            kwargs["lam"] = kwargs.pop("lambda")
         return cls(**kwargs)
 
 

@@ -47,13 +47,15 @@ from .operators import SpinTriple, collective_atomic_spin, photonic_pseudospin
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
-    kitagawa_ueda_xi,
-    ossi,
-    sorensen_xi_e2,
+    kitagawa_ueda_xi_of,
+    ossi_of,
+    sorensen_xi_e2_of,
+    spin_moments,
 )
 
 DISAGREEMENT_TOL = 1e-8
-_CSV_BLOCK_ROWS = 4096
+# Rows of CSV text built at once; a block's floats and text set the run's peak RSS.
+_CSV_BLOCK_ROWS = 1024
 
 _OSSI_COLUMNS = tuple(
     f"{side}_slack_{name}"
@@ -140,13 +142,21 @@ def _row_columns(
     amps: np.ndarray, times: np.ndarray, config: SweepConfig,
     atom_spin: SpinTriple, photon_spin: SpinTriple,
 ) -> dict[str, np.ndarray]:
-    """Every requested column over one zeta row, from (4, nt) amplitudes."""
+    """Every requested column over one zeta row, from (4, nt) amplitudes.
+
+    Each side's spin moments are evaluated once, on a checked DensityMatrix
+    stack; the photons are needed only by ossi_full.
+    """
     coeffs = coefficients(ManifoldState(amps, times))
     obs = set(config.observables)
-    rho_a = rho_p = witnesses = variance = None
+    moments = {}
+    witnesses = variance = None
     if obs & {"ossi_full", "xi", "xi_e2"}:
         rho_a = DensityMatrix(atom_spin.x.space, analytic_rho_atoms(coeffs))
+        moments["atoms"] = spin_moments(rho_a, atom_spin)
+    if "ossi_full" in obs:
         rho_p = DensityMatrix(photon_spin.x.space, analytic_rho_photons(coeffs))
+        moments["photons"] = spin_moments(rho_p, photon_spin)
     if obs & {"ineq_a", "ineq_p"}:
         witnesses = branch_witnesses(coeffs, config.branch)
     if obs & {"var_x1", "var_x2"}:
@@ -158,15 +168,12 @@ def _row_columns(
         elif o in ("var_x1", "var_x2"):
             values[o] = variance
         elif o == "xi":
-            values[o] = kitagawa_ueda_xi(rho_a, atom_spin, 2)
+            values[o] = kitagawa_ueda_xi_of(*moments["atoms"], 2)
         elif o == "xi_e2":
-            values[o] = sorensen_xi_e2(rho_a, atom_spin, 2)
+            values[o] = sorensen_xi_e2_of(*moments["atoms"], 2)
         elif o == "ossi_full":
-            for side, rho, spin in (
-                ("atoms", rho_a, atom_spin),
-                ("photons", rho_p, photon_spin),
-            ):
-                rep = ossi(rho, spin, 2)
+            for side, (mean, cov) in moments.items():
+                rep = ossi_of(mean, cov, 2)
                 values[f"{side}_slack_a"] = rep.slack_a
                 values[f"{side}_slack_b"] = rep.slack_b
                 for ax in ("x", "y", "z"):
@@ -223,14 +230,34 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(zeta, t, values, disagreement)
 
 
+def _axis_text(values: np.ndarray, suffix: str) -> list[str]:
+    """'%.17g' text of each value plus `suffix`, formatted once per distinct
+    float; keyed on the float's bits, so -0.0 and 0.0 keep their own text."""
+    bits, index = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = np.array(["%.17g" % v + suffix for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
+
+
 def _csv_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
-    """CSV text in blocks of rows, so the whole file is never held at once."""
+    """CSV text in blocks of rows, so the whole file is never held at once.
+
+    data is (zeta, t, *value columns).  The axis text is formatted once per
+    distinct value, so each row formats only its value columns.
+    """
     yield ",".join(names) + "\n"
+    zeta, t, *columns = data
     # %.17g prints nan, inf and -0 the same way as f"{v:.17g}".
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    table = np.column_stack(data)
-    for i in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield "".join(row % tuple(r) for r in table[i : i + _CSV_BLOCK_ROWS].tolist())
+    row = "%s%s" + ",%.17g" * len(columns) + "\n"
+    zeta_text, t_text = _axis_text(zeta, ","), _axis_text(t, "")
+    for i in range(0, len(zeta_text), _CSV_BLOCK_ROWS):
+        block = slice(i, i + _CSV_BLOCK_ROWS)
+        # No name holds the block's floats across the yield, so they are freed
+        # before the next block's are made.
+        yield "".join(map(row.__mod__, zip(
+            zeta_text[block], t_text[block], *(c[block].tolist() for c in columns)
+        )))
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -322,7 +349,7 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
     if args.params_file:
         with open(args.params_file, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
-        if "zeta" in mapping:
+        if isinstance(mapping, dict) and "zeta" in mapping:
             raise ValueError(
                 "zeta is not a --params-file key; give it with --zeta or --zeta-range"
             )

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CoefficientSet, InitialState
-from .hilbert import DensityMatrix, Operator, expectation
+from .hilbert import (
+    IMAG_TOL,
+    DensityMatrix,
+    DimensionMismatchError,
+    NumericalConsistencyError,
+    Operator,
+    expectation,
+)
 from .operators import QuadraturePair, SpinTriple
 
 VIOLATION_TOL = 1e-10
@@ -36,20 +43,35 @@ class BranchMismatchError(ValueError):
     """Coefficients do not belong to the requested initial-state branch."""
 
 
+# The (i, j) of the six symmetrized products {S_i, S_j}/2, and the position
+# among them of each entry of the 3x3 second-moment matrix.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PAIR_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
 def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, 3x3 symmetrized covariance matrix), with shapes (..., 3)
-    and (..., 3, 3) for a stack of matrices."""
-    comps = spin.components
-    mean = np.stack([expectation(s, rho) for s in comps], axis=-1)
-    cov = np.zeros(mean.shape + (3,))
-    for i in range(3):
-        for j in range(i, 3):
-            sym = (
-                comps[i].matrix @ comps[j].matrix + comps[j].matrix @ comps[i].matrix
-            ) / 2
-            val = expectation(Operator(rho.space, sym), rho)
-            cov[..., i, j] = cov[..., j, i] = val - mean[..., i] * mean[..., j]
-    return mean, cov
+    and (..., 3, 3) for a stack of matrices.
+
+    One contraction of the flattened states against the 3 components and the
+    6 symmetrized products: Tr(O rho) = sum_ij O_ij rho_ji.  Every value is
+    checked real to within IMAG_TOL.
+    """
+    if spin.x.space != rho.space:
+        raise DimensionMismatchError("operator and state live on different spaces")
+    comps = [s.matrix for s in spin.components]
+    ops = comps + [(comps[i] @ comps[j] + comps[j] @ comps[i]) / 2 for i, j in _PAIRS]
+    d2 = rho.space.total_dim ** 2
+    flat = rho.matrix.reshape(rho.matrix.shape[:-2] + (d2,))
+    vals = flat @ np.stack(ops).swapaxes(-1, -2).reshape(len(ops), d2).T
+    residue = np.max(np.abs(vals.imag))
+    if not residue < IMAG_TOL:
+        raise NumericalConsistencyError(
+            f"spin moment has imaginary residue {residue:.3e}"
+        )
+    mean = vals.real[..., :3]
+    second = vals.real[..., 3:][..., _PAIR_INDEX]
+    return mean, second - mean[..., :, None] * mean[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -77,12 +99,11 @@ class OssiReport:
         return self.min_slack < -tol
 
 
-def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
-    """Evaluate all four inequalities on the given state."""
+def ossi_of(mean: np.ndarray, cov: np.ndarray, n_particles: int) -> OssiReport:
+    """All four inequalities from the spin mean and covariance."""
     if n_particles < 2:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
     n = n_particles
-    mean, cov = spin_moments(rho, spin)
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     second = var + mean**2  # <J_k^2>
 
@@ -97,6 +118,11 @@ def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
             (n - 1) * (var[..., k] + var[..., l]) - second[..., m] - n * (n - 2) / 4
         )
     return OssiReport(n, slack_a, slack_b, slack_c, slack_d)
+
+
+def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
+    """Evaluate all four inequalities on the given state."""
+    return ossi_of(*spin_moments(rho, spin), n_particles)
 
 
 @dataclass(frozen=True)
@@ -153,14 +179,13 @@ def _transverse_basis(n0: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2], axis=-1)
 
 
-def kitagawa_ueda_xi(
-    rho: DensityMatrix, spin: SpinTriple, n_particles: int
+def kitagawa_ueda_xi_of(
+    mean: np.ndarray, cov: np.ndarray, n_particles: int
 ) -> float | np.ndarray:
     """Minimal transverse standard deviation over sqrt(J/2) with J = N/2.
 
     Returns nan when the mean spin direction is undefined (|<J>| too small).
     """
-    mean, cov = spin_moments(rho, spin)
     norm = np.linalg.norm(mean, axis=-1)
     defined = norm > MEAN_SPIN_FLOOR
     n0 = mean / np.where(defined, norm, 1.0)[..., None]
@@ -172,23 +197,15 @@ def kitagawa_ueda_xi(
     return np.where(defined, xi, math.nan)[()]  # [()]: a scalar for one state
 
 
-def transverse_variance(
-    rho: DensityMatrix, spin: SpinTriple, angle: float
-) -> float:
-    """Variance of n(angle) . J for n in the plane orthogonal to <J>.
-
-    Brute-force probe used by tests as an oracle for kitagawa_ueda_xi.
-    """
-    mean, cov = spin_moments(rho, spin)
-    norm = np.linalg.norm(mean)
-    if not norm > MEAN_SPIN_FLOOR:
-        raise ValueError("mean spin direction undefined")
-    n = _transverse_basis(mean / norm) @ np.array([math.cos(angle), math.sin(angle)])
-    return float(n @ cov @ n)
-
-
-def sorensen_xi_e2(
+def kitagawa_ueda_xi(
     rho: DensityMatrix, spin: SpinTriple, n_particles: int
+) -> float | np.ndarray:
+    """kitagawa_ueda_xi_of on the moments of the given state."""
+    return kitagawa_ueda_xi_of(*spin_moments(rho, spin), n_particles)
+
+
+def sorensen_xi_e2_of(
+    mean: np.ndarray, cov: np.ndarray, n_particles: int
 ) -> float | np.ndarray:
     """N Var(J_n1) / (<J_n2>^2 + <J_n3>^2), minimal over orthonormal frames.
 
@@ -204,7 +221,6 @@ def sorensen_xi_e2(
     When C_mm <= DENOMINATOR_FLOOR, positivity forces c -> 0 and the c c^T
     term is dropped.  Returns nan when |<J>|^2 <= DENOMINATOR_FLOOR.
     """
-    mean, cov = spin_moments(rho, spin)
     m2 = np.sum(mean**2, axis=-1)
     defined = m2 > DENOMINATOR_FLOOR
     m_hat = mean / np.sqrt(np.where(defined, m2, 1.0))[..., None]
@@ -216,6 +232,13 @@ def sorensen_xi_e2(
     schur = c_perp - c[..., :, None] * c[..., None, :] / c_mm[..., None, None]
     lam_min = np.linalg.eigvalsh(schur)[..., 0]
     return (n_particles * lam_min / np.where(defined, m2, math.nan))[()]
+
+
+def sorensen_xi_e2(
+    rho: DensityMatrix, spin: SpinTriple, n_particles: int
+) -> float | np.ndarray:
+    """sorensen_xi_e2_of on the moments of the given state."""
+    return sorensen_xi_e2_of(*spin_moments(rho, spin), n_particles)
 
 
 def quadrature_variances(

@@ -10,16 +10,16 @@ from squeezetransfer.dynamics import (
     analytic_rho_photons,
     coefficients,
     density_matrices,
-    embed,
     evolve_closed_form,
     evolve_closed_form_grid,
     evolve_numeric_oracle,
     initial_amplitudes,
     initial_vector,
-    coefficient_formulas,
     project_amplitudes,
 )
 from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+
+from _oracles import coefficient_formulas, embed, sector_constants
 
 TIMES = [0.0, 0.37, 1.0, 2.9, 7.3, 13.1]
 BRANCHES = [InitialState.ENTANGLED_SYMMETRIC, InitialState.SEPARABLE_ONE_CAVITY]
@@ -179,20 +179,16 @@ class TestCoefficients:
 
     def test_sector_normalization_identity(self, default_block):
         # A1 (1 + alpha1^2) equals the initial photonic weight of the sector
-        from squeezetransfer.dynamics import _sector_constants
-
-        a1, alpha1 = _sector_constants(default_block.vecs_sym, 1.0)
+        a1, alpha1 = sector_constants(default_block.vecs_sym, 1.0)
         assert a1 * (1 + alpha1**2) == pytest.approx(1.0, abs=1e-12)
-        a1s, alpha1s = _sector_constants(default_block.vecs_sym, 1 / np.sqrt(2))
+        a1s, alpha1s = sector_constants(default_block.vecs_sym, 1 / np.sqrt(2))
         assert a1s * (1 + alpha1s**2) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_alpha_from_eigenvalue(self, space):
         # alpha = (omega - 2 eta - 2 zeta)/(sqrt(2) lam) for the symmetric
         # sector; at zeta = 1/4 this is the simple form (sqrt(2)/2)(omega - 1/2)
-        from squeezetransfer.dynamics import _sector_constants
-
         block = extract_manifold_block(build_hamiltonian(ModelParams(zeta=0.25), space))
-        _, alpha1 = _sector_constants(block.vecs_sym, 1.0)
+        _, alpha1 = sector_constants(block.vecs_sym, 1.0)
         w1 = block.omegas[0]
         assert alpha1 == pytest.approx((w1 - 0.5) / np.sqrt(2), abs=1e-12)
         assert alpha1 == pytest.approx((np.sqrt(2) / 2) * (w1 - 0.5), abs=1e-12)

@@ -171,6 +171,36 @@ class TestRunSweep:
         assert extractions == []
         assert len(sweeps) == 1
 
+    @pytest.mark.parametrize(
+        "observables,sides",
+        [(("xi", "xi_e2"), ["atoms"]), (("ossi_full",), ["atoms", "photons"]),
+         (("ossi_full", "xi", "xi_e2"), ["atoms", "photons"]), (("ineq_a", "var_x1"), [])],
+    )
+    def test_one_state_and_one_moment_pass_per_route_row_and_side(
+        self, observables, sides, monkeypatch
+    ):
+        import squeezetransfer.sweep as sweep
+
+        states, moments = [], []
+        real_state, real_moments = sweep.DensityMatrix, sweep.spin_moments
+
+        def counting_state(space, matrix):
+            states.append(space.factors[0].kind.value)
+            return real_state(space, matrix)
+
+        def counting_moments(rho, spin):
+            moments.append(rho.space.factors[0].kind.value)
+            return real_moments(rho, spin)
+
+        monkeypatch.setattr(sweep, "DensityMatrix", counting_state)
+        monkeypatch.setattr(sweep, "spin_moments", counting_moments)
+        cfg = small_config(method=Method.BOTH, observables=observables)
+        run_sweep(cfg)
+        per_route_row = [{"atoms": "atom", "photons": "photon_mode"}[s] for s in sides]
+        route_rows = 2 * cfg.zeta_grid.steps
+        assert states == per_route_row * route_rows
+        assert moments == per_route_row * route_rows
+
     def test_subgrid_is_consistent_with_supergrid(self):
         fine = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 5)))
         coarse = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 3)))
@@ -204,6 +234,23 @@ class TestMaxDisagreement:
     def test_agreement_is_zero(self):
         row = {"a": np.array([np.nan, 1.0])}
         assert _max_disagreement(row, row).tolist() == [0.0, 0.0]
+
+
+def reference_text(result, columns, fmt):
+    """The expected file text, one f"{v:.17g}" (or JSON number) per value."""
+    names = ("zeta", "t", *columns)
+    data = [result.zeta, result.t, *(result.values[c] for c in columns)]
+    if result.method_disagreement is not None:
+        names += ("method_disagreement",)
+        data.append(result.method_disagreement)
+    cells = list(zip(*(col.tolist() for col in data)))
+    if fmt == "csv":
+        def ref(v):
+            return "nan" if math.isnan(v) else f"{v:.17g}"
+
+        return "\n".join([",".join(names)] + [",".join(map(ref, c)) for c in cells]) + "\n"
+    records = [dict(zip(names, (None if math.isnan(v) else v for v in c))) for c in cells]
+    return json.dumps(records, indent=2) + "\n"
 
 
 class TestEmit:
@@ -265,24 +312,33 @@ class TestEmit:
             },
             method_disagreement=np.resize([0.0, np.nan, 1e-15, 0.5], n),
         )
-
-        def ref(v):
-            return "nan" if math.isnan(v) else f"{v:.17g}"
-
-        def json_ref(v):
-            return None if math.isnan(v) else v
-
-        names = ("zeta", "t", "a", "b", "method_disagreement")
-        cells = list(zip(result.zeta.tolist(), result.t.tolist(), result.values["a"].tolist(),
-                         result.values["b"].tolist(), result.method_disagreement.tolist()))
-        csv_ref = "\n".join([",".join(names)] + [",".join(map(ref, c)) for c in cells]) + "\n"
-        records = [dict(zip(names, map(json_ref, c))) for c in cells]
-        json_text = json.dumps(records, indent=2) + "\n"
-
-        for fmt, expected in (("csv", csv_ref), ("json", json_text)):
+        for fmt in ("csv", "json"):
             path = tmp_path / f"out.{fmt}"
             emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
-            assert path.read_bytes() == expected.encode("utf-8")
+            assert path.read_bytes() == reference_text(result, ("a", "b"), fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("case", ["not_a_product_grid", "signed_zero_t", "block_plus_one",
+                                      "single_cell"])
+    def test_axis_text_matches_reference_formatter(self, case, tmp_path):
+        import squeezetransfer.sweep as sweep
+
+        rng = np.random.default_rng(1)
+        if case == "not_a_product_grid":
+            # repeated and unsorted axis values, signed zeros and non-finite ones
+            axis = np.array([0.0, -0.0, 0.1, 1 / 3, 1e-300, np.nan, np.inf, -2.5])
+            zeta, t = rng.choice(axis, 500), rng.choice(axis[::-1], 500)
+        elif case == "signed_zero_t":
+            zeta, t = np.repeat([0.0, 0.5], 4), np.tile([0.0, -0.0, 1.0, -0.0], 2)
+        elif case == "block_plus_one":
+            n = sweep._CSV_BLOCK_ROWS + 1
+            zeta, t = np.full(n, 0.7), np.linspace(0.0, 20.0, n)
+        else:
+            zeta, t = np.array([0.3]), np.array([-0.0])
+        values = {"a": rng.standard_normal(zeta.size), "b": np.resize([np.nan, -0.0], zeta.size)}
+        result = SweepResult(zeta, t, values)
+        path = tmp_path / "out.csv"
+        emit(result, ("a", "b"), "csv", str(path))
+        assert path.read_bytes() == reference_text(result, ("a", "b"), "csv").encode("utf-8")
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
@@ -476,6 +532,22 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"mu": null}', "5", '["mu"]', '"mu"', "null", '{"mu": true}', '{"eta": false}',
+         '{"mu": "0.1"}', '{"mu": [0.1]}', '{"mu": {"re": 0.1}}', '{"mu": 1e999}',
+         '{"mu": ' + "9" * 400 + "}", '{"zeta": null}'],
+    )
+    def test_main_rejects_non_number_params(self, text, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(text)
+        out = tmp_path / "x.csv"
+        rc = main(["--params-file", str(pfile), "--steps", "2", "3", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert not out.exists()
+
     def test_main_rejects_zeta_in_params_file(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"zeta": 1.7}))
@@ -504,3 +576,17 @@ def test_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_python_m_runs_the_cli():
+    src = Path(squeezetransfer.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "squeezetransfer", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: squeezetransfer")

@@ -16,20 +16,32 @@ from squeezetransfer.dynamics import (
     evolve_numeric_oracle,
 )
 from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
-from squeezetransfer.hilbert import CompositeSpace, DensityMatrix, atom
-from squeezetransfer.operators import collective_atomic_spin, quadratures
+from squeezetransfer.hilbert import (
+    IMAG_TOL,
+    CompositeSpace,
+    DensityMatrix,
+    DimensionMismatchError,
+    NumericalConsistencyError,
+    Operator,
+    atom,
+    expectation,
+)
+from squeezetransfer.operators import SpinTriple, collective_atomic_spin, quadratures
 from squeezetransfer.witness import (
     BranchMismatchError,
     branch_witnesses,
     closed_form_quadrature_variance,
     kitagawa_ueda_xi,
+    kitagawa_ueda_xi_of,
     ossi,
+    ossi_of,
     quadrature_variances,
     sorensen_xi_e2,
+    sorensen_xi_e2_of,
     spin_moments,
-    transverse_variance,
 )
 
+from _oracles import transverse_variance
 from conftest import random_separable_two_qubit
 
 
@@ -54,6 +66,26 @@ def oat_state(atom_space, atom_spin, mu):
     return DensityMatrix.from_state_vector(atom_space, expm(-1j * mu * (sz @ sz)) @ psi0)
 
 
+def random_mixed_stack(space, rng, shape):
+    """Full-rank random states of the given stack shape on `space`."""
+    d = space.total_dim
+    g = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return DensityMatrix(space, rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None])
+
+
+def moments_by_expectation(rho, spin):
+    """Mean and covariance from one expectation value per operator."""
+    comps = spin.components
+    mean = np.stack([expectation(s, rho) for s in comps], axis=-1)
+    cov = np.zeros(mean.shape + (3,))
+    for i in range(3):
+        for j in range(3):
+            sym = (comps[i].matrix @ comps[j].matrix + comps[j].matrix @ comps[i].matrix) / 2
+            cov[..., i, j] = expectation(Operator(rho.space, sym), rho) - mean[..., i] * mean[..., j]
+    return mean, cov
+
+
 def branch_state(default_block, branch, t):
     coeffs = coefficients(evolve_closed_form(branch, default_block, t))
     return coeffs
@@ -71,6 +103,69 @@ class TestSpinMoments:
         mean, cov = spin_moments(singlet_state(atom_space), atom_spin)
         assert np.max(np.abs(mean)) < 1e-12
         assert np.allclose(np.diag(cov), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["atoms", "photons"])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_one_contraction_matches_expectation_sums(
+        self, side, shape, atom_space, atom_spin, photon_space, photon_spin, rng
+    ):
+        space, spin = (atom_space, atom_spin) if side == "atoms" else (photon_space, photon_spin)
+        rho = random_mixed_stack(space, rng, shape)
+        mean, cov = spin_moments(rho, spin)
+        ref_mean, ref_cov = moments_by_expectation(rho, spin)
+        assert mean.shape == shape + (3,) and cov.shape == shape + (3, 3)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-14
+        assert np.max(np.abs(cov - ref_cov)) <= 1e-14
+        assert np.array_equal(cov, cov.swapaxes(-1, -2))
+
+    def test_rejects_state_from_other_space(self, photon_space, atom_spin, rng):
+        with pytest.raises(DimensionMismatchError):
+            spin_moments(random_mixed_stack(photon_space, rng, (2,)), atom_spin)
+
+    def test_rejects_imaginary_residue(self, atom_space, atom_spin):
+        # a non-Hermitian "component" gives Tr(O rho) an imaginary part of 10 IMAG_TOL
+        skew = Operator(atom_space, 10j * IMAG_TOL * np.eye(4))
+        spin = SpinTriple(atom_spin.x, atom_spin.y, skew)
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+            spin_moments(css_state(atom_space), spin)
+
+    def test_accepts_residue_below_tolerance(self, atom_space, atom_spin):
+        skew = Operator(atom_space, 0.5j * IMAG_TOL * np.eye(4))
+        mean, _ = spin_moments(css_state(atom_space), SpinTriple(atom_spin.x, atom_spin.y, skew))
+        assert mean[2] == 0.0
+
+
+class TestMomentForms:
+    """Each witness on (mean, cov) is exactly its (rho, spin, n) wrapper."""
+
+    @pytest.mark.parametrize("side", ["atoms", "photons"])
+    def test_of_forms_match_wrappers(
+        self, side, default_block, atom_space, atom_spin, photon_space, photon_spin
+    ):
+        times = np.linspace(0.0, 6.0, 13)
+        amps = evolve_closed_form_grid(InitialState.SEPARABLE_ONE_CAVITY, default_block, times)
+        row = coefficients(ManifoldState(amps, times))
+        if side == "atoms":
+            rho, spin = DensityMatrix(atom_space, analytic_rho_atoms(row)), atom_spin
+        else:
+            rho, spin = DensityMatrix(photon_space, analytic_rho_photons(row)), photon_spin
+        moments = spin_moments(rho, spin)
+        report, ref = ossi_of(*moments, 2), ossi(rho, spin, 2)
+        assert np.array_equal(report.slack_a, ref.slack_a)
+        assert np.array_equal(report.slack_b, ref.slack_b)
+        for ax in ("x", "y", "z"):
+            assert np.array_equal(report.slack_c[ax], ref.slack_c[ax])
+            assert np.array_equal(report.slack_d[ax], ref.slack_d[ax])
+        assert np.array_equal(
+            kitagawa_ueda_xi_of(*moments, 2), kitagawa_ueda_xi(rho, spin, 2), equal_nan=True
+        )
+        assert np.array_equal(
+            sorensen_xi_e2_of(*moments, 2), sorensen_xi_e2(rho, spin, 2), equal_nan=True
+        )
+
+    def test_of_forms_reject_single_particle(self, atom_space, atom_spin):
+        with pytest.raises(ValueError):
+            ossi_of(*spin_moments(css_state(atom_space), atom_spin), 1)
 
 
 class TestOssi:
