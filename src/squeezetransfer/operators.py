@@ -9,6 +9,7 @@ photon number stays clear of the Fock cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from .hilbert import (
     Operator,
     tensor_product,
 )
+
+# The (i, j) of the six symmetrized products among SpinTriple.moment_operators,
+# and the position among them of each entry of the 3x3 second-moment matrix.
+MOMENT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+SECOND_MOMENT_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +38,16 @@ class SpinTriple:
     @property
     def components(self) -> tuple[HermitianOperator, ...]:
         return (self.x, self.y, self.z)
+
+    @cached_property
+    def moment_operators(self) -> np.ndarray:
+        """The 3 components, then the 6 symmetrized products {S_i, S_j}/2 for
+        (i, j) in MOMENT_PAIRS: a read-only (9, d, d) stack, built once."""
+        comps = [s.matrix for s in self.components]
+        products = [(comps[i] @ comps[j] + comps[j] @ comps[i]) / 2 for i, j in MOMENT_PAIRS]
+        ops = np.stack(comps + products)
+        ops.setflags(write=False)
+        return ops
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    CoefficientSet,
     InitialState,
     ManifoldState,
     SpectralPropagator,
@@ -32,7 +33,12 @@ from .dynamics import (
     project_amplitudes,
 )
 from .hamiltonian import (
-    ModelInconsistencyError, ModelParams, build_hamiltonian, hopping_operator, manifold_blocks
+    ModelInconsistencyError,
+    ModelParams,
+    build_hamiltonian,
+    hopping_operator,
+    manifold_basis,
+    manifold_blocks,
 )
 from .hilbert import (
     CompositeSpace,
@@ -43,11 +49,13 @@ from .hilbert import (
     photon_mode,
     standard_space,
 )
-from .operators import SpinTriple, collective_atomic_spin, photonic_pseudospin
+from .operators import collective_atomic_spin, photonic_pseudospin
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
     kitagawa_ueda_xi_of,
+    manifold_spin_moments,
+    moment_matrix,
     ossi_of,
     sorensen_xi_e2_of,
     spin_moments,
@@ -138,25 +146,22 @@ class SweepResult:
         return self.zeta.size
 
 
-def _row_columns(
-    amps: np.ndarray, times: np.ndarray, config: SweepConfig,
-    atom_spin: SpinTriple, photon_spin: SpinTriple,
-) -> dict[str, np.ndarray]:
-    """Every requested column over one zeta row, from (4, nt) amplitudes.
+def _moment_sides(observables: Sequence[str]) -> tuple[str, ...]:
+    """The sides whose spin moments the observables read; xi and xi_e2 read
+    only the atoms."""
+    obs = set(observables)
+    atoms = ("atoms",) if obs & {"ossi_full", "xi", "xi_e2"} else ()
+    return atoms + (("photons",) if "ossi_full" in obs else ())
 
-    Each side's spin moments are evaluated once, on a checked DensityMatrix
-    stack; the photons are needed only by ossi_full.
-    """
-    coeffs = coefficients(ManifoldState(amps, times))
+
+def _row_columns(
+    coeffs: CoefficientSet, moments: dict[str, tuple[np.ndarray, np.ndarray]],
+    config: SweepConfig,
+) -> dict[str, np.ndarray]:
+    """Every requested column over one zeta row, from the row's coefficients
+    and each requested side's (mean, cov) spin moments."""
     obs = set(config.observables)
-    moments = {}
     witnesses = variance = None
-    if obs & {"ossi_full", "xi", "xi_e2"}:
-        rho_a = DensityMatrix(atom_spin.x.space, analytic_rho_atoms(coeffs))
-        moments["atoms"] = spin_moments(rho_a, atom_spin)
-    if "ossi_full" in obs:
-        rho_p = DensityMatrix(photon_spin.x.space, analytic_rho_photons(coeffs))
-        moments["photons"] = spin_moments(rho_p, photon_spin)
     if obs & {"ineq_a", "ineq_p"}:
         witnesses = branch_witnesses(coeffs, config.branch)
     if obs & {"var_x1", "var_x2"}:
@@ -198,27 +203,54 @@ def _max_disagreement(
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Every grid cell as flat columns, in deterministic zeta-major order."""
+    """Every grid cell as flat columns, in deterministic zeta-major order.
+
+    The two routes find each side's spin moments independently.  The closed
+    form contracts its amplitudes with (16, 9) moment matrices built once per
+    sweep from the full-space spin operators; the oracle builds the analytic
+    reduced states of its projected amplitudes, checks each DensityMatrix and
+    evaluates spin_moments on it.
+    """
     space = standard_space()
-    atom_spin = collective_atomic_spin(CompositeSpace((atom(), atom())))
-    photon_spin = photonic_pseudospin(CompositeSpace((photon_mode(), photon_mode())))
     h0 = build_hamiltonian(config.params.replace(zeta=0.0), space)
     hop = hopping_operator(space)
     psi0 = initial_vector(config.branch, space)
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
+    sides = _moment_sides(config.observables)
+    closed = config.method in (Method.CLOSED_FORM, Method.BOTH)
+    oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
+    if closed:
+        phi = manifold_basis(space)
+        spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
+        matrices = {s: moment_matrix(spin_of[s](space).moment_operators, phi) for s in sides}
+    if oracle:
+        reduced = {
+            "atoms": (collective_atomic_spin(CompositeSpace((atom(), atom()))),
+                      analytic_rho_atoms),
+            "photons": (photonic_pseudospin(CompositeSpace((photon_mode(), photon_mode()))),
+                        analytic_rho_photons),
+        }
     rows = []
     for zeta, block in zip(zetas, manifold_blocks(h0, hop, zetas, config.params.lam)):
         try:
-            routes = []
-            if config.method in (Method.CLOSED_FORM, Method.BOTH):
-                routes.append(evolve_closed_form_grid(config.branch, block, times))
-            if config.method in (Method.NUMERIC_ORACLE, Method.BOTH):
+            columns = []
+            if closed:
+                state = ManifoldState(evolve_closed_form_grid(config.branch, block, times), times)
+                moments = {
+                    s: manifold_spin_moments(state.amplitudes, m) for s, m in matrices.items()
+                }
+                columns.append(_row_columns(coefficients(state), moments, config))
+            if oracle:
                 # build_hamiltonian's last step is h += zeta * hop: the same
                 # float arithmetic as building H(zeta) directly.
                 h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
                 full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
-                routes.append(project_amplitudes(full, block))
-            columns = [_row_columns(a, times, config, atom_spin, photon_spin) for a in routes]
+                coeffs = coefficients(ManifoldState(project_amplitudes(full, block), times))
+                moments = {}
+                for s in sides:
+                    spin, rho_of = reduced[s]
+                    moments[s] = spin_moments(DensityMatrix(spin.x.space, rho_of(coeffs)), spin)
+                columns.append(_row_columns(coeffs, moments, config))
         except (ValueError, NumericalConsistencyError) as exc:
             raise SweepError(f"row zeta={zeta}: {exc}") from exc
         if config.method is Method.BOTH:
@@ -240,24 +272,74 @@ def _axis_text(values: np.ndarray, suffix: str) -> list[str]:
     return text[index].tolist()
 
 
+def _value_text(values: list[float]) -> list[str]:
+    """'%.17g' text of each value."""
+    return list(map("%.17g".__mod__, values))
+
+
+def _block_fields(
+    columns: Sequence[np.ndarray], shared: set[int], block: slice
+) -> list[list]:
+    """Each column's entries in the block: text for a column whose array
+    appears more than once, converted once; floats for the others."""
+    text: dict[int, list[str]] = {}
+    fields = []
+    for col in columns:
+        if id(col) not in shared:
+            fields.append(col[block].tolist())
+            continue
+        if id(col) not in text:
+            text[id(col)] = _value_text(col[block].tolist())
+        fields.append(text[id(col)])
+    return fields
+
+
 def _csv_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
     """CSV text in blocks of rows, so the whole file is never held at once.
 
     data is (zeta, t, *value columns).  The axis text is formatted once per
-    distinct value, so each row formats only its value columns.
+    distinct value, and a value column given more than once (the same array)
+    once per row, so each row formats only its distinct value columns.
     """
     yield ",".join(names) + "\n"
     zeta, t, *columns = data
+    shared = {id(c) for c in columns if sum(c is other for other in columns) > 1}
     # %.17g prints nan, inf and -0 the same way as f"{v:.17g}".
-    row = "%s%s" + ",%.17g" * len(columns) + "\n"
+    row = "%s%s" + "".join(",%s" if id(c) in shared else ",%.17g" for c in columns) + "\n"
     zeta_text, t_text = _axis_text(zeta, ","), _axis_text(t, "")
     for i in range(0, len(zeta_text), _CSV_BLOCK_ROWS):
         block = slice(i, i + _CSV_BLOCK_ROWS)
-        # No name holds the block's floats across the yield, so they are freed
-        # before the next block's are made.
+        # No name holds the block's floats or text across the yield, so they
+        # are freed before the next block's are made.
         yield "".join(map(row.__mod__, zip(
-            zeta_text[block], t_text[block], *(c[block].tolist() for c in columns)
+            zeta_text[block], t_text[block], *_block_fields(columns, shared, block)
         )))
+
+
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(values: np.ndarray) -> list[str]:
+    """Each value as json.dumps writes a float (float.__repr__, with inf as
+    Infinity), except that nan becomes null."""
+    values = np.asarray(values, dtype=np.float64)
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_NON_FINITE.get(s, s) for s in text]
+    return text
+
+
+def _json_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
+    """The bytes of json.dumps(records, indent=2) + "\n", one record per row:
+    each column is converted to text once (once per array, if given more than
+    once) and fills a fixed record template."""
+    keys = (json.dumps(name).replace("%", "%%") for name in names)
+    record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    text: dict[int, list[str]] = {}
+    for col in data:
+        if id(col) not in text:
+            text[id(col)] = _json_text(col)
+    yield "[\n" + ",\n".join(map(record.__mod__, zip(*(text[id(c)] for c in data)))) + "\n]\n"
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -290,9 +372,7 @@ def emit(
     if output_format == "csv":
         chunks = _csv_chunks(names, data)
     elif output_format == "json":
-        lists = [[None if math.isnan(v) else v for v in col.tolist()] for col in data]
-        records = [dict(zip(names, vals)) for vals in zip(*lists)]
-        chunks = [json.dumps(records, indent=2) + "\n"]
+        chunks = _json_chunks(names, data)
     else:
         raise ValueError(f"unknown output format {output_format!r}")
     _write_atomic(path, chunks)

@@ -4,7 +4,10 @@ Generic path: the four collective-spin inequalities evaluated on a density
 matrix (violation of any witnesses particle entanglement), the Kitagawa-Ueda
 parameter xi, and the Sorensen parameter xi_e^2.  Each is a function of the
 spin mean and covariance; given a stacked DensityMatrix (one matrix per time)
-every value becomes an array over the stack.
+every value becomes an array over the stack.  The mean and covariance come
+from spin_moments on a density matrix, or from manifold_spin_moments on the
+four manifold amplitudes through the 4x4 matrices basis^dag O basis of the
+same moment operators (moment_matrix).
 
 Closed-form path: the per-branch witness expressions in the manifold
 coefficients, plus the per-branch quadrature-variance expressions.  The two
@@ -23,14 +26,16 @@ import numpy as np
 
 from .dynamics import CoefficientSet, InitialState
 from .hilbert import (
+    HERMITICITY_TOL,
     IMAG_TOL,
     DensityMatrix,
     DimensionMismatchError,
     NumericalConsistencyError,
     Operator,
     expectation,
+    hermiticity_deviation,
 )
-from .operators import QuadraturePair, SpinTriple
+from .operators import SECOND_MOMENT_INDEX, QuadraturePair, SpinTriple
 
 VIOLATION_TOL = 1e-10
 MEAN_SPIN_FLOOR = 1e-8
@@ -43,10 +48,24 @@ class BranchMismatchError(ValueError):
     """Coefficients do not belong to the requested initial-state branch."""
 
 
-# The (i, j) of the six symmetrized products {S_i, S_j}/2, and the position
-# among them of each entry of the 3x3 second-moment matrix.
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PAIR_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+def _contraction(operators: np.ndarray) -> np.ndarray:
+    """(d*d, k) matrix C of a (k, d, d) operator stack, with Tr(O_k rho) =
+    (flat(rho) @ C)_k = sum_ij O_ij rho_ji for a row-major flattened rho."""
+    k, d, _ = operators.shape
+    return operators.swapaxes(-1, -2).reshape(k, d * d).T
+
+
+def _mean_and_covariance(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split (..., 9) values of SpinTriple.moment_operators into the mean and
+    the symmetrized covariance, after checking them real to within IMAG_TOL."""
+    residue = np.max(np.abs(vals.imag))
+    if not residue < IMAG_TOL:
+        raise NumericalConsistencyError(
+            f"spin moment has imaginary residue {residue:.3e}"
+        )
+    mean = vals.real[..., :3]
+    second = vals.real[..., 3:][..., SECOND_MOMENT_INDEX]
+    return mean, second - mean[..., :, None] * mean[..., None, :]
 
 
 def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -54,24 +73,46 @@ def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.n
     and (..., 3, 3) for a stack of matrices.
 
     One contraction of the flattened states against the 3 components and the
-    6 symmetrized products: Tr(O rho) = sum_ij O_ij rho_ji.  Every value is
-    checked real to within IMAG_TOL.
+    6 symmetrized products of spin.moment_operators.  Every value is checked
+    real to within IMAG_TOL.
     """
     if spin.x.space != rho.space:
         raise DimensionMismatchError("operator and state live on different spaces")
-    comps = [s.matrix for s in spin.components]
-    ops = comps + [(comps[i] @ comps[j] + comps[j] @ comps[i]) / 2 for i, j in _PAIRS]
     d2 = rho.space.total_dim ** 2
     flat = rho.matrix.reshape(rho.matrix.shape[:-2] + (d2,))
-    vals = flat @ np.stack(ops).swapaxes(-1, -2).reshape(len(ops), d2).T
-    residue = np.max(np.abs(vals.imag))
-    if not residue < IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"spin moment has imaginary residue {residue:.3e}"
+    return _mean_and_covariance(flat @ _contraction(spin.moment_operators))
+
+
+def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(16, k) matrix of the manifold moments of a (k, d, d) operator stack.
+
+    Each operator O becomes its 4x4 matrix basis^dag O basis on the manifold,
+    checked Hermitian to within HERMITICITY_TOL, so that for amplitudes `a`
+    over the columns of `basis` the expectation is <O> = a^dag (basis^dag O
+    basis) a.  Columns are laid out for manifold_spin_moments.
+    """
+    if basis.shape != (operators.shape[-1], 4):
+        raise DimensionMismatchError(
+            f"basis of shape {basis.shape} does not fit operators of shape {operators.shape}"
         )
-    mean = vals.real[..., :3]
-    second = vals.real[..., 3:][..., _PAIR_INDEX]
-    return mean, second - mean[..., :, None] * mean[..., None, :]
+    blocks = basis.conj().T @ operators @ basis
+    dev = hermiticity_deviation(blocks)
+    if not dev < HERMITICITY_TOL:
+        raise NumericalConsistencyError(
+            f"manifold moment matrix deviates from Hermiticity by {dev:.3e}"
+        )
+    return _contraction(blocks)
+
+
+def manifold_spin_moments(
+    amplitudes: np.ndarray, matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """spin_moments of the pure states with the given (4, ...) manifold
+    amplitudes, from the (16, 9) moment_matrix of SpinTriple.moment_operators:
+    one product of the flattened amplitude outer products a a^dag."""
+    a = np.asarray(amplitudes, dtype=complex)
+    outer = (a[:, None] * a.conj()[None, :]).reshape((16,) + a.shape[1:])
+    return _mean_and_covariance(np.moveaxis(outer, 0, -1) @ matrix)
 
 
 @dataclass(frozen=True)
@@ -179,6 +220,25 @@ def _transverse_basis(n0: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2], axis=-1)
 
 
+def _smallest_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each real symmetric block of a (..., 2, 2) stack,
+    read from the lower triangle as eigvalsh does.
+
+    The eigenvalue of larger magnitude is (a + c)/2 +- hypot((a - c)/2, b);
+    the other is det / that one, written as in LAPACK's dlae2 so that a small
+    eigenvalue keeps its absolute accuracy.
+    """
+    a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
+    half_sum = (a + c) / 2
+    big = half_sum + np.copysign(np.hypot((a - c) / 2, b), half_sum)
+    a_wider = np.abs(a) > np.abs(c)
+    wide, narrow = np.where(a_wider, a, c), np.where(a_wider, c, a)
+    nonzero = big != 0  # big == 0 only for the all-zero block
+    safe = np.where(nonzero, big, 1.0)
+    other = np.where(nonzero, (wide / safe) * narrow - (b / safe) * b, 0.0)
+    return np.minimum(big, other)
+
+
 def kitagawa_ueda_xi_of(
     mean: np.ndarray, cov: np.ndarray, n_particles: int
 ) -> float | np.ndarray:
@@ -191,7 +251,7 @@ def kitagawa_ueda_xi_of(
     n0 = mean / np.where(defined, norm, 1.0)[..., None]
     basis = _transverse_basis(n0)
     m = basis.swapaxes(-1, -2) @ cov @ basis
-    lam_min = np.maximum(np.linalg.eigvalsh(m)[..., 0], 0.0)
+    lam_min = np.maximum(_smallest_eigenvalue_2x2(m), 0.0)
     j_total = n_particles / 2
     xi = np.sqrt(lam_min) / math.sqrt(j_total / 2)
     return np.where(defined, xi, math.nan)[()]  # [()]: a scalar for one state
@@ -230,7 +290,7 @@ def sorensen_xi_e2_of(
     c_mm = np.einsum("...i,...ij,...j->...", m_hat, cov, m_hat)
     c_mm = np.where(c_mm > DENOMINATOR_FLOOR, c_mm, math.inf)
     schur = c_perp - c[..., :, None] * c[..., None, :] / c_mm[..., None, None]
-    lam_min = np.linalg.eigvalsh(schur)[..., 0]
+    lam_min = _smallest_eigenvalue_2x2(schur)
     return (n_particles * lam_min / np.where(defined, m2, math.nan))[()]
 
 

@@ -181,8 +181,9 @@ class TestRunSweep:
     ):
         import squeezetransfer.sweep as sweep
 
-        states, moments = [], []
+        states, moments, matrices = [], [], []
         real_state, real_moments = sweep.DensityMatrix, sweep.spin_moments
+        real_matrix, real_manifold = sweep.moment_matrix, sweep.manifold_spin_moments
 
         def counting_state(space, matrix):
             states.append(space.factors[0].kind.value)
@@ -192,14 +193,52 @@ class TestRunSweep:
             moments.append(rho.space.factors[0].kind.value)
             return real_moments(rho, spin)
 
+        def counting_matrix(operators, basis):
+            matrices.append(operators.shape)
+            return real_matrix(operators, basis)
+
+        def counting_manifold(amplitudes, matrix):
+            moments.append("manifold")
+            return real_manifold(amplitudes, matrix)
+
         monkeypatch.setattr(sweep, "DensityMatrix", counting_state)
         monkeypatch.setattr(sweep, "spin_moments", counting_moments)
+        monkeypatch.setattr(sweep, "moment_matrix", counting_matrix)
+        monkeypatch.setattr(sweep, "manifold_spin_moments", counting_manifold)
         cfg = small_config(method=Method.BOTH, observables=observables)
         run_sweep(cfg)
-        per_route_row = [{"atoms": "atom", "photons": "photon_mode"}[s] for s in sides]
-        route_rows = 2 * cfg.zeta_grid.steps
-        assert states == per_route_row * route_rows
-        assert moments == per_route_row * route_rows
+        # The oracle route builds one checked state per row and side; the
+        # closed-form route contracts its amplitudes with one moment matrix
+        # per side, built once per sweep.
+        per_row = [{"atoms": "atom", "photons": "photon_mode"}[s] for s in sides]
+        rows = cfg.zeta_grid.steps
+        assert states == per_row * rows
+        assert moments == (["manifold"] * len(sides) + per_row) * rows
+        assert matrices == [(9, 36, 36)] * len(sides)
+
+    def test_closed_form_route_builds_no_reduced_state(self, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        calls = []
+        for name in ("DensityMatrix", "analytic_rho_atoms", "analytic_rho_photons",
+                     "spin_moments"):
+            monkeypatch.setattr(sweep, name, lambda *a, _name=name: calls.append(_name))
+        for branch in InitialState:
+            run_sweep(small_config(branch=branch, observables=sweep.OBSERVABLES))
+        assert calls == []
+
+    def test_separable_moment_routes_agree(self, tmp_path, capsys):
+        cfg = small_config(
+            branch=InitialState.SEPARABLE_ONE_CAVITY, method=Method.BOTH,
+            observables=("ossi_full", "xi"), time_grid=GridSpec(0.0, 20.0, 41),
+        )
+        assert run_sweep(cfg).method_disagreement.max() <= 1e-12
+        argv = ["--branch", "separable", "--zeta-range", "0", "1", "--time-range", "0", "20",
+                "--steps", "3", "41", "--observables", "ossi_full,xi", "--method", "both",
+                "--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        worst = float(capsys.readouterr().out.split("max method disagreement ")[1].split()[0])
+        assert worst <= 1e-12
 
     def test_subgrid_is_consistent_with_supergrid(self):
         fine = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 5)))
@@ -316,6 +355,52 @@ class TestEmit:
             path = tmp_path / f"out.{fmt}"
             emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
             assert path.read_bytes() == reference_text(result, ("a", "b"), fmt).encode("utf-8")
+
+    def test_json_matches_json_dumps(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1 / 3, -2.5e-300, 6.02214076e23,
+                   1e16, 123456789.0, 5e-324]
+        n = len(special)
+        shared = np.array(special[::-1])
+        result = SweepResult(
+            np.linspace(0.0, 1.0, n), np.array(special),
+            {"a": np.array(special), "b": shared, "c": shared},
+        )
+        path = tmp_path / "out.json"
+        emit(result, ("a", "b", "c"), "json", str(path))
+        assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
+        assert '"a": Infinity' in path.read_text() and '"a": -Infinity' in path.read_text()
+
+    @pytest.mark.parametrize("n", [1, 7, 2048 + 3])
+    def test_shared_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        conversions = []
+        real = sweep._value_text
+
+        def counting(values):
+            conversions.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(sweep, "_value_text", counting)
+        rng = np.random.default_rng(2)
+        shared = np.resize([np.nan, -0.0, np.inf, 1 / 3], n) * rng.standard_normal(n)
+        values = {"a": rng.standard_normal(n), "v1": shared, "v2": shared, "b": shared.copy()}
+        result = SweepResult(np.full(n, 0.5), np.linspace(0.0, 20.0, n), values)
+        columns = ("v1", "a", "v2", "b")
+        path = tmp_path / "out.csv"
+        emit(result, columns, "csv", str(path))
+        assert path.read_bytes() == reference_text(result, columns, "csv").encode("utf-8")
+        block = sweep._CSV_BLOCK_ROWS
+        assert conversions == [min(block, n - i) for i in range(0, n, block)]
+
+    def test_no_conversion_without_shared_column(self, tmp_path, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        conversions = []
+        monkeypatch.setattr(sweep, "_value_text", lambda values: conversions.append(values))
+        cfg = small_config(observables=("ineq_a", "var_x1"))
+        emit(run_sweep(cfg), cfg.columns, "csv", str(tmp_path / "out.csv"))
+        assert conversions == []
 
     @pytest.mark.parametrize("case", ["not_a_product_grid", "signed_zero_t", "block_plus_one",
                                       "single_cell"])

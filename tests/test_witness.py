@@ -15,8 +15,14 @@ from squeezetransfer.dynamics import (
     evolve_closed_form_grid,
     evolve_numeric_oracle,
 )
-from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+from squeezetransfer.hamiltonian import (
+    ModelParams,
+    build_hamiltonian,
+    extract_manifold_block,
+    manifold_basis,
+)
 from squeezetransfer.hilbert import (
+    HERMITICITY_TOL,
     IMAG_TOL,
     CompositeSpace,
     DensityMatrix,
@@ -26,13 +32,21 @@ from squeezetransfer.hilbert import (
     atom,
     expectation,
 )
-from squeezetransfer.operators import SpinTriple, collective_atomic_spin, quadratures
+from squeezetransfer.operators import (
+    SpinTriple,
+    collective_atomic_spin,
+    photonic_pseudospin,
+    quadratures,
+)
 from squeezetransfer.witness import (
     BranchMismatchError,
+    _smallest_eigenvalue_2x2,
     branch_witnesses,
     closed_form_quadrature_variance,
     kitagawa_ueda_xi,
     kitagawa_ueda_xi_of,
+    manifold_spin_moments,
+    moment_matrix,
     ossi,
     ossi_of,
     quadrature_variances,
@@ -133,6 +147,120 @@ class TestSpinMoments:
         skew = Operator(atom_space, 0.5j * IMAG_TOL * np.eye(4))
         mean, _ = spin_moments(css_state(atom_space), SpinTriple(atom_spin.x, atom_spin.y, skew))
         assert mean[2] == 0.0
+
+
+def random_amplitudes(rng, n):
+    """n random normalized manifold states as (4, n) amplitudes."""
+    amps = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+class TestMomentOperators:
+    def test_built_once_and_read_only(self, atom_spin):
+        ops = atom_spin.moment_operators
+        assert ops is atom_spin.moment_operators
+        assert ops.shape == (9, 4, 4) and not ops.flags.writeable
+
+    def test_components_then_symmetrized_products(self, photon_spin):
+        comps = [s.matrix for s in photon_spin.components]
+        ops = photon_spin.moment_operators
+        for k in range(3):
+            assert np.array_equal(ops[k], comps[k])
+        pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        for k, (i, j) in enumerate(pairs, start=3):
+            assert np.array_equal(ops[k], (comps[i] @ comps[j] + comps[j] @ comps[i]) / 2)
+
+
+class TestManifoldMoments:
+    """Moments from the 4x4 manifold matrices against the reduced states."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self, space):
+        phi = manifold_basis(space)
+        return {
+            "atoms": moment_matrix(collective_atomic_spin(space).moment_operators, phi),
+            "photons": moment_matrix(photonic_pseudospin(space).moment_operators, phi),
+        }
+
+    @pytest.mark.parametrize("side", ["atoms", "photons"])
+    @pytest.mark.parametrize("source", ["entangled", "separable", "random"])
+    def test_match_reduced_state_moments(
+        self, side, source, matrices, default_block, rng,
+        atom_space, atom_spin, photon_space, photon_spin,
+    ):
+        if source == "random":
+            amps = random_amplitudes(rng, 200)
+        else:
+            branch = InitialState(source)
+            amps = evolve_closed_form_grid(branch, default_block, np.linspace(0.0, 20.0, 81))
+        coeffs = coefficients(ManifoldState(amps, 0.0))
+        if side == "atoms":
+            rho, spin = DensityMatrix(atom_space, analytic_rho_atoms(coeffs)), atom_spin
+        else:
+            rho, spin = DensityMatrix(photon_space, analytic_rho_photons(coeffs)), photon_spin
+        mean, cov = manifold_spin_moments(amps, matrices[side])
+        ref_mean, ref_cov = spin_moments(rho, spin)
+        assert mean.shape == ref_mean.shape and cov.shape == ref_cov.shape
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-14
+        assert np.max(np.abs(cov - ref_cov)) <= 1e-14
+
+    def test_single_state(self, matrices, rng):
+        amps = random_amplitudes(rng, 3)
+        mean, cov = manifold_spin_moments(amps[:, 1], matrices["photons"])
+        row_mean, row_cov = manifold_spin_moments(amps, matrices["photons"])
+        assert mean.shape == (3,) and cov.shape == (3, 3)
+        assert np.max(np.abs(mean - row_mean[1])) <= 1e-15
+        assert np.max(np.abs(cov - row_cov[1])) <= 1e-15
+
+    def test_rejects_non_hermitian_operator(self, space):
+        full = collective_atomic_spin(space)
+        skew = Operator(space, 10j * IMAG_TOL * np.eye(space.total_dim))
+        spin = SpinTriple(full.x, full.y, skew)
+        with pytest.raises(NumericalConsistencyError, match="Hermiticity"):
+            moment_matrix(spin.moment_operators, manifold_basis(space))
+
+    def test_accepts_deviation_below_tolerance(self, space):
+        full = collective_atomic_spin(space)
+        skew = Operator(space, 0.4j * HERMITICITY_TOL * np.eye(space.total_dim))
+        ops = SpinTriple(full.x, full.y, skew).moment_operators
+        assert moment_matrix(ops, manifold_basis(space)).shape == (16, 9)
+
+    def test_rejects_basis_of_other_space(self, atom_spin, space):
+        with pytest.raises(DimensionMismatchError):
+            moment_matrix(atom_spin.moment_operators, manifold_basis(space))
+
+    def test_rejects_imaginary_residue(self, matrices):
+        # amplitudes that are not a state make a Hermitian form complex
+        bad = matrices["atoms"] + 10j * IMAG_TOL
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+            manifold_spin_moments(np.array([1.0, 0.0, 0.0, 0.0]), bad)
+
+
+class TestSmallestEigenvalue2x2:
+    def test_matches_eigvalsh(self, rng):
+        n = 12_000
+        a, b, c = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-3, 2, size=(3, n))
+        k = n // 6
+        b[:k] = 0.0  # diagonal
+        c[k:2 * k] = a[k:2 * k]  # equal diagonal
+        b[k:k + k // 2] = 0.0  # degenerate: a multiple of the identity
+        a[2 * k:3 * k] = c[2 * k:3 * k] = b[2 * k:3 * k] = 0.0  # all zero
+        c[3 * k:4 * k] = -a[3 * k:4 * k]  # traceless
+        r, theta = a[4 * k:5 * k], rng.uniform(0, np.pi, k)  # singular: rank one
+        a[4 * k:5 * k], b[4 * k:5 * k], c[4 * k:5 * k] = (
+            r * np.cos(theta) ** 2, r * np.cos(theta) * np.sin(theta), r * np.sin(theta) ** 2
+        )
+        blocks = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+        ours = _smallest_eigenvalue_2x2(blocks)
+        ref = np.linalg.eigvalsh(blocks)[..., 0]
+        assert ours.shape == (n,)
+        assert np.max(np.abs(ours - ref)) <= 1e-13
+        assert np.all(ours[2 * k:3 * k] == 0.0)
+
+    def test_stack_shape(self, rng):
+        m = rng.normal(size=(3, 5, 2, 2))
+        m = m + m.swapaxes(-1, -2)
+        assert _smallest_eigenvalue_2x2(m).shape == (3, 5)
 
 
 class TestMomentForms:
