@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .csvtext import WIDTH, g17_text
 from .dynamics import (
     CoefficientSet,
     InitialState,
@@ -62,8 +63,11 @@ from .witness import (
 )
 
 DISAGREEMENT_TOL = 1e-8
-# Rows of CSV text built at once; a block's floats and text set the run's peak RSS.
-_CSV_BLOCK_ROWS = 1024
+# Bytes of CSV field buffer per block; a block's encoder arrays and text set
+# the run's peak RSS, and fewer, larger blocks pay less numpy call overhead.
+_CSV_BLOCK_BYTES = 1 << 17
+# JSON records per block; the block's text, not the file's, is held at once.
+_JSON_BLOCK_RECORDS = 1024
 
 _OSSI_COLUMNS = tuple(
     f"{side}_slack_{name}"
@@ -98,9 +102,19 @@ class GridSpec:
             raise ValueError(f"grid bounds must be finite, got {self.start}, {self.stop}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop} < start {self.start}")
+        if self.steps == 1 and self.start != self.stop:
+            raise ValueError(
+                f"one step cannot span {self.start}..{self.stop}; give more steps, or a "
+                "single value (--zeta VALUE, or equal MIN and MAX)"
+            )
+        if self.steps > 1 and self.start == self.stop:
+            raise ValueError(
+                f"{self.steps} steps over the single value {self.start} repeat it; give "
+                "1 step for a single value (--zeta VALUE for a single hopping value)"
+            )
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)  # one step gives [start]
+        return np.linspace(self.start, self.stop, self.steps)
 
 
 @dataclass(frozen=True)
@@ -262,58 +276,46 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(zeta, t, values, disagreement)
 
 
-def _axis_text(values: np.ndarray, suffix: str) -> list[str]:
-    """'%.17g' text of each value plus `suffix`, formatted once per distinct
-    float; keyed on the float's bits, so -0.0 and 0.0 keep their own text."""
-    bits, index = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
-    )
-    text = np.array(["%.17g" % v + suffix for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
-
-
-def _value_text(values: list[float]) -> list[str]:
-    """'%.17g' text of each value."""
-    return list(map("%.17g".__mod__, values))
-
-
-def _block_fields(
-    columns: Sequence[np.ndarray], shared: set[int], block: slice
-) -> list[list]:
-    """Each column's entries in the block: text for a column whose array
-    appears more than once, converted once; floats for the others."""
-    text: dict[int, list[str]] = {}
-    fields = []
-    for col in columns:
-        if id(col) not in shared:
-            fields.append(col[block].tolist())
-            continue
-        if id(col) not in text:
-            text[id(col)] = _value_text(col[block].tolist())
-        fields.append(text[id(col)])
-    return fields
+def _csv_block_rows(n_columns: int) -> int:
+    """Rows per CSV block: as many as fit in _CSV_BLOCK_BYTES of field buffer."""
+    return max(1, _CSV_BLOCK_BYTES // (n_columns * (WIDTH + 1)))
 
 
 def _csv_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
     """CSV text in blocks of rows, so the whole file is never held at once.
 
-    data is (zeta, t, *value columns).  The axis text is formatted once per
-    distinct value, and a value column given more than once (the same array)
-    once per row, so each row formats only its distinct value columns.
+    data is (zeta, t, *value columns).  Each block's fields are laid out in a
+    (rows, columns, WIDTH + 1) byte buffer, zero-padded, with the separator in
+    the last byte of each field, and the zero bytes dropped.  The axis text is
+    encoded once per distinct value and gathered; each distinct value array
+    (a column may be given more than once) is encoded once per block.
     """
     yield ",".join(names) + "\n"
     zeta, t, *columns = data
-    shared = {id(c) for c in columns if sum(c is other for other in columns) > 1}
-    # %.17g prints nan, inf and -0 the same way as f"{v:.17g}".
-    row = "%s%s" + "".join(",%s" if id(c) in shared else ",%.17g" for c in columns) + "\n"
-    zeta_text, t_text = _axis_text(zeta, ","), _axis_text(t, "")
-    for i in range(0, len(zeta_text), _CSV_BLOCK_ROWS):
-        block = slice(i, i + _CSV_BLOCK_ROWS)
-        # No name holds the block's floats or text across the yield, so they
-        # are freed before the next block's are made.
-        yield "".join(map(row.__mod__, zip(
-            zeta_text[block], t_text[block], *_block_fields(columns, shared, block)
-        )))
+    axes = []
+    for axis in (zeta, t):
+        # keyed on the float's bits, so -0.0 and 0.0 keep their own text
+        bits, index = np.unique(
+            np.ascontiguousarray(axis, dtype=np.float64).view(np.uint64), return_inverse=True
+        )
+        axes.append((g17_text(bits.view(np.float64)), index))
+    distinct = list({id(c): c for c in columns}.values())
+    which = [[id(d) for d in distinct].index(id(c)) for c in columns]
+    width = WIDTH + 1
+    rows = _csv_block_rows(len(data))
+    for i in range(0, len(zeta), rows):
+        block = slice(i, i + rows)
+        values = np.empty((len(zeta[block]), len(distinct)))
+        for k, col in enumerate(distinct):
+            values[:, k] = col[block]
+        buf = np.zeros((len(values), len(data), width), np.uint8)
+        for j, (axis_text, index) in enumerate(axes):
+            buf[:, j, :-1] = axis_text.take(index[block], axis=0)
+        buf[:, 2:, :-1] = g17_text(values)[:, which]
+        buf[:, :, -1] = ord(",")
+        buf[:, -1, -1] = ord("\n")
+        buf = buf.ravel()
+        yield np.compress(buf != 0, buf).tobytes().decode("ascii")
 
 
 _JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
@@ -330,25 +332,34 @@ def _json_text(values: np.ndarray) -> list[str]:
 
 
 def _json_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
-    """The bytes of json.dumps(records, indent=2) + "\n", one record per row:
-    each column is converted to text once (once per array, if given more than
-    once) and fills a fixed record template."""
+    """The bytes of json.dumps(records, indent=2) + "\n", one record per row,
+    in blocks of _JSON_BLOCK_RECORDS records: in each block, each column is
+    converted to text once (once per array, if given more than once) and
+    fills a fixed record template."""
     keys = (json.dumps(name).replace("%", "%%") for name in names)
     record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    text: dict[int, list[str]] = {}
-    for col in data:
-        if id(col) not in text:
-            text[id(col)] = _json_text(col)
-    yield "[\n" + ",\n".join(map(record.__mod__, zip(*(text[id(c)] for c in data)))) + "\n]\n"
+    yield "[\n"
+    for i in range(0, len(data[0]), _JSON_BLOCK_RECORDS):
+        block = slice(i, i + _JSON_BLOCK_RECORDS)
+        text: dict[int, list[str]] = {}
+        for col in data:
+            if id(col) not in text:
+                text[id(col)] = _json_text(col[block])
+        records = ",\n".join(map(record.__mod__, zip(*(text[id(c)] for c in data))))
+        yield records if i == 0 else ",\n" + records
+    yield "\n]\n"
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write a sibling temporary file, then move it over `path`."""
+    """Write a sibling temporary file, then move it over `path`.  A failure
+    is raised as an OSError that names `path`, not the temporary file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):  # only when the write or the replace failed
             os.remove(tmp)

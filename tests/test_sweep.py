@@ -56,6 +56,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(*bounds, 3)
 
+    @pytest.mark.parametrize("start, stop, steps", [(0.0, 2.0, 1), (0.0, 0.0, 3), (1.5, 1.5, 2)])
+    def test_rejects_degenerate(self, start, stop, steps):
+        # one step would drop stop; several steps over one value repeat it
+        with pytest.raises(ValueError, match="--zeta"):
+            GridSpec(start, stop, steps)
+
 
 class TestSweepConfig:
     def test_columns_expand_ossi(self):
@@ -370,37 +376,56 @@ class TestEmit:
         assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
         assert '"a": Infinity' in path.read_text() and '"a": -Infinity' in path.read_text()
 
-    @pytest.mark.parametrize("n", [1, 7, 2048 + 3])
+    @staticmethod
+    def _count_encodings(monkeypatch):
+        """Record the array each g17_text call in the sweep encodes."""
+        import squeezetransfer.sweep as sweep
+
+        calls = []
+        real = sweep.g17_text
+
+        def counting(values):
+            calls.append(np.array(values))
+            return real(values)
+
+        monkeypatch.setattr(sweep, "g17_text", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 7, "block+3"])
     def test_shared_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
         import squeezetransfer.sweep as sweep
 
-        conversions = []
-        real = sweep._value_text
-
-        def counting(values):
-            conversions.append(len(values))
-            return real(values)
-
-        monkeypatch.setattr(sweep, "_value_text", counting)
+        columns = ("v1", "a", "v2", "b")
+        block = sweep._csv_block_rows(2 + len(columns))
+        n = 2 * block + 3 if n == "block+3" else n
+        calls = self._count_encodings(monkeypatch)
         rng = np.random.default_rng(2)
         shared = np.resize([np.nan, -0.0, np.inf, 1 / 3], n) * rng.standard_normal(n)
         values = {"a": rng.standard_normal(n), "v1": shared, "v2": shared, "b": shared.copy()}
         result = SweepResult(np.full(n, 0.5), np.linspace(0.0, 20.0, n), values)
-        columns = ("v1", "a", "v2", "b")
         path = tmp_path / "out.csv"
         emit(result, columns, "csv", str(path))
         assert path.read_bytes() == reference_text(result, columns, "csv").encode("utf-8")
-        block = sweep._CSV_BLOCK_ROWS
-        assert conversions == [min(block, n - i) for i in range(0, n, block)]
+        # each axis once, over its distinct values; then per block one
+        # (rows, 3) array: v1/v2 (one array), a and b, each once
+        assert [c.shape for c in calls[:2]] == [(1,), (n,)]
+        blocks = calls[2:]
+        assert [c.shape for c in blocks] == [(min(block, n - i), 3) for i in range(0, n, block)]
+        encoded = np.concatenate(blocks)
+        for k, name in enumerate(("v1", "a", "b")):
+            np.testing.assert_array_equal(encoded[:, k], values[name])
 
-    def test_no_conversion_without_shared_column(self, tmp_path, monkeypatch):
+    def test_each_column_encoded_once_per_block_without_sharing(self, tmp_path, monkeypatch):
         import squeezetransfer.sweep as sweep
 
-        conversions = []
-        monkeypatch.setattr(sweep, "_value_text", lambda values: conversions.append(values))
+        calls = self._count_encodings(monkeypatch)
         cfg = small_config(observables=("ineq_a", "var_x1"))
-        emit(run_sweep(cfg), cfg.columns, "csv", str(tmp_path / "out.csv"))
-        assert conversions == []
+        result = run_sweep(cfg)
+        emit(result, cfg.columns, "csv", str(tmp_path / "out.csv"))
+        assert sweep._csv_block_rows(4) > len(result)  # one block
+        assert [c.shape for c in calls] == [(3,), (5,), (len(result), 2)]
+        np.testing.assert_array_equal(calls[2][:, 0], result.values["ineq_a"])
+        np.testing.assert_array_equal(calls[2][:, 1], result.values["var_x1"])
 
     @pytest.mark.parametrize("case", ["not_a_product_grid", "signed_zero_t", "block_plus_one",
                                       "single_cell"])
@@ -415,7 +440,7 @@ class TestEmit:
         elif case == "signed_zero_t":
             zeta, t = np.repeat([0.0, 0.5], 4), np.tile([0.0, -0.0, 1.0, -0.0], 2)
         elif case == "block_plus_one":
-            n = sweep._CSV_BLOCK_ROWS + 1
+            n = sweep._csv_block_rows(4) + 1
             zeta, t = np.full(n, 0.7), np.linspace(0.0, 20.0, n)
         else:
             zeta, t = np.array([0.3]), np.array([-0.0])
@@ -424,6 +449,23 @@ class TestEmit:
         path = tmp_path / "out.csv"
         emit(result, ("a", "b"), "csv", str(path))
         assert path.read_bytes() == reference_text(result, ("a", "b"), "csv").encode("utf-8")
+
+    @pytest.mark.parametrize("n", [1, "block", "block+1"])
+    def test_json_blocks_match_json_dumps(self, n, tmp_path):
+        import squeezetransfer.sweep as sweep
+
+        block = sweep._JSON_BLOCK_RECORDS
+        n = {"block": block, "block+1": block + 1}.get(n, n)
+        rng = np.random.default_rng(3)
+        shared = np.resize([np.nan, np.inf, -np.inf, -0.0, 1 / 3], n)
+        values = {"a": rng.standard_normal(n), "b": shared, "c": shared}
+        result = SweepResult(np.full(n, 0.25), np.linspace(0.0, 20.0, n), values)
+        path = tmp_path / "out.json"
+        emit(result, ("a", "b", "c"), "json", str(path))
+        assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
+        data = [result.zeta, result.t, values["a"], shared, shared]
+        chunks = list(sweep._json_chunks(["zeta", "t", "a", "b", "c"], data))
+        assert len(chunks) == 2 + -(-n // block)  # "[", one per block of records, "]"
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
@@ -502,16 +544,21 @@ class TestCli:
         assert not out.exists()
 
     def test_main_reports_unwritable_output(self, tmp_path, capsys):
-        rc = main(
-            [
-                "--zeta", "0.5",
-                "--steps", "1", "2",
-                "--time-range", "0", "1",
-                "--output", str(tmp_path / "missing" / "x.csv"),
-            ]
-        )
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        (tmp_path / "somedir").mkdir()
+        for output in (str(tmp_path / "missing" / "x.csv"), str(tmp_path / "somedir") + "/"):
+            rc = main(
+                [
+                    "--zeta", "0.5",
+                    "--steps", "1", "2",
+                    "--time-range", "0", "1",
+                    "--output", output,
+                ]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            # the path asked for, not the temporary file written first
+            assert err.startswith(f"error: cannot write {output}: ") and ".tmp" not in err
+        assert list((tmp_path / "somedir").iterdir()) == []
 
     @pytest.mark.parametrize(
         "grid",
@@ -527,6 +574,21 @@ class TestCli:
         rc = main([*grid, "--steps", "2", "3", "--output", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--zeta-range", "0", "2", "--steps", "1", "3"],  # would drop MAX
+            ["--time-range", "0", "0", "--steps", "2", "3"],  # would repeat every cell
+        ],
+    )
+    def test_main_rejects_degenerate_grid(self, grid, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main([*grid, "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--zeta" in err
         assert not out.exists()
 
     def test_main_reports_model_error(self, tmp_path, capsys):
@@ -650,8 +712,11 @@ class TestCli:
 
 
 def test_import_leaves_scipy_out():
+    """Nor does it build the CSV encoder's tables or import fractions/decimal."""
     src = Path(squeezetransfer.__file__).resolve().parents[1]
-    code = "import sys, squeezetransfer.sweep; print('scipy' in sys.modules)"
+    code = ("import sys, squeezetransfer.sweep, squeezetransfer.csvtext as c; "
+            "print(c._tables.cache_info().currsize "
+            "or any(m in sys.modules for m in ('scipy', 'fractions', 'decimal')))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
