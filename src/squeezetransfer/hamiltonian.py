@@ -22,7 +22,6 @@ the hopping contribution: the hopping operator projects to diag(2, -2, 0, 0).
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 from dataclasses import dataclass
 from typing import Mapping
@@ -65,9 +64,6 @@ class ModelParams:
             raise ValueError(f"lam must be positive (it sets the scale), got {self.lam}")
         if self.zeta < 0:
             raise ValueError(f"zeta must be non-negative, got {self.zeta}")
-
-    def replace(self, **kwargs) -> "ModelParams":
-        return dataclasses.replace(self, **kwargs)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "ModelParams":

@@ -3,8 +3,9 @@
 Every (zeta, t) cell is a pure function of the configuration.  The model
 operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
 four-state blocks are projected once, and each zeta row is computed as arrays
-over the time grid.  Output is written straight from flat zeta-major columns,
-so identical configurations give byte-identical files.
+over the time grid, written in place into one (n_zeta, n_t) grid per column.
+Output is written straight from those grids, so identical configurations give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ class SweepConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        if self.params.zeta != 0:
+            raise ValueError(f"params.zeta must be 0, got {self.params.zeta}; use zeta_grid")
         if self.zeta_grid.start < 0:
             raise ValueError("zeta must be non-negative")
         if self.time_grid.start < 0:
@@ -149,15 +152,23 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Flat zeta-major columns, one entry per (zeta, t) cell."""
+    """Axes zeta (n_zeta,) and t (n_t,); per column, a grid whose [i, j] is (zeta[i], t[j])."""
 
     zeta: np.ndarray
     t: np.ndarray
     values: dict[str, np.ndarray]
     method_disagreement: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if np.ndim(self.zeta) != 1 or np.ndim(self.t) != 1:
+            raise ValueError(f"axes must be 1-D, got {np.shape(self.zeta)}, {np.shape(self.t)}")
+        shape = (self.zeta.size, self.t.size)
+        for name, grid in dict(self.values, method_disagreement=self.method_disagreement).items():
+            if grid is not None and np.shape(grid) != shape:
+                raise ValueError(f"{name} has shape {np.shape(grid)}, not the grid's {shape}")
+
     def __len__(self) -> int:
-        return self.zeta.size
+        return self.zeta.size * self.t.size
 
 
 def _moment_sides(observables: Sequence[str]) -> tuple[str, ...]:
@@ -217,7 +228,7 @@ def _max_disagreement(
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Every grid cell as flat columns, in deterministic zeta-major order.
+    """Every grid cell, as one (n_zeta, n_t) array per column filled row by row.
 
     The two routes find each side's spin moments independently.  The closed
     form contracts its amplitudes with (16, 9) moment matrices built once per
@@ -226,7 +237,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     evaluates spin_moments on it.
     """
     space = standard_space()
-    h0 = build_hamiltonian(config.params.replace(zeta=0.0), space)
+    h0 = build_hamiltonian(config.params, space)
     hop = hopping_operator(space)
     psi0 = initial_vector(config.branch, space)
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
@@ -244,8 +255,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             "photons": (photonic_pseudospin(CompositeSpace((photon_mode(), photon_mode()))),
                         analytic_rho_photons),
         }
-    rows = []
-    for zeta, block in zip(zetas, manifold_blocks(h0, hop, zetas, config.params.lam)):
+    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
+    disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
+    blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
+    for i, (zeta, block) in enumerate(zip(zetas, blocks)):
         try:
             columns = []
             if closed:
@@ -267,13 +280,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 columns.append(_row_columns(coeffs, moments, config))
         except (ValueError, NumericalConsistencyError) as exc:
             raise SweepError(f"row zeta={zeta}: {exc}") from exc
-        if config.method is Method.BOTH:
-            columns[0]["method_disagreement"] = _max_disagreement(*columns)
-        rows.append(columns[0])
-    values = {k: np.concatenate([row[k] for row in rows]) for k in rows[0]}
-    disagreement = values.pop("method_disagreement", None)
-    zeta, t = np.repeat(zetas, times.size), np.tile(times, zetas.size)
-    return SweepResult(zeta, t, values, disagreement)
+        for name, grid in values.items():
+            grid[i] = columns[0][name]
+        if disagreement is not None:
+            disagreement[i] = _max_disagreement(*columns)
+    return SweepResult(zetas, times, values, disagreement)
 
 
 def _csv_block_rows(n_columns: int) -> int:
@@ -281,37 +292,33 @@ def _csv_block_rows(n_columns: int) -> int:
     return max(1, _CSV_BLOCK_BYTES // (n_columns * (WIDTH + 1)))
 
 
-def _csv_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
+def _cell_blocks(result: SweepResult, grids: list[np.ndarray], rows: int) -> Iterator[tuple]:
+    """Zeta-major blocks of `rows` cells: their zeta and t indices and grid values."""
+    flat = [np.ravel(g) for g in grids]
+    n_cells = len(result)
+    for i in range(0, n_cells, rows):
+        zi, tj = np.divmod(np.arange(i, min(i + rows, n_cells)), result.t.size)
+        values = np.empty((zi.size, len(flat)))
+        for k, col in enumerate(flat):
+            values[:, k] = col[i : i + rows]
+        yield zi, tj, values
+
+
+def _csv_chunks(names: list[str], result: SweepResult, grids: list[np.ndarray]) -> Iterator[str]:
     """CSV text in blocks of rows, so the whole file is never held at once.
 
-    data is (zeta, t, *value columns).  Each block's fields are laid out in a
-    (rows, columns, WIDTH + 1) byte buffer, zero-padded, with the separator in
-    the last byte of each field, and the zero bytes dropped.  The axis text is
-    encoded once per distinct value and gathered; each distinct value array
-    (a column may be given more than once) is encoded once per block.
+    Each axis is encoded once and its text gathered per block; the value
+    columns are encoded once per block.  The fields are laid out in a (rows,
+    columns, WIDTH + 1) byte buffer, zero-padded, with the separator in the
+    last byte of each field, and the zero bytes dropped.
     """
     yield ",".join(names) + "\n"
-    zeta, t, *columns = data
-    axes = []
-    for axis in (zeta, t):
-        # keyed on the float's bits, so -0.0 and 0.0 keep their own text
-        bits, index = np.unique(
-            np.ascontiguousarray(axis, dtype=np.float64).view(np.uint64), return_inverse=True
-        )
-        axes.append((g17_text(bits.view(np.float64)), index))
-    distinct = list({id(c): c for c in columns}.values())
-    which = [[id(d) for d in distinct].index(id(c)) for c in columns]
-    width = WIDTH + 1
-    rows = _csv_block_rows(len(data))
-    for i in range(0, len(zeta), rows):
-        block = slice(i, i + rows)
-        values = np.empty((len(zeta[block]), len(distinct)))
-        for k, col in enumerate(distinct):
-            values[:, k] = col[block]
-        buf = np.zeros((len(values), len(data), width), np.uint8)
-        for j, (axis_text, index) in enumerate(axes):
-            buf[:, j, :-1] = axis_text.take(index[block], axis=0)
-        buf[:, 2:, :-1] = g17_text(values)[:, which]
+    zeta_text, t_text = g17_text(result.zeta), g17_text(result.t)
+    for zi, tj, values in _cell_blocks(result, grids, _csv_block_rows(len(names))):
+        buf = np.zeros((zi.size, len(names), WIDTH + 1), np.uint8)
+        buf[:, 0, :-1] = zeta_text[zi]
+        buf[:, 1, :-1] = t_text[tj]
+        buf[:, 2:, :-1] = g17_text(values)
         buf[:, :, -1] = ord(",")
         buf[:, -1, -1] = ord("\n")
         buf = buf.ravel()
@@ -331,28 +338,26 @@ def _json_text(values: np.ndarray) -> list[str]:
     return text
 
 
-def _json_chunks(names: Sequence[str], data: Sequence[np.ndarray]) -> Iterator[str]:
-    """The bytes of json.dumps(records, indent=2) + "\n", one record per row,
-    in blocks of _JSON_BLOCK_RECORDS records: in each block, each column is
-    converted to text once (once per array, if given more than once) and
-    fills a fixed record template."""
+def _json_chunks(names: list[str], result: SweepResult, grids: list[np.ndarray]) -> Iterator[str]:
+    """The bytes of json.dumps(records, indent=2) + "\n", one record per cell
+    in zeta-major order, in blocks of _JSON_BLOCK_RECORDS records: each axis
+    is converted to text once and gathered per block, each value column is
+    converted once per block, and the text fills a fixed record template."""
     keys = (json.dumps(name).replace("%", "%%") for name in names)
     record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    zeta_text, t_text = (np.array(_json_text(a), dtype=object) for a in (result.zeta, result.t))
     yield "[\n"
-    for i in range(0, len(data[0]), _JSON_BLOCK_RECORDS):
-        block = slice(i, i + _JSON_BLOCK_RECORDS)
-        text: dict[int, list[str]] = {}
-        for col in data:
-            if id(col) not in text:
-                text[id(col)] = _json_text(col[block])
-        records = ",\n".join(map(record.__mod__, zip(*(text[id(c)] for c in data))))
-        yield records if i == 0 else ",\n" + records
+    for k, (zi, tj, values) in enumerate(_cell_blocks(result, grids, _JSON_BLOCK_RECORDS)):
+        text = (zeta_text[zi].tolist(), t_text[tj].tolist(), *map(_json_text, values.T))
+        yield (",\n" if k else "") + ",\n".join(map(record.__mod__, zip(*text)))
     yield "\n]\n"
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write a sibling temporary file, then move it over `path`.  A failure
-    is raised as an OSError that names `path`, not the temporary file."""
+    """Write a sibling temporary file, then move it over `path` (never over a
+    directory).  A failure is an OSError that names `path`, not the temporary file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -376,17 +381,14 @@ def emit(
     if not len(result):
         raise ValueError("no cells to emit")
     names = ["zeta", "t", *columns]
-    data = [result.zeta, result.t, *(result.values[c] for c in columns)]
+    grids = [result.values[c] for c in columns]
     if include_disagreement:
         names.append("method_disagreement")
-        data.append(result.method_disagreement)
-    if output_format == "csv":
-        chunks = _csv_chunks(names, data)
-    elif output_format == "json":
-        chunks = _json_chunks(names, data)
-    else:
+        grids.append(result.method_disagreement)
+    chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(output_format)
+    if chunks is None:
         raise ValueError(f"unknown output format {output_format!r}")
-    _write_atomic(path, chunks)
+    _write_atomic(path, chunks(names, result, grids))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,9 +484,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if config.method is not Method.BOTH:
         print(summary)
         return 0
-    i = int(np.argmax(result.method_disagreement))
-    worst = result.method_disagreement[i]
-    cell = f"zeta={result.zeta[i]:g}, t={result.t[i]:g}"
+    disagreement = result.method_disagreement
+    i, j = np.unravel_index(np.argmax(disagreement), disagreement.shape)
+    worst = disagreement[i, j]
+    cell = f"zeta={result.zeta[i]:g}, t={result.t[j]:g}"
     print(f"{summary} (max method disagreement {worst:.3e} at {cell})")
     if not worst <= DISAGREEMENT_TOL:
         print(f"error: the dynamics routes disagree by {worst:.3e} at {cell}, "

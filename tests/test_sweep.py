@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,9 +12,11 @@ import pytest
 
 import squeezetransfer
 from squeezetransfer.dynamics import InitialState, coefficients, evolve_closed_form
+from squeezetransfer.hamiltonian import ModelParams
 from squeezetransfer.hilbert import NumericalConsistencyError
 from squeezetransfer.sweep import (
     DEFAULT_OBSERVABLES,
+    OBSERVABLES,
     GridSpec,
     Method,
     SweepConfig,
@@ -83,14 +86,57 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="time"):
             small_config(time_grid=GridSpec(-5.0, 5.0, 3))
 
+    def test_rejects_params_zeta(self):
+        # the sweep sets zeta per row, so a params.zeta would be dropped
+        with pytest.raises(ValueError, match="zeta_grid"):
+            small_config(params=ModelParams(zeta=1.5))
+
+
+class TestSweepResult:
+    @pytest.mark.parametrize(
+        "zeta, t, values, disagreement",
+        [
+            pytest.param(np.zeros((3, 1)), np.zeros(5), {"a": np.zeros((3, 5))}, None,
+                         id="2d_axis"),
+            pytest.param(np.zeros(3), np.float64(0.0), {"a": np.zeros((3, 1))}, None,
+                         id="0d_axis"),
+            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros((5, 3))}, None,
+                         id="transposed_grid"),
+            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros(15)}, None, id="flat_column"),
+            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros((3, 5))}, np.zeros(15),
+                         id="flat_disagreement"),
+        ],
+    )
+    def test_rejects_wrong_shape(self, zeta, t, values, disagreement):
+        with pytest.raises(ValueError, match="1-D|shape"):
+            SweepResult(zeta, t, values, disagreement)
+
 
 class TestRunSweep:
     def test_cell_count_and_order(self):
         result = run_sweep(small_config())
         assert len(result) == 15
-        assert result.zeta[0] == 0.0 and result.t[0] == 0.0
-        assert result.t[4] == 4.0
-        assert result.zeta[5] == 0.5
+        assert result.zeta.tolist() == [0.0, 0.5, 1.0]
+        assert result.t.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_grid_layout_matches_one_cell_sweeps(self):
+        cfg = small_config(method=Method.BOTH, observables=OBSERVABLES)
+        result = run_sweep(cfg)
+        np.testing.assert_array_equal(result.zeta, cfg.zeta_grid.values())
+        np.testing.assert_array_equal(result.t, cfg.time_grid.values())
+        assert list(result.values) == list(cfg.columns)
+        for grid in [*result.values.values(), result.method_disagreement]:
+            assert grid.shape == (3, 5)
+        for (i, zeta), (j, t) in itertools.product(enumerate(result.zeta), enumerate(result.t)):
+            cell = run_sweep(small_config(
+                method=Method.BOTH, observables=OBSERVABLES,
+                zeta_grid=GridSpec(zeta, zeta, 1), time_grid=GridSpec(t, t, 1),
+            ))
+            # the row and the single cell may differ in the last ulp (xi_e2 is
+            # about 80 here), so the 1e-14 bound is relative as well as absolute
+            for name, grid in result.values.items():
+                np.testing.assert_allclose(cell.values[name], grid[i:i + 1, j:j + 1],
+                                           rtol=1e-14, atol=1e-14, err_msg=name)
 
     def test_entangled_reference_values_at_t0(self):
         values = run_sweep(
@@ -98,10 +144,10 @@ class TestRunSweep:
                 zeta_grid=GridSpec(0.5, 0.5, 1), time_grid=GridSpec(0.0, 0.0, 1)
             )
         ).values
-        assert values["ineq_a"][0] == pytest.approx(-1.0, abs=1e-12)
-        assert values["ineq_p"][0] == pytest.approx(1.0, abs=1e-12)
-        assert values["var_x1"][0] == pytest.approx(0.75, abs=1e-12)
-        assert values["var_x2"][0] == pytest.approx(0.75, abs=1e-12)
+        assert values["ineq_a"][0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert values["ineq_p"][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert values["var_x1"][0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert values["var_x2"][0, 0] == pytest.approx(0.75, abs=1e-12)
 
     def test_separable_reference_values_at_t0(self):
         values = run_sweep(
@@ -111,9 +157,9 @@ class TestRunSweep:
                 time_grid=GridSpec(0.0, 0.0, 1),
             )
         ).values
-        assert values["ineq_a"][0] == pytest.approx(0.0, abs=1e-12)
-        assert values["ineq_p"][0] == pytest.approx(0.0, abs=1e-12)
-        assert values["var_x1"][0] == pytest.approx(0.6875, abs=1e-12)
+        assert values["ineq_a"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert values["ineq_p"][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert values["var_x1"][0, 0] == pytest.approx(0.6875, abs=1e-12)
 
     def test_matches_direct_evaluation(self, default_block):
         result = run_sweep(
@@ -124,7 +170,7 @@ class TestRunSweep:
         coeffs = coefficients(
             evolve_closed_form(InitialState.ENTANGLED_SYMMETRIC, default_block, 1.3)
         )
-        assert result.values["ineq_a"][0] == pytest.approx(
+        assert result.values["ineq_a"][0, 0] == pytest.approx(
             4 - 5 * coeffs.abs_a2, abs=1e-12
         )
 
@@ -249,11 +295,10 @@ class TestRunSweep:
     def test_subgrid_is_consistent_with_supergrid(self):
         fine = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 5)))
         coarse = run_sweep(small_config(time_grid=GridSpec(0.0, 4.0, 3)))
-        fine_map = {(z, t): i for i, (z, t) in enumerate(zip(fine.zeta, fine.t))}
-        for j, (z, t) in enumerate(zip(coarse.zeta, coarse.t)):
-            i = fine_map[(z, t)]
-            for key, col in coarse.values.items():
-                assert col[j] == pytest.approx(fine.values[key][i], abs=1e-14)
+        np.testing.assert_array_equal(coarse.zeta, fine.zeta)
+        np.testing.assert_array_equal(coarse.t, fine.t[::2])
+        for key, grid in coarse.values.items():
+            np.testing.assert_allclose(grid, fine.values[key][:, ::2], rtol=0, atol=1e-14)
 
     def test_xi_nan_at_t0(self):
         # both atoms in |g>: the mean spin exists, but at later revival-free
@@ -266,7 +311,7 @@ class TestRunSweep:
                 time_grid=GridSpec(0.0, 0.0, 1),
             )
         )
-        assert np.isfinite(result.values["xi"][0])
+        assert np.isfinite(result.values["xi"][0, 0])
 
 
 class TestMaxDisagreement:
@@ -282,13 +327,19 @@ class TestMaxDisagreement:
 
 
 def reference_text(result, columns, fmt):
-    """The expected file text, one f"{v:.17g}" (or JSON number) per value."""
+    """The expected file text, one f"{v:.17g}" (or JSON number) per value, one
+    line or record per (zeta, t) cell of the axes, zeta-major."""
     names = ("zeta", "t", *columns)
-    data = [result.zeta, result.t, *(result.values[c] for c in columns)]
+    grids = [result.values[c] for c in columns]
     if result.method_disagreement is not None:
         names += ("method_disagreement",)
-        data.append(result.method_disagreement)
-    cells = list(zip(*(col.tolist() for col in data)))
+        grids.append(result.method_disagreement)
+    grids = [g.tolist() for g in grids]
+    cells = [
+        (zeta, t, *(g[i][j] for g in grids))
+        for (i, zeta), (j, t) in itertools.product(enumerate(result.zeta.tolist()),
+                                                   enumerate(result.t.tolist()))
+    ]
     if fmt == "csv":
         def ref(v):
             return "nan" if math.isnan(v) else f"{v:.17g}"
@@ -321,7 +372,7 @@ class TestEmit:
         assert digests[0] == digests[1]
 
     def test_nan_serialization(self, tmp_path):
-        result = SweepResult(np.zeros(1), np.zeros(1), {"xi": np.array([np.nan])})
+        result = SweepResult(np.zeros(1), np.zeros(1), {"xi": np.array([[np.nan]])})
         csv_path = tmp_path / "out.csv"
         emit(result, ("xi",), "csv", str(csv_path))
         assert csv_path.read_text().splitlines()[1] == "0,0,nan"
@@ -337,25 +388,26 @@ class TestEmit:
         emit(result, cfg.columns, "json", str(path))
         records = json.loads(path.read_text())
         assert len(records) == len(result)
-        assert records[3]["ineq_a"] == result.values["ineq_a"][3]
+        assert records[3]["ineq_a"] == result.values["ineq_a"][0, 3]
+        assert records[7]["ineq_a"] == result.values["ineq_a"][1, 2]
 
     def test_rejects_empty(self, tmp_path):
-        empty = SweepResult(np.empty(0), np.empty(0), {"ineq_a": np.empty(0)})
+        empty = SweepResult(np.zeros(3), np.empty(0), {"ineq_a": np.empty((3, 0))})
         with pytest.raises(ValueError):
             emit(empty, ("ineq_a",), "csv", str(tmp_path / "x.csv"))
 
     def test_special_values_match_reference_formatter(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, -2.5e-300, 6.02214076e23]
         rng = np.random.default_rng(0)
-        n = 9 * 1000  # more rows than one block of CSV text
+        shape = (9, 1000)  # more rows than one block of CSV text
         result = SweepResult(
-            zeta=np.repeat(np.linspace(0.0, 2.0, 9), 1000),
-            t=np.tile(np.linspace(0.0, 20.0, 1000), 9),
+            zeta=np.linspace(0.0, 2.0, 9),
+            t=np.linspace(0.0, 20.0, 1000),
             values={
-                "a": np.resize(special, n),
-                "b": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                "a": np.resize(special, shape),
+                "b": rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
             },
-            method_disagreement=np.resize([0.0, np.nan, 1e-15, 0.5], n),
+            method_disagreement=np.resize([0.0, np.nan, 1e-15, 0.5], shape),
         )
         for fmt in ("csv", "json"):
             path = tmp_path / f"out.{fmt}"
@@ -365,11 +417,10 @@ class TestEmit:
     def test_json_matches_json_dumps(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1 / 3, -2.5e-300, 6.02214076e23,
                    1e16, 123456789.0, 5e-324]
-        n = len(special)
-        shared = np.array(special[::-1])
+        shared = np.array([special[::-1], special])
         result = SweepResult(
-            np.linspace(0.0, 1.0, n), np.array(special),
-            {"a": np.array(special), "b": shared, "c": shared},
+            np.array([-0.0, 1 / 3]), np.array(special),
+            {"a": np.array([special, special[::-1]]), "b": shared, "c": shared},
         )
         path = tmp_path / "out.json"
         emit(result, ("a", "b", "c"), "json", str(path))
@@ -392,7 +443,7 @@ class TestEmit:
         return calls
 
     @pytest.mark.parametrize("n", [1, 7, "block+3"])
-    def test_shared_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
+    def test_each_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
         import squeezetransfer.sweep as sweep
 
         columns = ("v1", "a", "v2", "b")
@@ -402,49 +453,55 @@ class TestEmit:
         rng = np.random.default_rng(2)
         shared = np.resize([np.nan, -0.0, np.inf, 1 / 3], n) * rng.standard_normal(n)
         values = {"a": rng.standard_normal(n), "v1": shared, "v2": shared, "b": shared.copy()}
-        result = SweepResult(np.full(n, 0.5), np.linspace(0.0, 20.0, n), values)
+        result = SweepResult(np.array([0.5]), np.linspace(0.0, 20.0, n),
+                             {name: col[None] for name, col in values.items()})
         path = tmp_path / "out.csv"
         emit(result, columns, "csv", str(path))
         assert path.read_bytes() == reference_text(result, columns, "csv").encode("utf-8")
-        # each axis once, over its distinct values; then per block one
-        # (rows, 3) array: v1/v2 (one array), a and b, each once
-        assert [c.shape for c in calls[:2]] == [(1,), (n,)]
+        # each axis once, over the axis itself; then per block one (rows, 4)
+        # array, every column once, even one given under two names
+        np.testing.assert_array_equal(calls[0], result.zeta)
+        np.testing.assert_array_equal(calls[1], result.t)
         blocks = calls[2:]
-        assert [c.shape for c in blocks] == [(min(block, n - i), 3) for i in range(0, n, block)]
+        assert [c.shape for c in blocks] == [(min(block, n - i), 4) for i in range(0, n, block)]
         encoded = np.concatenate(blocks)
-        for k, name in enumerate(("v1", "a", "b")):
+        for k, name in enumerate(columns):
             np.testing.assert_array_equal(encoded[:, k], values[name])
 
     def test_each_column_encoded_once_per_block_without_sharing(self, tmp_path, monkeypatch):
         import squeezetransfer.sweep as sweep
 
         calls = self._count_encodings(monkeypatch)
-        cfg = small_config(observables=("ineq_a", "var_x1"))
+        cfg = small_config(zeta_grid=GridSpec(0.0, 1.0, 5), time_grid=GridSpec(0.0, 20.0, 401))
+        assert cfg.columns == ("ineq_a", "ineq_p", "var_x1", "var_x2")
         result = run_sweep(cfg)
-        emit(result, cfg.columns, "csv", str(tmp_path / "out.csv"))
-        assert sweep._csv_block_rows(4) > len(result)  # one block
-        assert [c.shape for c in calls] == [(3,), (5,), (len(result), 2)]
-        np.testing.assert_array_equal(calls[2][:, 0], result.values["ineq_a"])
-        np.testing.assert_array_equal(calls[2][:, 1], result.values["var_x1"])
+        path = tmp_path / "out.csv"
+        emit(result, cfg.columns, "csv", str(path))
+        assert path.read_bytes() == reference_text(result, cfg.columns, "csv").encode("utf-8")
+        n, block = len(result), sweep._csv_block_rows(2 + len(cfg.columns))
+        assert n > 2 * block  # blocks start inside zeta rows
+        np.testing.assert_array_equal(calls[0], result.zeta)
+        np.testing.assert_array_equal(calls[1], result.t)
+        blocks = calls[2:]
+        assert [c.shape for c in blocks] == [(min(block, n - i), 4) for i in range(0, n, block)]
+        encoded = np.concatenate(blocks)
+        for k, name in enumerate(cfg.columns):
+            np.testing.assert_array_equal(encoded[:, k], result.values[name].ravel())
 
-    @pytest.mark.parametrize("case", ["not_a_product_grid", "signed_zero_t", "block_plus_one",
-                                      "single_cell"])
+    @pytest.mark.parametrize("case", ["signed_zero_t", "block_plus_one", "single_cell"])
     def test_axis_text_matches_reference_formatter(self, case, tmp_path):
         import squeezetransfer.sweep as sweep
 
         rng = np.random.default_rng(1)
-        if case == "not_a_product_grid":
-            # repeated and unsorted axis values, signed zeros and non-finite ones
-            axis = np.array([0.0, -0.0, 0.1, 1 / 3, 1e-300, np.nan, np.inf, -2.5])
-            zeta, t = rng.choice(axis, 500), rng.choice(axis[::-1], 500)
-        elif case == "signed_zero_t":
-            zeta, t = np.repeat([0.0, 0.5], 4), np.tile([0.0, -0.0, 1.0, -0.0], 2)
+        if case == "signed_zero_t":
+            zeta, t = np.array([-0.0, 0.5]), np.array([0.0, -0.0, 1.0, -0.0])
         elif case == "block_plus_one":
             n = sweep._csv_block_rows(4) + 1
-            zeta, t = np.full(n, 0.7), np.linspace(0.0, 20.0, n)
+            zeta, t = np.array([0.7]), np.linspace(0.0, 20.0, n)
         else:
             zeta, t = np.array([0.3]), np.array([-0.0])
-        values = {"a": rng.standard_normal(zeta.size), "b": np.resize([np.nan, -0.0], zeta.size)}
+        shape = (zeta.size, t.size)
+        values = {"a": rng.standard_normal(shape), "b": np.resize([np.nan, -0.0], shape)}
         result = SweepResult(zeta, t, values)
         path = tmp_path / "out.csv"
         emit(result, ("a", "b"), "csv", str(path))
@@ -455,16 +512,19 @@ class TestEmit:
         import squeezetransfer.sweep as sweep
 
         block = sweep._JSON_BLOCK_RECORDS
-        n = {"block": block, "block+1": block + 1}.get(n, n)
+        # one zeta row; several rows filling one block; a block and one cell
+        shape = {1: (1, 1), "block": (2, block // 2), "block+1": (5, (block + 1) // 5)}[n]
+        n = shape[0] * shape[1]
         rng = np.random.default_rng(3)
-        shared = np.resize([np.nan, np.inf, -np.inf, -0.0, 1 / 3], n)
-        values = {"a": rng.standard_normal(n), "b": shared, "c": shared}
-        result = SweepResult(np.full(n, 0.25), np.linspace(0.0, 20.0, n), values)
+        shared = np.resize([np.nan, np.inf, -np.inf, -0.0, 1 / 3], shape)
+        values = {"a": rng.standard_normal(shape), "b": shared, "c": shared}
+        result = SweepResult(np.linspace(0.0, 0.25, shape[0]), np.linspace(0.0, 20.0, shape[1]),
+                             values)
         path = tmp_path / "out.json"
         emit(result, ("a", "b", "c"), "json", str(path))
         assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
-        data = [result.zeta, result.t, values["a"], shared, shared]
-        chunks = list(sweep._json_chunks(["zeta", "t", "a", "b", "c"], data))
+        chunks = list(sweep._json_chunks(["zeta", "t", "a", "b", "c"], result,
+                                         [values["a"], shared, shared]))
         assert len(chunks) == 2 + -(-n // block)  # "[", one per block of records, "]"
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
@@ -543,9 +603,21 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_main_reports_unwritable_output(self, tmp_path, capsys):
-        (tmp_path / "somedir").mkdir()
-        for output in (str(tmp_path / "missing" / "x.csv"), str(tmp_path / "somedir") + "/"):
+    def test_main_reports_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        opened = []
+
+        def spying_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "open", spying_open, raising=False)
+        somedir = tmp_path / "somedir"
+        somedir.mkdir()
+        missing = str(tmp_path / "missing" / "x.csv")
+        for output in (missing, str(somedir) + "/", str(somedir)):
+            opened.clear()
             rc = main(
                 [
                     "--zeta", "0.5",
@@ -558,7 +630,10 @@ class TestCli:
             err = capsys.readouterr().err
             # the path asked for, not the temporary file written first
             assert err.startswith(f"error: cannot write {output}: ") and ".tmp" not in err
-        assert list((tmp_path / "somedir").iterdir()) == []
+            if output != missing:
+                # a directory is refused before any file is opened
+                assert err.endswith("it is a directory\n") and opened == []
+        assert list(somedir.iterdir()) == []
 
     @pytest.mark.parametrize(
         "grid",
