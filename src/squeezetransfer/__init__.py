@@ -10,7 +10,6 @@ from .hilbert import (
     SubsystemSpec,
     atom,
     expectation,
-    partial_trace,
     photon_mode,
     standard_space,
     tensor_product,

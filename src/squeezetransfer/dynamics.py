@@ -20,14 +20,19 @@ import numpy as np
 
 from .hamiltonian import ManifoldBlock
 from .hilbert import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
     CompositeSpace,
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     Kind,
-    partial_trace,
+    NumericalConsistencyError,
+    hermiticity_deviation,
 )
 
 NORM_TOL = 1e-10
+_SIDE_KINDS = {"atoms": Kind.ATOM, "photons": Kind.PHOTON_MODE}
 
 
 class InitialState(enum.Enum):
@@ -176,9 +181,6 @@ class SpectralPropagator:
         self._evals = evals / lam
         self._evecs = evecs
 
-    def evolve(self, vec: np.ndarray, t: float) -> np.ndarray:
-        return self.evolve_grid(vec, np.array([t]))[:, 0]
-
     def evolve_grid(self, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Columns are the evolved state at each time: shape (dim, nt)."""
         times = np.asarray(times, dtype=float)
@@ -194,7 +196,7 @@ def evolve_numeric_oracle(
     if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
     psi0 = initial_vector(initial, h.space)
-    return SpectralPropagator(h, lam).evolve(psi0, t)
+    return SpectralPropagator(h, lam).evolve_grid(psi0, np.array([t]))[:, 0]
 
 
 def project_amplitudes(vec: np.ndarray, block: ManifoldBlock) -> np.ndarray:
@@ -202,18 +204,46 @@ def project_amplitudes(vec: np.ndarray, block: ManifoldBlock) -> np.ndarray:
     return block.basis.conj().T @ np.asarray(vec, dtype=complex)
 
 
+def reduced_spaces(space: CompositeSpace) -> dict[str, CompositeSpace]:
+    """The spaces of the atom factors and of the photon factors of `space`."""
+    return {side: space.subspace(space.factor_indices(k)) for side, k in _SIDE_KINDS.items()}
+
+
+def reduced_states(states: np.ndarray, space: CompositeSpace) -> dict[str, np.ndarray]:
+    """The "atoms" and "photons" states, on reduced_spaces(space), of pure states
+    given as (dim,) or one per column of (dim, nt), as Gram matrices: each state
+    with its factor axes reordered atoms first is a (d_atoms, d_photons) matrix
+    M, and rho_atoms = M M^dag, rho_photons = M^T M^*.  A Gram matrix is positive
+    semidefinite by construction, so only the trace (TRACE_TOL) and Hermiticity
+    (HERMITICITY_TOL) are checked, raising NumericalConsistencyError."""
+    psi = np.asarray(states, dtype=complex)
+    if psi.shape[:1] != (space.total_dim,) or psi.ndim > 2:
+        raise DimensionMismatchError(f"states of shape {psi.shape} do not fit {space.dims}")
+    atoms, modes = (space.factor_indices(k) for k in _SIDE_KINDS.values())
+    n, lead = len(space.dims), psi.shape[1:]
+    m = psi.reshape(space.dims + lead).transpose(*range(n, psi.ndim + n - 1), *atoms, *modes)
+    m = m.reshape(lead + tuple(sub.total_dim for sub in reduced_spaces(space).values()))
+    rhos = {"atoms": m @ m.conj().swapaxes(-1, -2), "photons": m.swapaxes(-1, -2) @ m.conj()}
+    for side, rho in rhos.items():
+        tr_dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+        dev = hermiticity_deviation(rho)
+        if not (tr_dev < TRACE_TOL and dev < HERMITICITY_TOL):
+            raise NumericalConsistencyError(f"reduced state of the {side}: trace deviates "
+                                            f"from 1 by {tr_dev:.3e}, Hermiticity by {dev:.3e}")
+    return rhos
+
+
 def density_matrices(
     vec: np.ndarray, space: CompositeSpace
 ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """(rho_full, rho_atoms, rho_photons) from a full-space pure state."""
-    rho = DensityMatrix.from_state_vector(space, vec)
-    atoms = space.factor_indices(Kind.ATOM)
-    modes = space.factor_indices(Kind.PHOTON_MODE)
-    return rho, partial_trace(rho, atoms), partial_trace(rho, modes)
+    """(rho_full, rho_atoms, rho_photons) of a pure state, as checked DensityMatrix."""
+    rho, spaces = reduced_states(vec, space), reduced_spaces(space)
+    return (DensityMatrix.from_state_vector(space, vec),
+            *(DensityMatrix(spaces[side], rho[side]) for side in _SIDE_KINDS))
 
 
 def analytic_rho_atoms(coeffs: CoefficientSet) -> np.ndarray:
-    """Reduced two-atom density matrix from the coefficients.
+    """The paper's reduced two-atom density matrix (a test reference).
 
     Basis order (gg, ge, eg, ee).  Follows from tracing the photons out of
     the manifold density operator; the symmetric/antisymmetric amplitude
@@ -231,7 +261,7 @@ def analytic_rho_atoms(coeffs: CoefficientSet) -> np.ndarray:
 
 
 def analytic_rho_photons(coeffs: CoefficientSet, n_max: int = 2) -> np.ndarray:
-    """Reduced two-mode density matrix from the coefficients.
+    """The paper's reduced two-mode density matrix (a test reference).
 
     Populated entries are |2,0>, |0,2> (combinations (A +- C)/sqrt(2)) and
     the vacuum |0,0> with weight |B|^2 + |D|^2.  Array-valued coefficients

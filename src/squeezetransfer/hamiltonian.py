@@ -171,10 +171,6 @@ class ManifoldBlock:
     def delta_12(self) -> float:
         return float(self.omegas[0] - self.omegas[1])
 
-    @property
-    def delta_34(self) -> float:
-        return float(self.omegas[2] - self.omegas[3])
-
 
 def _project(h: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
     """phi^dag h phi, and how far h maps span{phi1..phi4} out of itself."""

@@ -235,27 +235,6 @@ def tensor_product(
     return Operator(space, full)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all factors not in `keep`; result lives on the kept factors."""
-    n = len(rho.space.factors)
-    keep = tuple(sorted(set(keep)))
-    if not keep:
-        raise ValueError("keep set is empty; use the trace instead")
-    if len(keep) == n:
-        raise ValueError("keep set covers all factors; nothing to trace out")
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    dims = rho.space.dims
-    arr = rho.matrix.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + i if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(arr, row + col, out)
-    sub = rho.space.subspace(keep)
-    d = sub.total_dim
-    return DensityMatrix(sub, reduced.reshape(d, d))
-
-
 def expectation(op: Operator, rho: DensityMatrix) -> float | np.ndarray:
     """Tr(op rho), checked real to within 1e-10; one value per matrix of a stack."""
     if op.space != rho.space:

@@ -27,12 +27,12 @@ from .dynamics import (
     InitialState,
     ManifoldState,
     SpectralPropagator,
-    analytic_rho_atoms,
-    analytic_rho_photons,
     coefficients,
     evolve_closed_form_grid,
     initial_vector,
     project_amplitudes,
+    reduced_spaces,
+    reduced_states,
 )
 from .hamiltonian import (
     ModelInconsistencyError,
@@ -42,25 +42,18 @@ from .hamiltonian import (
     manifold_basis,
     manifold_blocks,
 )
-from .hilbert import (
-    CompositeSpace,
-    DensityMatrix,
-    HermitianOperator,
-    NumericalConsistencyError,
-    atom,
-    photon_mode,
-    standard_space,
-)
+from .hilbert import HermitianOperator, NumericalConsistencyError, standard_space
 from .operators import collective_atomic_spin, photonic_pseudospin
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
+    contraction_matrix,
+    density_spin_moments,
     kitagawa_ueda_xi_of,
     manifold_spin_moments,
     moment_matrix,
     ossi_of,
     sorensen_xi_e2_of,
-    spin_moments,
 )
 
 DISAGREEMENT_TOL = 1e-8
@@ -136,12 +129,12 @@ class SweepConfig:
             raise ValueError("zeta must be non-negative")
         if self.time_grid.start < 0:
             raise ValueError("time must be non-negative")
-        if not self.observables or len(set(self.observables)) < len(self.observables):
-            raise ValueError(f"need distinct observables, got {list(self.observables) or 'none'}")
         unknown = [o for o in self.observables if o not in OBSERVABLES]
         if unknown:
             raise ValueError(f"unknown observables: {unknown}")
-        if self.output_format not in ("csv", "json"):
+        if not self.observables or len(set(self.observables)) < len(self.observables):
+            raise ValueError(f"need distinct observables, got {list(self.observables) or 'none'}")
+        if self.output_format not in _WRITERS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     @property
@@ -232,9 +225,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     The two routes find each side's spin moments independently.  The closed
     form contracts its amplitudes with (16, 9) moment matrices built once per
-    sweep from the full-space spin operators; the oracle builds the analytic
-    reduced states of its projected amplitudes, checks each DensityMatrix and
-    evaluates spin_moments on it.
+    sweep from the full-space spin operators.  The oracle contracts the reduced
+    states of its full-space vectors (reduced_states) with contraction matrices
+    of the reduced-space spin operators, also built once per sweep.  ineq_a,
+    ineq_p and var_x* are the paper's closed forms in the coefficients, which
+    the oracle takes from its vectors projected onto the manifold.
     """
     space = standard_space()
     h0 = build_hamiltonian(config.params, space)
@@ -244,17 +239,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     sides = _moment_sides(config.observables)
     closed = config.method in (Method.CLOSED_FORM, Method.BOTH)
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
+    spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
         phi = manifold_basis(space)
-        spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
         matrices = {s: moment_matrix(spin_of[s](space).moment_operators, phi) for s in sides}
     if oracle:
-        reduced = {
-            "atoms": (collective_atomic_spin(CompositeSpace((atom(), atom()))),
-                      analytic_rho_atoms),
-            "photons": (photonic_pseudospin(CompositeSpace((photon_mode(), photon_mode()))),
-                        analytic_rho_photons),
-        }
+        spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
+        contractions = {s: contraction_matrix(spin.moment_operators) for s, spin in spins.items()}
     values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
     disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
     blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
@@ -273,10 +264,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
                 full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
                 coeffs = coefficients(ManifoldState(project_amplitudes(full, block), times))
-                moments = {}
-                for s in sides:
-                    spin, rho_of = reduced[s]
-                    moments[s] = spin_moments(DensityMatrix(spin.x.space, rho_of(coeffs)), spin)
+                rho = reduced_states(full, space) if sides else {}
+                moments = {s: density_spin_moments(rho[s], c) for s, c in contractions.items()}
                 columns.append(_row_columns(coeffs, moments, config))
         except (ValueError, NumericalConsistencyError) as exc:
             raise SweepError(f"row zeta={zeta}: {exc}") from exc
@@ -370,6 +359,10 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
             os.remove(tmp)
 
 
+# The output formats: the --format choices, and the writer of each.
+_WRITERS = {"csv": _csv_chunks, "json": _json_chunks}
+
+
 def emit(
     result: SweepResult,
     columns: Sequence[str],
@@ -385,7 +378,7 @@ def emit(
     if include_disagreement:
         names.append("method_disagreement")
         grids.append(result.method_disagreement)
-    chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(output_format)
+    chunks = _WRITERS.get(output_format)
     if chunks is None:
         raise ValueError(f"unknown output format {output_format!r}")
     _write_atomic(path, chunks(names, result, grids))
@@ -401,8 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--branch",
-        choices=["entangled", "separable"],
-        default="entangled",
+        choices=[s.value for s in InitialState],
+        default=InitialState.ENTANGLED_SYMMETRIC.value,
         help="initial state: entangled symmetric two-photon state, or all "
         "photons in cavity 1 (default: entangled)",
     )
@@ -428,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in Method],
         default="closed_form",
     )
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--format", choices=list(_WRITERS), default="csv")
     parser.add_argument("--output", default="sweep.csv")
     parser.add_argument(
         "--params-file",
@@ -453,17 +446,12 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         zeta_grid = GridSpec(args.zeta, args.zeta, 1)
     else:
         raise ValueError("give either --zeta or --zeta-range, not both")
-    branch = (
-        InitialState.ENTANGLED_SYMMETRIC
-        if args.branch == "entangled"
-        else InitialState.SEPARABLE_ONE_CAVITY
-    )
     return SweepConfig(
         params=params,
-        branch=branch,
+        branch=InitialState(args.branch),
         zeta_grid=zeta_grid,
         time_grid=GridSpec(args.time_range[0], args.time_range[1], args.steps[1]),
-        observables=tuple(s.strip() for s in args.observables.split(",") if s.strip()),
+        observables=tuple(s.strip() for s in args.observables.split(",")),
         method=Method(args.method),
         output_path=args.output,
         output_format=args.format,

@@ -5,9 +5,10 @@ matrix (violation of any witnesses particle entanglement), the Kitagawa-Ueda
 parameter xi, and the Sorensen parameter xi_e^2.  Each is a function of the
 spin mean and covariance; given a stacked DensityMatrix (one matrix per time)
 every value becomes an array over the stack.  The mean and covariance come
-from spin_moments on a density matrix, or from manifold_spin_moments on the
-four manifold amplitudes through the 4x4 matrices basis^dag O basis of the
-same moment operators (moment_matrix).
+from spin_moments on a DensityMatrix, from density_spin_moments on a stack of
+density matrices through the contraction_matrix of the moment operators, or
+from manifold_spin_moments on the four manifold amplitudes through the 4x4
+matrices basis^dag O basis of the same operators (moment_matrix).
 
 Closed-form path: the per-branch witness expressions in the manifold
 coefficients, plus the per-branch quadrature-variance expressions.  The two
@@ -48,7 +49,7 @@ class BranchMismatchError(ValueError):
     """Coefficients do not belong to the requested initial-state branch."""
 
 
-def _contraction(operators: np.ndarray) -> np.ndarray:
+def contraction_matrix(operators: np.ndarray) -> np.ndarray:
     """(d*d, k) matrix C of a (k, d, d) operator stack, with Tr(O_k rho) =
     (flat(rho) @ C)_k = sum_ij O_ij rho_ji for a row-major flattened rho."""
     k, d, _ = operators.shape
@@ -68,6 +69,13 @@ def _mean_and_covariance(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, second - mean[..., :, None] * mean[..., None, :]
 
 
+def density_spin_moments(rho: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spin_moments of a (..., d, d) stack of density matrices, from the (d*d, 9)
+    contraction_matrix of SpinTriple.moment_operators."""
+    flat = rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
+    return _mean_and_covariance(flat @ matrix)
+
+
 def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, 3x3 symmetrized covariance matrix), with shapes (..., 3)
     and (..., 3, 3) for a stack of matrices.
@@ -78,9 +86,7 @@ def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.n
     """
     if spin.x.space != rho.space:
         raise DimensionMismatchError("operator and state live on different spaces")
-    d2 = rho.space.total_dim ** 2
-    flat = rho.matrix.reshape(rho.matrix.shape[:-2] + (d2,))
-    return _mean_and_covariance(flat @ _contraction(spin.moment_operators))
+    return density_spin_moments(rho.matrix, contraction_matrix(spin.moment_operators))
 
 
 def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -101,7 +107,7 @@ def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
         raise NumericalConsistencyError(
             f"manifold moment matrix deviates from Hermiticity by {dev:.3e}"
         )
-    return _contraction(blocks)
+    return contraction_matrix(blocks)
 
 
 def manifold_spin_moments(
@@ -135,9 +141,6 @@ class OssiReport:
             [self.slack_a, self.slack_b, *self.slack_c.values(), *self.slack_d.values()],
             axis=0,
         )
-
-    def violated(self, tol: float = VIOLATION_TOL) -> bool | np.ndarray:
-        return self.min_slack < -tol
 
 
 def ossi_of(mean: np.ndarray, cov: np.ndarray, n_particles: int) -> OssiReport:

@@ -9,7 +9,7 @@ import numpy as np
 
 from squeezetransfer.dynamics import CoefficientSet, InitialState, ManifoldState
 from squeezetransfer.hamiltonian import ManifoldBlock
-from squeezetransfer.hilbert import DensityMatrix
+from squeezetransfer.hilbert import CompositeSpace, DensityMatrix, Kind
 from squeezetransfer.operators import SpinTriple
 from squeezetransfer.witness import MEAN_SPIN_FLOOR, _transverse_basis, spin_moments
 
@@ -25,6 +25,23 @@ def transverse_variance(rho: DensityMatrix, spin: SpinTriple, angle: float) -> f
         raise ValueError("mean spin direction undefined")
     n = _transverse_basis(mean / norm) @ np.array([math.cos(angle), math.sin(angle)])
     return float(n @ cov @ n)
+
+
+def brute_force_reduced_state(vec: np.ndarray, space: CompositeSpace, kind: Kind) -> np.ndarray:
+    """Reduced density matrix of a pure state on the factors of `kind`, by an
+    explicit sum over every pair of basis states that agree on the traced
+    factors: rho[i, j] = sum psi(i, e) conj(psi(j, e))."""
+    keep = space.factor_indices(kind)
+    sub = space.subspace(keep)
+    rho = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
+    labels = space.basis_labels
+    for row, a in enumerate(labels):
+        for col, b in enumerate(labels):
+            if all(a[f] == b[f] for f in range(len(a)) if f not in keep):
+                i = sub.basis_index([a[f] for f in keep])
+                j = sub.basis_index([b[f] for f in keep])
+                rho[i, j] += vec[row] * np.conj(vec[col])
+    return rho
 
 
 def embed(state: ManifoldState, block: ManifoldBlock) -> np.ndarray:

@@ -16,10 +16,17 @@ from squeezetransfer.dynamics import (
     initial_amplitudes,
     initial_vector,
     project_amplitudes,
+    reduced_states,
 )
 from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+from squeezetransfer.hilbert import (
+    DimensionMismatchError,
+    Kind,
+    NumericalConsistencyError,
+    standard_space,
+)
 
-from _oracles import coefficient_formulas, embed, sector_constants
+from _oracles import brute_force_reduced_state, coefficient_formulas, embed, sector_constants
 
 TIMES = [0.0, 0.37, 1.0, 2.9, 7.3, 13.1]
 BRANCHES = [InitialState.ENTANGLED_SYMMETRIC, InitialState.SEPARABLE_ONE_CAVITY]
@@ -106,7 +113,7 @@ class TestOracleAgreement:
         prop = SpectralPropagator(h)
         psi0 = initial_vector(branch, space)
         for t in TIMES:
-            exact = prop.evolve(psi0, t)
+            exact = prop.evolve_grid(psi0, [t])[:, 0]
             closed = embed(evolve_closed_form(branch, block, t), block)
             fid = abs(np.vdot(exact, closed)) ** 2
             assert fid == pytest.approx(1.0, abs=1e-10)
@@ -123,7 +130,7 @@ class TestOracleAgreement:
         times = np.array([0.4, 1.7])
         grid = prop.evolve_grid(psi0, times)
         for k, t in enumerate(times):
-            assert np.allclose(grid[:, k], prop.evolve(psi0, t), atol=1e-13)
+            assert np.allclose(grid[:, k], prop.evolve_grid(psi0, [t])[:, 0], atol=1e-13)
 
     def test_oracle_stays_in_manifold(self, default_hamiltonian, default_block, space):
         psi = evolve_numeric_oracle(
@@ -206,6 +213,65 @@ class TestReducedDensityMatrices:
         assert np.allclose(
             rho_photons.matrix, analytic_rho_photons(coeffs), atol=1e-10
         )
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_gram_matches_brute_force_partial_trace(self, n_max, rng):
+        space = standard_space(n_max)
+        states = rng.normal(size=(space.total_dim, 3)) + 1j * rng.normal(size=(space.total_dim, 3))
+        states /= np.linalg.norm(states, axis=0)
+        stacks = reduced_states(states, space)
+        d = (n_max + 1) ** 2
+        assert stacks["atoms"].shape == (3, 4, 4) and stacks["photons"].shape == (3, d, d)
+        for k in range(3):
+            single = reduced_states(states[:, k], space)
+            for side, kind in (("atoms", Kind.ATOM), ("photons", Kind.PHOTON_MODE)):
+                expected = brute_force_reduced_state(states[:, k], space, kind)
+                assert np.allclose(single[side], expected, rtol=0, atol=1e-15)
+                assert np.allclose(stacks[side][k], expected, rtol=0, atol=1e-15)
+                assert np.trace(single[side]) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_product_state_reduces_to_its_factors(self, n_max, rng):
+        space = standard_space(n_max)
+        d = n_max + 1
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        p = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        a, p = a / np.linalg.norm(a), p / np.linalg.norm(p)
+        # psi[a1, m1, a2, m2] = a[a1, a2] p[m1, m2] in the (atom, mode, atom, mode) order
+        psi = np.einsum("ik,jl->ijkl", a.reshape(2, 2), p.reshape(d, d)).ravel()
+        rho = reduced_states(psi, space)
+        assert np.allclose(rho["atoms"], np.outer(a, a.conj()), rtol=0, atol=1e-15)
+        assert np.allclose(rho["photons"], np.outer(p, p.conj()), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_gram_matches_analytic_over_a_row(
+        self, branch, default_hamiltonian, default_block, space
+    ):
+        times = np.linspace(0.0, 20.0, 41)
+        prop = SpectralPropagator(default_hamiltonian)
+        psi = prop.evolve_grid(initial_vector(branch, space), times)
+        coeffs = coefficients(ManifoldState(project_amplitudes(psi, default_block), times))
+        rho = reduced_states(psi, space)
+        assert np.max(np.abs(rho["atoms"] - analytic_rho_atoms(coeffs))) < 1e-13
+        assert np.max(np.abs(rho["photons"] - analytic_rho_photons(coeffs))) < 1e-13
+
+    def test_entangled_branch_atoms_pure_at_t0(self, space):
+        # the photons carry the superposition, the atoms stay in |g,g>
+        rho = reduced_states(initial_vector(InitialState.ENTANGLED_SYMMETRIC, space), space)
+        gg = np.zeros((4, 4))
+        gg[0, 0] = 1.0
+        assert np.allclose(rho["atoms"], gg, rtol=0, atol=1e-15)
+        assert np.trace(rho["photons"] @ rho["photons"]).real == pytest.approx(1.0, abs=1e-15)
+
+    def test_reduction_fails_closed(self, space):
+        psi = initial_vector(InitialState.SEPARABLE_ONE_CAVITY, space)
+        with pytest.raises(NumericalConsistencyError, match="trace"):
+            reduced_states(1.001 * psi, space)
+        with pytest.raises(NumericalConsistencyError):
+            reduced_states(np.full(space.total_dim, np.nan), space)
+        for bad in (psi[:-1], np.stack([psi, psi], axis=-1)[..., None]):
+            with pytest.raises(DimensionMismatchError):
+                reduced_states(bad, space)
 
     def test_atoms_trace_one(self, default_block):
         coeffs = coefficients(

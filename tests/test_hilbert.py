@@ -10,14 +10,11 @@ from squeezetransfer.hilbert import (
     Operator,
     atom,
     expectation,
-    partial_trace,
     photon_mode,
     standard_space,
     tensor_product,
 )
 from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospin
-
-from conftest import random_qubit_state
 
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)  # basis order (g, e)
 
@@ -82,51 +79,6 @@ def test_hermitian_operator_rejects_non_hermitian():
     sp = CompositeSpace((atom(), atom()))
     with pytest.raises(NumericalConsistencyError):
         HermitianOperator(sp, np.triu(np.ones((4, 4))))
-
-
-def test_partial_trace_of_product_state(rng):
-    sp = CompositeSpace((atom(), atom()))
-    for _ in range(20):
-        a = random_qubit_state(rng)
-        b = random_qubit_state(rng)
-        rho_a = np.outer(a, a.conj())
-        rho_b = np.outer(b, b.conj())
-        rho = DensityMatrix(sp, np.kron(rho_a, rho_b))
-        left = partial_trace(rho, [0])
-        right = partial_trace(rho, [1])
-        assert np.allclose(left.matrix, rho_a, atol=1e-12)
-        assert np.allclose(right.matrix, rho_b, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(rng):
-    sp = standard_space()
-    v = rng.normal(size=36) + 1j * rng.normal(size=36)
-    v /= np.linalg.norm(v)
-    rho = DensityMatrix.from_state_vector(sp, v)
-    for keep in ([0], [0, 2], [1, 3], [0, 1, 2]):
-        red = partial_trace(rho, keep)
-        assert abs(np.trace(red.matrix) - 1.0) < 1e-10
-
-
-def test_partial_trace_rejects_empty_and_full_keep(space):
-    v = space.basis_vector(("g", 0, "g", 0))
-    rho = DensityMatrix.from_state_vector(space, v)
-    with pytest.raises(ValueError):
-        partial_trace(rho, [])
-    with pytest.raises(ValueError):
-        partial_trace(rho, [0, 1, 2, 3])
-
-
-def test_entangled_branch_atoms_pure_at_t0(space):
-    # initial entangled state: photons carry the superposition, atoms stay |g,g>
-    v = (
-        space.basis_vector(("g", 2, "g", 0)) + space.basis_vector(("g", 0, "g", 2))
-    ) / np.sqrt(2)
-    rho = DensityMatrix.from_state_vector(space, v)
-    rho_a = partial_trace(rho, [0, 2])
-    gg = np.zeros((4, 4), dtype=complex)
-    gg[0, 0] = 1.0
-    assert np.allclose(rho_a.matrix, gg, atol=1e-14)
 
 
 def test_expectation_identity(space, rng):

@@ -20,6 +20,7 @@ from squeezetransfer.sweep import (
     GridSpec,
     Method,
     SweepConfig,
+    SweepError,
     SweepResult,
     config_from_args,
     emit,
@@ -28,6 +29,20 @@ from squeezetransfer.sweep import (
     _build_parser,
     _max_disagreement,
 )
+
+
+def _forbid_checked_and_analytic_states(monkeypatch) -> list:
+    """Record every DensityMatrix built, analytic reduced state and generic
+    spin_moments call, wherever the sweep would reach them."""
+    from squeezetransfer import dynamics, hilbert, witness
+
+    calls = []
+    monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__",
+                        lambda self: calls.append("DensityMatrix"))
+    for module, name in ((dynamics, "analytic_rho_atoms"), (dynamics, "analytic_rho_photons"),
+                         (witness, "spin_moments")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+    return calls
 
 
 def small_config(**kwargs):
@@ -233,51 +248,71 @@ class TestRunSweep:
     ):
         import squeezetransfer.sweep as sweep
 
-        states, moments, matrices = [], [], []
-        real_state, real_moments = sweep.DensityMatrix, sweep.spin_moments
-        real_matrix, real_manifold = sweep.moment_matrix, sweep.manifold_spin_moments
+        calls = []
 
-        def counting_state(space, matrix):
-            states.append(space.factors[0].kind.value)
-            return real_state(space, matrix)
+        def spy(name):
+            real = getattr(sweep, name)
 
-        def counting_moments(rho, spin):
-            moments.append(rho.space.factors[0].kind.value)
-            return real_moments(rho, spin)
+            def counting(*args):
+                shape = args[0].shape if name.endswith("matrix") else ()
+                calls.append((name, *shape))
+                return real(*args)
 
-        def counting_matrix(operators, basis):
-            matrices.append(operators.shape)
-            return real_matrix(operators, basis)
+            monkeypatch.setattr(sweep, name, counting)
 
-        def counting_manifold(amplitudes, matrix):
-            moments.append("manifold")
-            return real_manifold(amplitudes, matrix)
-
-        monkeypatch.setattr(sweep, "DensityMatrix", counting_state)
-        monkeypatch.setattr(sweep, "spin_moments", counting_moments)
-        monkeypatch.setattr(sweep, "moment_matrix", counting_matrix)
-        monkeypatch.setattr(sweep, "manifold_spin_moments", counting_manifold)
+        for name in ("moment_matrix", "manifold_spin_moments", "contraction_matrix",
+                     "reduced_states", "density_spin_moments"):
+            spy(name)
+        forbidden = _forbid_checked_and_analytic_states(monkeypatch)
         cfg = small_config(method=Method.BOTH, observables=observables)
         run_sweep(cfg)
-        # The oracle route builds one checked state per row and side; the
-        # closed-form route contracts its amplitudes with one moment matrix
-        # per side, built once per sweep.
-        per_row = [{"atoms": "atom", "photons": "photon_mode"}[s] for s in sides]
-        rows = cfg.zeta_grid.steps
-        assert states == per_row * rows
-        assert moments == (["manifold"] * len(sides) + per_row) * rows
-        assert matrices == [(9, 36, 36)] * len(sides)
+        # Once per sweep: one moment matrix per side for the closed form, and
+        # one contraction matrix of the reduced-space spin per side for the
+        # oracle.  Per row: one moment pass per side on the amplitudes; one
+        # Gram reduction of the oracle's vectors when a side is read, and one
+        # contraction per side.
+        reduced = {"atoms": (9, 4, 4), "photons": (9, 9, 9)}
+        once = [("moment_matrix", 9, 36, 36)] * len(sides)
+        once += [("contraction_matrix", *reduced[s]) for s in sides]
+        per_row = [("manifold_spin_moments",)] * len(sides)
+        per_row += [("reduced_states",)] * bool(sides)
+        per_row += [("density_spin_moments",)] * len(sides)
+        assert calls == once + per_row * cfg.zeta_grid.steps
+        assert forbidden == []
 
     def test_closed_form_route_builds_no_reduced_state(self, monkeypatch):
         import squeezetransfer.sweep as sweep
 
-        calls = []
-        for name in ("DensityMatrix", "analytic_rho_atoms", "analytic_rho_photons",
-                     "spin_moments"):
+        calls = _forbid_checked_and_analytic_states(monkeypatch)
+        for name in ("reduced_states", "density_spin_moments", "contraction_matrix"):
             monkeypatch.setattr(sweep, name, lambda *a, _name=name: calls.append(_name))
         for branch in InitialState:
             run_sweep(small_config(branch=branch, observables=sweep.OBSERVABLES))
         assert calls == []
+
+    def test_oracle_fails_closed_on_weight_outside_the_manifold(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from squeezetransfer import dynamics
+
+        real = dynamics.SpectralPropagator.evolve_grid
+
+        def leaky(self, vec, times):
+            # weight that the projection onto the manifold drops, so only the
+            # trace of the reduced states can see it
+            out = real(self, vec, times)
+            out[self.space.basis_index(("e", 1, "g", 0))] += 1e-3
+            return out
+
+        monkeypatch.setattr(dynamics.SpectralPropagator, "evolve_grid", leaky)
+        with pytest.raises(SweepError, match="row zeta=0.0: reduced state .* trace"):
+            run_sweep(small_config(method=Method.NUMERIC_ORACLE, observables=("xi",)))
+        out = tmp_path / "x.csv"
+        rc = main(["--method", "both", "--observables", "ossi_full", "--steps", "2", "3",
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: row zeta=0.0: reduced state")
+        assert not out.exists()
 
     def test_separable_moment_routes_agree(self, tmp_path, capsys):
         cfg = small_config(
@@ -594,7 +629,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "observables",
-        [["bogus"], [","], [",", "--method", "both"], ["xi,xi"]],
+        [["bogus"], [","], [",", "--method", "both"], ["xi,xi"], ["xi,,xi_e2"], ["ineq_a,"]],
     )
     def test_main_reports_bad_observable(self, observables, tmp_path, capsys):
         out = tmp_path / "x.csv"

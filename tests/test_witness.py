@@ -39,6 +39,7 @@ from squeezetransfer.operators import (
     quadratures,
 )
 from squeezetransfer.witness import (
+    VIOLATION_TOL,
     BranchMismatchError,
     _smallest_eigenvalue_2x2,
     branch_witnesses,
@@ -301,18 +302,17 @@ class TestOssi:
         for _ in range(50):
             rho = DensityMatrix(atom_space, random_separable_two_qubit(rng))
             report = ossi(rho, atom_spin, 2)
-            assert report.min_slack > -1e-10
-            assert not report.violated()
+            assert report.min_slack > -VIOLATION_TOL
 
     def test_singlet_violates_second_inequality_exactly(self, atom_space, atom_spin):
         report = ossi(singlet_state(atom_space), atom_spin, 2)
         assert report.slack_b == -1.0
-        assert report.violated()
+        assert report.min_slack < -VIOLATION_TOL
 
     def test_css_saturates_first_inequality(self, atom_space, atom_spin):
         report = ossi(css_state(atom_space), atom_spin, 2)
         assert report.slack_a == pytest.approx(0.0, abs=1e-12)
-        assert not report.violated()
+        assert report.min_slack >= -VIOLATION_TOL
 
     def test_rejects_single_particle(self, atom_space, atom_spin):
         rho = css_state(atom_space)
