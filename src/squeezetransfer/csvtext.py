@@ -50,38 +50,37 @@ _ZERO, _INF, _NAN = range(_FIXED_KINDS + 17 * 4, _FIXED_KINDS + 17 * 4 + 3)
 _KINDS = _NAN + 1
 
 
-def _layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X mask, Y mask, constants) rows of one key."""
-    x, y = np.zeros(WIDTH, np.uint8), np.zeros(WIDTH, np.uint8)
-    const = np.zeros(WIDTH, np.uint8)
-
-    def put(slot: int, text: bytes) -> None:
-        const[slot:slot + len(text)] = np.frombuffer(text, np.uint8)
-
-    if negative and kind != _NAN:
-        put(0, b"-")
-    if kind in (_ZERO, _INF, _NAN):
-        put(_DIGIT, {_ZERO: b"0", _INF: b"inf", _NAN: b"nan"}[kind])
-        return x, y, const
-    if kind < _FIXED_KINDS:
-        e, sig = divmod(kind, 17)
-        e, sig = e - 4, sig + 1
-        if e < 0:
-            put(_DIGIT - 5, b"0." + b"0" * (-e - 1))
-            x[_DIGIT:_DIGIT + sig] = 0xFF
-            return x, y, const
-        point = e + 1  # digits before the point; trailing zeros before it stay
-    else:
-        sig, rest = divmod(kind - _FIXED_KINDS, 4)
-        sig += 1
-        point = 1
-        put(25, b"e-" if rest & 2 else b"e+")
-        x[_EXP_DIGITS + (0 if rest & 1 else 1):] = 0xFF
-    x[_DIGIT:_DIGIT + point] = 0xFF
-    if sig > point:
-        put(_DIGIT + point, b".")
-        y[_DIGIT + point + 1:_DIGIT + sig + 1] = 0xFF
-    return x, y, const
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X mask, Y mask, constants) rows of every key: three (2 * _KINDS,
+    WIDTH) uint8 arrays, derived for all keys at once by broadcasting each
+    kind's (sign, notation, e, sig) against the slots of a row."""
+    kind, slot = np.arange(_KINDS)[:, None], np.arange(WIDTH)
+    fixed = kind < _FIXED_KINDS
+    expo = ~fixed & (kind < _ZERO)
+    e = kind // 17 - 4  # of fixed notation
+    sig = np.where(fixed, kind % 17, (kind - _FIXED_KINDS) // 4) + 1
+    # d.ddd notation: bit 1 of rest is a negative exponent, bit 0 three exponent digits
+    rest = (kind - _FIXED_KINDS) % 4
+    small = fixed & (e < 0)  # "0.000ddd"
+    point = np.where(fixed, e + 1, 1)  # digits before the point
+    digit = (fixed | expo) & (slot >= _DIGIT)
+    x = digit & (slot < _DIGIT + np.where(small, sig, point))
+    x |= expo & (slot >= _EXP_DIGITS + 1 - rest % 2)
+    fraction = digit & ~small & (sig > point)  # trailing zeros before the point stay
+    y = fraction & (slot > _DIGIT + point) & (slot <= _DIGIT + sig)
+    const = np.select(
+        [small & ((slot == _DIGIT - 5) | (slot >= _DIGIT - 3) & (slot < _DIGIT - 4 - e)),
+         small & (slot == _DIGIT - 4) | fraction & (slot == _DIGIT + point),
+         expo & (slot == 25),
+         expo & (slot == 26)],
+        [ord("0"), ord("."), ord("e"), np.where(rest & 2, ord("-"), ord("+"))],
+    ).astype(np.uint8)
+    for k, text in ((_ZERO, b"0"), (_INF, b"inf"), (_NAN, b"nan")):
+        const[k, _DIGIT:_DIGIT + len(text)] = np.frombuffer(text, np.uint8)
+    negative = const.copy()
+    negative[:_NAN, 0] = ord("-")  # _NAN is the last kind
+    masks = (np.concatenate([m, m]).astype(np.uint8) * 0xFF for m in (x, y))
+    return *masks, np.concatenate([const, negative])
 
 
 class _Tables(NamedTuple):
@@ -98,7 +97,8 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _tables() -> _Tables:
-    """Built on first use, with exact integer arithmetic."""
+    """Built on first use: the powers of ten with exact integer arithmetic,
+    the rest with array arithmetic."""
     hi, lo = [], []
     for e in range(_E_MIN, _E_MAX + 1):
         p = 16 - e
@@ -111,17 +111,15 @@ def _tables() -> _Tables:
             num, den = h.as_integer_ratio()  # 1/q - num/den = (den - num*q) / (den*q)
             lo.append((den - num * q) / (den * q))
         hi.append(h)
-    words = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
-    zeros = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map("%04d".__mod__,
-                                                                      range(1, 10000))])
+    i = np.arange(10000, dtype=np.int16)[:, None]
+    words = (i // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    words = words.view(np.uint32).ravel()
+    zeros = (i % np.array([10, 100, 1000, 10000], np.int16) == 0).sum(axis=1)
     e = np.arange(_E_MIN, _E_MAX + 2)
     fixed = (e >= -4) & (e < 17)
     kind_base = np.where(fixed, (e + 4) * 17, _FIXED_KINDS + 2 * (e < 0) + (abs(e) >= 100))
     kind_step = np.where(fixed, 1, 4)
-    x, y, const = (
-        np.array(rows) for rows in zip(*(_layout(k % _KINDS, k >= _KINDS)
-                                          for k in range(2 * _KINDS)))
-    )
+    x, y, const = _layouts()
     return _Tables(np.array(hi), np.array(lo), words, zeros, kind_base, kind_step, x, y, const)
 
 

@@ -35,7 +35,7 @@ from .hilbert import (
     Kind,
     hermiticity_deviation,
 )
-from .operators import atomic_transition, ladder
+from .operators import ladder_matrices, transition_matrices
 
 LEAKAGE_TOL = 1e-12
 
@@ -99,33 +99,38 @@ def _require_canonical(space: CompositeSpace) -> None:
         )
 
 
-def hopping_operator(space: CompositeSpace) -> HermitianOperator:
-    """a1^dag^2 a2^2 + a2^dag^2 a1^2 with unit coefficient."""
+def hopping_matrix(ladders: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """a1^dag^2 a2^2 + a2^dag^2 a1^2 from the two modes' (a, a^dag)."""
+    (a1, a1d), (a2, a2d) = ladders
+    return a1d @ a1d @ a2 @ a2 + a2d @ a2d @ a1 @ a1
+
+
+def model_operators(
+    params: ModelParams, space: CompositeSpace
+) -> tuple[HermitianOperator, HermitianOperator]:
+    """(H, Hop): the full interaction-picture Hamiltonian on the canonical
+    space, and the hopping operator a1^dag^2 a2^2 + a2^dag^2 a1^2 that it
+    adds with coefficient zeta, both from the same embedded ladder operators."""
     _require_canonical(space)
-    modes = space.factor_indices(Kind.PHOTON_MODE)
-    a1, a1d = (op.matrix for op in ladder(space, modes[0]))
-    a2, a2d = (op.matrix for op in ladder(space, modes[1]))
-    hop = a1d @ a1d @ a2 @ a2 + a2d @ a2d @ a1 @ a1
-    return HermitianOperator(space, hop)
+    ladders = [ladder_matrices(space, m) for m in space.factor_indices(Kind.PHOTON_MODE)]
+    d = space.total_dim
+    h = np.zeros((d, d), dtype=complex)
+    for cavity, (a, ad) in zip((1, 2), ladders):
+        # |e><e|, |g><g|, |e><g| and |g><e|
+        see, sgg, seg, sge = transition_matrices(
+            space, cavity, [("e", "e"), ("g", "g"), ("g", "e"), ("e", "g")]
+        )
+        h += params.mu * see + params.eta * sgg
+        h += params.lam * (seg @ a @ a + sge @ ad @ ad)
+        h -= 0.5 * (params.e_g + params.e_e) * np.eye(d)
+    hop = hopping_matrix(ladders)
+    h += params.zeta * hop
+    return HermitianOperator(space, h), HermitianOperator(space, hop)
 
 
 def build_hamiltonian(params: ModelParams, space: CompositeSpace) -> HermitianOperator:
     """Full interaction-picture Hamiltonian on the canonical space."""
-    _require_canonical(space)
-    modes = space.factor_indices(Kind.PHOTON_MODE)
-    d = space.total_dim
-    h = np.zeros((d, d), dtype=complex)
-    for cavity in (1, 2):
-        see = atomic_transition(space, cavity, "e", "e").matrix
-        sgg = atomic_transition(space, cavity, "g", "g").matrix
-        seg = atomic_transition(space, cavity, "g", "e").matrix  # |e><g|
-        sge = atomic_transition(space, cavity, "e", "g").matrix  # |g><e|
-        a, ad = (op.matrix for op in ladder(space, modes[cavity - 1]))
-        h += params.mu * see + params.eta * sgg
-        h += params.lam * (seg @ a @ a + sge @ ad @ ad)
-        h -= 0.5 * (params.e_g + params.e_e) * np.eye(d)
-    h += params.zeta * hopping_operator(space).matrix
-    return HermitianOperator(space, h)
+    return model_operators(params, space)[0]
 
 
 def manifold_basis(space: CompositeSpace) -> np.ndarray:

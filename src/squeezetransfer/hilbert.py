@@ -204,32 +204,43 @@ class DensityMatrix:
         return cls(space, np.outer(vec, vec.conj()))
 
 
-def tensor_product(
-    space: CompositeSpace, factor_ops: Sequence[Optional[np.ndarray]]
-) -> Operator:
-    """Kronecker product in canonical factor order; None means identity.
-
-    Returns a HermitianOperator when the result is Hermitian, otherwise a
-    plain Operator (raising/lowering operators stay unchecked).
-    """
+def embed(space: CompositeSpace, factor_ops: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """Kronecker product in canonical factor order as a bare (d, d) matrix;
+    None means identity.  A factor given as a (..., d_i, d_i) stack gives the
+    (..., d, d) stack of products.  Each step is one broadcast product, with
+    the same bits as np.kron."""
     if len(factor_ops) != len(space.factors):
         raise DimensionMismatchError(
             f"{len(factor_ops)} factor operators supplied for "
             f"{len(space.factors)} factors"
         )
-    full = np.array([[1.0 + 0j]])
+    full = np.ones((1, 1), dtype=complex)
     for i, (op, factor) in enumerate(zip(factor_ops, space.factors)):
         d = factor.dimension
         if op is None:
             local = np.eye(d, dtype=complex)
         else:
             local = np.asarray(op, dtype=complex)
-            if local.shape != (d, d):
+            if local.shape[-2:] != (d, d):
                 raise DimensionMismatchError(
                     f"factor {i}: operator shape {local.shape} does not match "
                     f"dimension {d}"
                 )
-        full = np.kron(full, local)
+        full = full[..., :, None, :, None] * local[..., None, :, None, :]
+        n = full.shape[-2] * full.shape[-1]
+        full = full.reshape(full.shape[:-4] + (n, n))
+    return full
+
+
+def tensor_product(
+    space: CompositeSpace, factor_ops: Sequence[Optional[np.ndarray]]
+) -> Operator:
+    """embed(space, factor_ops) as an Operator.
+
+    Returns a HermitianOperator when the result is Hermitian, otherwise a
+    plain Operator (raising/lowering operators stay unchecked).
+    """
+    full = embed(space, factor_ops)
     if hermiticity_deviation(full) < HERMITICITY_TOL:
         return HermitianOperator(space, full)
     return Operator(space, full)

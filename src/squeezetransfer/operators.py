@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .hilbert import (
     HermitianOperator,
     Kind,
     Operator,
+    embed,
     tensor_product,
 )
 
@@ -63,37 +65,64 @@ def lowering_matrix(dimension: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dimension, dtype=float)), k=1).astype(complex)
 
 
-def ladder(space: CompositeSpace, mode_index: int) -> tuple[Operator, Operator]:
-    """(lowering, raising) for the photon mode at `mode_index`, embedded."""
+def _on_factor(space: CompositeSpace, index: int, local: np.ndarray) -> list:
+    """Factor operators with `local` at `index` and identity elsewhere."""
+    ops: list = [None] * len(space.factors)
+    ops[index] = local
+    return ops
+
+
+def ladder_matrices(space: CompositeSpace, mode_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lowering, raising) for the photon mode at `mode_index`, embedded as
+    bare matrices."""
     factor = space.factors[mode_index]
     if factor.kind is not Kind.PHOTON_MODE:
         raise ValueError(f"factor {mode_index} is {factor.kind.value}, not a photon mode")
     a = lowering_matrix(factor.dimension)
-    ops: list = [None] * len(space.factors)
-    ops[mode_index] = a
-    low = tensor_product(space, ops)
-    ops[mode_index] = a.conj().T
-    high = tensor_product(space, ops)
+    low, high = embed(space, _on_factor(space, mode_index, np.stack([a, a.conj().T])))
     return low, high
+
+
+def ladder(space: CompositeSpace, mode_index: int) -> tuple[Operator, Operator]:
+    """(lowering, raising) for the photon mode at `mode_index`, embedded."""
+    low, high = ladder_matrices(space, mode_index)
+    return Operator(space, low), Operator(space, high)
+
+
+def _transition_locals(
+    space: CompositeSpace, cavity: int, transitions: Sequence[tuple[str, str]]
+) -> tuple[int, np.ndarray]:
+    """The factor index of the atom of the given cavity, and the (k, 2, 2)
+    stack of |to><from| for each (from_level, to_level) of `transitions`."""
+    if cavity not in (1, 2):
+        raise ValueError(f"cavity must be 1 or 2, got {cavity}")
+    levels = ("g", "e")
+    local = np.zeros((len(transitions), 2, 2), dtype=complex)
+    for k, (from_level, to_level) in enumerate(transitions):
+        if from_level not in levels or to_level not in levels:
+            raise ValueError(f"levels must be 'g' or 'e', got {from_level!r}, {to_level!r}")
+        local[k, levels.index(to_level), levels.index(from_level)] = 1.0
+    atoms = space.factor_indices(Kind.ATOM)
+    if len(atoms) < cavity:
+        raise ValueError(f"space has {len(atoms)} atom factors, cavity {cavity} requested")
+    return atoms[cavity - 1], local
 
 
 def atomic_transition(
     space: CompositeSpace, cavity: int, from_level: str, to_level: str
 ) -> Operator:
     """|to><from| on the atom of the given cavity (1 or 2), identity elsewhere."""
-    if cavity not in (1, 2):
-        raise ValueError(f"cavity must be 1 or 2, got {cavity}")
-    levels = ("g", "e")
-    if from_level not in levels or to_level not in levels:
-        raise ValueError(f"levels must be 'g' or 'e', got {from_level!r}, {to_level!r}")
-    atoms = space.factor_indices(Kind.ATOM)
-    if len(atoms) < cavity:
-        raise ValueError(f"space has {len(atoms)} atom factors, cavity {cavity} requested")
-    local = np.zeros((2, 2), dtype=complex)
-    local[levels.index(to_level), levels.index(from_level)] = 1.0
-    ops: list = [None] * len(space.factors)
-    ops[atoms[cavity - 1]] = local
-    return tensor_product(space, ops)
+    index, local = _transition_locals(space, cavity, [(from_level, to_level)])
+    return tensor_product(space, _on_factor(space, index, local[0]))
+
+
+def transition_matrices(
+    space: CompositeSpace, cavity: int, transitions: Sequence[tuple[str, str]]
+) -> np.ndarray:
+    """atomic_transition(space, cavity, from_level, to_level) for each
+    (from_level, to_level) of `transitions`, as a (k, d, d) stack of bare matrices."""
+    index, local = _transition_locals(space, cavity, transitions)
+    return embed(space, _on_factor(space, index, local))
 
 
 def _single_atom_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,15 +137,10 @@ def collective_atomic_spin(space: CompositeSpace) -> SpinTriple:
     atoms = space.factor_indices(Kind.ATOM)
     if len(atoms) != 2:
         raise ValueError(f"space must contain exactly two atoms, found {len(atoms)}")
-    singles = _single_atom_spin()
-    totals = []
-    for local in singles:
-        total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        for idx in atoms:
-            ops: list = [None] * len(space.factors)
-            ops[idx] = local
-            total = total + tensor_product(space, ops).matrix
-        totals.append(total)
+    singles = np.stack(_single_atom_spin())
+    totals = np.zeros((3, space.total_dim, space.total_dim), dtype=complex)
+    for idx in atoms:
+        totals = totals + embed(space, _on_factor(space, idx, singles))
     return SpinTriple(*(HermitianOperator(space, m) for m in totals))
 
 
@@ -128,8 +152,8 @@ def photonic_pseudospin(space: CompositeSpace) -> SpinTriple:
     modes = space.factor_indices(Kind.PHOTON_MODE)
     if len(modes) != 2:
         raise ValueError(f"space must contain exactly two photon modes, found {len(modes)}")
-    a1, a1d = (op.matrix for op in ladder(space, modes[0]))
-    a2, a2d = (op.matrix for op in ladder(space, modes[1]))
+    a1, a1d = ladder_matrices(space, modes[0])
+    a2, a2d = ladder_matrices(space, modes[1])
     lx = (a1d @ a2 + a2d @ a1) / 2
     ly = -1j * (a1d @ a2 - a2d @ a1) / 2
     lz = (a1d @ a1 - a2d @ a2) / 2
@@ -141,7 +165,7 @@ def photonic_pseudospin(space: CompositeSpace) -> SpinTriple:
 
 
 def quadratures(space: CompositeSpace, mode_index: int) -> QuadraturePair:
-    a, ad = (op.matrix for op in ladder(space, mode_index))
+    a, ad = ladder_matrices(space, mode_index)
     x1 = (ad + a) / 2
     x2 = 1j * (ad - a) / 2
     return QuadraturePair(HermitianOperator(space, x1), HermitianOperator(space, x2))

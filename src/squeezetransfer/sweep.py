@@ -37,10 +37,8 @@ from .dynamics import (
 from .hamiltonian import (
     ModelInconsistencyError,
     ModelParams,
-    build_hamiltonian,
-    hopping_operator,
-    manifold_basis,
     manifold_blocks,
+    model_operators,
 )
 from .hilbert import HermitianOperator, NumericalConsistencyError, standard_space
 from .operators import collective_atomic_spin, photonic_pseudospin
@@ -232,23 +230,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     the oracle takes from its vectors projected onto the manifold.
     """
     space = standard_space()
-    h0 = build_hamiltonian(config.params, space)
-    hop = hopping_operator(space)
+    h0, hop = model_operators(config.params, space)
     psi0 = initial_vector(config.branch, space)
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     sides = _moment_sides(config.observables)
     closed = config.method in (Method.CLOSED_FORM, Method.BOTH)
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
+    blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
     spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
-        phi = manifold_basis(space)
+        phi = blocks[0].basis
         matrices = {s: moment_matrix(spin_of[s](space).moment_operators, phi) for s in sides}
     if oracle:
         spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
         contractions = {s: contraction_matrix(spin.moment_operators) for s, spin in spins.items()}
     values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
     disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
-    blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
     for i, (zeta, block) in enumerate(zip(zetas, blocks)):
         try:
             columns = []
@@ -259,7 +256,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 }
                 columns.append(_row_columns(coefficients(state), moments, config))
             if oracle:
-                # build_hamiltonian's last step is h += zeta * hop: the same
+                # model_operators' last step is h += zeta * hop: the same
                 # float arithmetic as building H(zeta) directly.
                 h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
                 full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
@@ -376,6 +373,8 @@ def emit(
     names = ["zeta", "t", *columns]
     grids = [result.values[c] for c in columns]
     if include_disagreement:
+        if result.method_disagreement is None:
+            raise ValueError("the result has no method disagreement to emit")
         names.append("method_disagreement")
         grids.append(result.method_disagreement)
     chunks = _WRITERS.get(output_format)

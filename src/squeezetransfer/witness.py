@@ -219,7 +219,9 @@ def _transverse_basis(n0: np.ndarray) -> np.ndarray:
     axis = np.eye(3)[np.argmin(np.abs(n0), axis=-1)]
     e1 = axis - np.sum(axis * n0, axis=-1, keepdims=True) * n0
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(n0, e1)
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(n0, -1, 0), np.moveaxis(e1, -1, 0)
+    # e2 = n0 x e1, each component's products and difference in np.cross's order
+    e2 = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
     return np.stack([e1, e2], axis=-1)
 
 

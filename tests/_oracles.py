@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from squeezetransfer import csvtext
 from squeezetransfer.dynamics import CoefficientSet, InitialState, ManifoldState
 from squeezetransfer.hamiltonian import ManifoldBlock
 from squeezetransfer.hilbert import CompositeSpace, DensityMatrix, Kind
@@ -140,3 +141,55 @@ def coefficient_formulas(
         bd=complex(bd),
         cd=complex(cd),
     )
+
+
+def layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X mask, Y mask, constants) rows of one csvtext key, slot by slot."""
+    width, digit = csvtext.WIDTH, csvtext._DIGIT
+    x, y = np.zeros(width, np.uint8), np.zeros(width, np.uint8)
+    const = np.zeros(width, np.uint8)
+
+    def put(slot: int, text: bytes) -> None:
+        const[slot:slot + len(text)] = np.frombuffer(text, np.uint8)
+
+    special = {csvtext._ZERO: b"0", csvtext._INF: b"inf", csvtext._NAN: b"nan"}
+    if negative and kind != csvtext._NAN:
+        put(0, b"-")
+    if kind in special:
+        put(digit, special[kind])
+        return x, y, const
+    if kind < csvtext._FIXED_KINDS:
+        e, sig = divmod(kind, 17)
+        e, sig = e - 4, sig + 1
+        if e < 0:
+            put(digit - 5, b"0." + b"0" * (-e - 1))
+            x[digit:digit + sig] = 0xFF
+            return x, y, const
+        point = e + 1  # digits before the point; trailing zeros before it stay
+    else:
+        sig, rest = divmod(kind - csvtext._FIXED_KINDS, 4)
+        sig += 1
+        point = 1
+        put(25, b"e-" if rest & 2 else b"e+")
+        x[csvtext._EXP_DIGITS + (0 if rest & 1 else 1):] = 0xFF
+    x[digit:digit + point] = 0xFF
+    if sig > point:
+        put(digit + point, b".")
+        y[digit + point + 1:digit + sig + 1] = 0xFF
+    return x, y, const
+
+
+def layout_tables() -> dict[str, np.ndarray]:
+    """The key layouts, digit words and trailing-zero counts of csvtext._tables,
+    built one key and one number at a time."""
+    kinds = csvtext._KINDS
+    x, y, const = (np.array(rows) for rows in zip(*(layout(k % kinds, k >= kinds)
+                                                     for k in range(2 * kinds))))
+    numbers = ["%04d" % i for i in range(10000)]
+    return {
+        "words": np.frombuffer("".join(numbers).encode("ascii"), np.uint32),
+        "zeros": np.array([4] + [len(s) - len(s.rstrip("0")) for s in numbers[1:]]),
+        "x_mask": x,
+        "y_mask": y,
+        "const": const,
+    }

@@ -4,6 +4,8 @@ import pytest
 import squeezetransfer.csvtext as csvtext
 from squeezetransfer.csvtext import WIDTH, g17_text
 
+from _oracles import layout_tables
+
 
 def texts(values):
     rows = g17_text(values).reshape(-1, WIDTH)
@@ -102,3 +104,11 @@ def test_shapes_and_empty():
     assert g17_text(values).shape == (3, 4, WIDTH)
     assert texts(values) == reference(values)
     assert g17_text(np.empty(0)).shape == (0, WIDTH)
+
+
+def test_tables_match_the_per_key_layouts():
+    tables = csvtext._tables()
+    for name, expected in layout_tables().items():
+        got = getattr(tables, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name

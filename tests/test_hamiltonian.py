@@ -9,9 +9,9 @@ from squeezetransfer.hamiltonian import (
     ModelParams,
     build_hamiltonian,
     extract_manifold_block,
-    hopping_operator,
     manifold_basis,
     manifold_blocks,
+    model_operators,
 )
 from squeezetransfer.hilbert import (
     CompositeSpace,
@@ -101,8 +101,7 @@ class TestBuildHamiltonian:
         # The sweep builds H(zeta) as H(0) + zeta * Hop; that must be the same
         # float arithmetic as a direct build, not merely close to it.
         params = ModelParams(mu=0.13, eta=-0.07, e_g=0.3, e_e=-0.1)
-        h_local = build_hamiltonian(params, space).matrix
-        hop = hopping_operator(space).matrix
+        h_local, hop = (op.matrix for op in model_operators(params, space))
         direct = build_hamiltonian(dataclasses.replace(params, zeta=zeta), space).matrix
         assert np.array_equal(h_local + zeta * hop, direct)
 
@@ -122,7 +121,7 @@ class TestBuildHamiltonian:
 
     def test_hopping_larger_cutoff(self):
         sp = CompositeSpace((atom(), photon_mode(4), atom(), photon_mode(4)))
-        hop = hopping_operator(sp).matrix
+        hop = model_operators(ModelParams(), sp)[1].matrix
         i = sp.basis_index(("g", 1, "g", 3))
         j = sp.basis_index(("g", 3, "g", 1))
         # a1^dag^2 a2^2 |1,3> = sqrt(2*3) * sqrt(3*2) |3,1>
@@ -215,8 +214,8 @@ class TestManifoldBlocks:
 
     def test_matches_per_zeta_extraction(self, space):
         zetas = np.array([0.0, 0.25, 2.0])
-        h0 = build_hamiltonian(self.PARAMS, space)
-        blocks = manifold_blocks(h0, hopping_operator(space), zetas, self.PARAMS.lam)
+        h0, hop = model_operators(self.PARAMS, space)
+        blocks = manifold_blocks(h0, hop, zetas, self.PARAMS.lam)
         assert len(blocks) == zetas.size
         for zeta, block in zip(zetas, blocks):
             params = dataclasses.replace(self.PARAMS, zeta=zeta)
@@ -230,8 +229,7 @@ class TestManifoldBlocks:
                 assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] > 0)
 
     def test_hopping_projects_to_photonic_diagonal(self, space):
-        h0 = build_hamiltonian(ModelParams(), space)
-        block0, block1 = manifold_blocks(h0, hopping_operator(space), [0.0, 1.0])
+        block0, block1 = manifold_blocks(*model_operators(ModelParams(), space), [0.0, 1.0])
         assert np.allclose(block1.h_sym - block0.h_sym, [[2, 0], [0, 0]], atol=1e-14)
         assert np.allclose(block1.h_anti - block0.h_anti, [[-2, 0], [0, 0]], atol=1e-14)
 
@@ -239,7 +237,7 @@ class TestManifoldBlocks:
     def test_checks_bound_over_largest_zeta(self, space, defect, message):
         # A 1e-13 defect in Hop passes every single-matrix check, but at
         # zeta = 20 it moves H(zeta) by more than the 1e-12 tolerances.
-        bad = hopping_operator(space).matrix.copy()
+        bad = model_operators(ModelParams(), space)[1].matrix.copy()
         i = space.basis_index(("e", 1, "g", 0))
         if defect == "leakage":
             j = space.basis_index(("e", 0, "g", 0))  # a manifold state

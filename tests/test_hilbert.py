@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from squeezetransfer.hilbert import (
+    HERMITICITY_TOL,
     CompositeSpace,
     DensityMatrix,
     DimensionMismatchError,
@@ -9,7 +10,9 @@ from squeezetransfer.hilbert import (
     NumericalConsistencyError,
     Operator,
     atom,
+    embed,
     expectation,
+    hermiticity_deviation,
     photon_mode,
     standard_space,
     tensor_product,
@@ -61,6 +64,54 @@ def test_tensor_product_collective_sx_action():
     gg = sp.basis_vector(("g", "g"))
     expected = 0.5 * (sp.basis_vector(("e", "g")) + sp.basis_vector(("g", "e")))
     assert np.allclose(spin.x.matrix @ gg, expected, atol=1e-15)
+
+
+def _kron_chain(space, factor_ops):
+    full = np.array([[1.0 + 0j]])
+    for op, factor in zip(factor_ops, space.factors):
+        local = np.eye(factor.dimension, dtype=complex) if op is None else op
+        full = np.kron(full, local)
+    return full
+
+
+def _random_local(rng, d, hermitian):
+    """A random complex matrix with some entries signed zeros in either part."""
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if hermitian:
+        m = (m + m.conj().T) / 2
+    zeros = np.zeros_like(m)
+    zeros.real, zeros.imag = np.copysign(0.0, m.real), np.copysign(0.0, m.imag)
+    return np.where(rng.random((d, d)) < 0.3, zeros, m)
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_tensor_product_matches_kron_chain_bit_for_bit(n_max, rng):
+    space = standard_space(n_max)
+    kinds = set()
+    for trial in range(40):
+        ops = [
+            None if rng.random() < 0.5
+            else _random_local(rng, f.dimension, hermitian=trial % 2 == 0)
+            for f in space.factors
+        ]
+        expected = _kron_chain(space, ops)
+        assert embed(space, ops).tobytes() == expected.tobytes()
+        op = tensor_product(space, ops)
+        assert op.matrix.tobytes() == expected.tobytes()
+        hermitian = hermiticity_deviation(expected) < HERMITICITY_TOL
+        assert type(op) is (HermitianOperator if hermitian else Operator)
+        kinds.add(type(op))
+    assert kinds == {HermitianOperator, Operator}
+
+
+def test_embed_of_a_stack_is_the_stack_of_products(rng):
+    space = standard_space()
+    stack = np.stack([_random_local(rng, 3, hermitian=False) for _ in range(4)])
+    atom_op = _random_local(rng, 2, hermitian=False)
+    got = embed(space, [None, stack, atom_op, None])
+    assert got.shape == (4, 36, 36)
+    for k, local in enumerate(stack):
+        assert got[k].tobytes() == _kron_chain(space, [None, local, atom_op, None]).tobytes()
 
 
 def test_tensor_product_dimension_mismatch_names_factor():

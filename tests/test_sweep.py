@@ -210,15 +210,29 @@ class TestRunSweep:
         import squeezetransfer.sweep as sweep
 
         calls = []
-        real = sweep.build_hamiltonian
+        real = sweep.model_operators
 
         def counting(params, space):
             calls.append(params.zeta)
             return real(params, space)
 
-        monkeypatch.setattr(sweep, "build_hamiltonian", counting)
+        monkeypatch.setattr(sweep, "model_operators", counting)
         run_sweep(small_config(method=Method.BOTH))
         assert calls == [0.0]
+
+    def test_builds_hopping_once(self, monkeypatch):
+        import squeezetransfer.hamiltonian as hamiltonian
+
+        calls = []
+        real = hamiltonian.hopping_matrix
+
+        def counting(ladders):
+            calls.append(ladders)
+            return real(ladders)
+
+        monkeypatch.setattr(hamiltonian, "hopping_matrix", counting)
+        run_sweep(small_config(method=Method.BOTH, observables=OBSERVABLES))
+        assert len(calls) == 1
 
     def test_projects_the_model_once(self, monkeypatch):
         import squeezetransfer.hamiltonian as hamiltonian
@@ -430,6 +444,13 @@ class TestEmit:
         empty = SweepResult(np.zeros(3), np.empty(0), {"ineq_a": np.empty((3, 0))})
         with pytest.raises(ValueError):
             emit(empty, ("ineq_a",), "csv", str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejects_missing_disagreement_before_writing(self, fmt, tmp_path):
+        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
+        with pytest.raises(ValueError, match="no method disagreement"):
+            emit(result, ("xi",), fmt, str(tmp_path / f"out.{fmt}"), include_disagreement=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_special_values_match_reference_formatter(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, -2.5e-300, 6.02214076e23]
@@ -712,21 +733,22 @@ class TestCli:
         assert not out.exists()
 
     def test_main_fails_closed_on_leaky_hopping(self, tmp_path, capsys, monkeypatch):
-        import squeezetransfer.sweep as sweep
-        from squeezetransfer.hilbert import HermitianOperator
+        import squeezetransfer.hamiltonian as hamiltonian
+        from squeezetransfer.hilbert import standard_space
 
-        real = sweep.hopping_operator
+        real = hamiltonian.hopping_matrix
+        space = standard_space()
 
-        def leaky_hopping(space):
+        def leaky_hopping(ladders):
             # 1e-13 of leakage passes at zeta = 1 but not over zeta up to 20
-            bad = real(space).matrix.copy()
+            bad = real(ladders)
             i = space.basis_index(("e", 1, "g", 0))
             j = space.basis_index(("e", 0, "g", 0))
             bad[i, j] += 1e-13
             bad[j, i] += 1e-13
-            return HermitianOperator(space, bad)
+            return bad
 
-        monkeypatch.setattr(sweep, "hopping_operator", leaky_hopping)
+        monkeypatch.setattr(hamiltonian, "hopping_matrix", leaky_hopping)
         out = tmp_path / "x.csv"
         rc = main(["--zeta-range", "0", "20", "--steps", "3", "2", "--output", str(out)])
         assert rc == 1
@@ -822,11 +844,25 @@ class TestCli:
 
 
 def test_import_leaves_scipy_out():
-    """Nor does it build the CSV encoder's tables or import fractions/decimal."""
+    """Nor does it import fractions/decimal, or call any function that builds
+    an operator or the CSV encoder's tables, so no per-run work hides in it."""
     src = Path(squeezetransfer.__file__).resolve().parents[1]
-    code = ("import sys, squeezetransfer.sweep, squeezetransfer.csvtext as c; "
-            "print(c._tables.cache_info().currsize "
-            "or any(m in sys.modules for m in ('scipy', 'fractions', 'decimal')))")
+    code = """
+import json, sys
+builders = {"tensor_product", "embed", "_tables", "_layouts"}
+calls = []
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in builders:
+        calls.append(frame.f_code.co_name)
+
+sys.setprofile(record)
+import squeezetransfer.sweep
+sys.setprofile(None)
+from squeezetransfer import csvtext
+print(json.dumps([calls, csvtext._tables.cache_info().currsize,
+                  [m for m in ("scipy", "fractions", "decimal") if m in sys.modules]]))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -835,7 +871,7 @@ def test_import_leaves_scipy_out():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [[], 0, []]
 
 
 def test_python_m_runs_the_cli():

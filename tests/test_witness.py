@@ -42,6 +42,7 @@ from squeezetransfer.witness import (
     VIOLATION_TOL,
     BranchMismatchError,
     _smallest_eigenvalue_2x2,
+    _transverse_basis,
     branch_witnesses,
     closed_form_quadrature_variance,
     kitagawa_ueda_xi,
@@ -262,6 +263,17 @@ class TestSmallestEigenvalue2x2:
         m = rng.normal(size=(3, 5, 2, 2))
         m = m + m.swapaxes(-1, -2)
         assert _smallest_eigenvalue_2x2(m).shape == (3, 5)
+
+
+class TestTransverseBasis:
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (500, 3), (4, 5, 3)])
+    def test_second_column_is_np_cross_bit_for_bit(self, shape, rng):
+        n0 = rng.normal(size=shape)
+        n0 /= np.linalg.norm(n0, axis=-1, keepdims=True)
+        basis = _transverse_basis(n0)
+        assert basis.shape == shape + (2,)
+        e1, e2 = basis[..., 0], basis[..., 1]
+        assert e2.tobytes() == np.cross(n0, e1).tobytes()
 
 
 class TestMomentForms:
