@@ -12,7 +12,6 @@ from .hilbert import (
     expectation,
     photon_mode,
     standard_space,
-    tensor_product,
 )
 from .dynamics import (
     CoefficientSet,

@@ -116,10 +116,11 @@ def evolve_closed_form(
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Moduli and cross terms of the manifold amplitudes.
+    """Moduli of the manifold amplitudes, and the two cross terms that the
+    closed forms read (ac in the quadrature variance, ac and bd in analytic_rho_*).
 
     Cross-term fields hold X * conj(Y) for the letter pair in the name,
-    e.g. ab = A conj(B).  Every field is a scalar, or an (nt,) array when the
+    e.g. ac = A conj(C).  Every field is a scalar, or an (nt,) array when the
     set comes from a (4, nt) state.
     """
 
@@ -127,12 +128,8 @@ class CoefficientSet:
     abs_b2: float | np.ndarray
     abs_c2: float | np.ndarray
     abs_d2: float | np.ndarray
-    ab: complex | np.ndarray
     ac: complex | np.ndarray
-    ad: complex | np.ndarray
-    bc: complex | np.ndarray
     bd: complex | np.ndarray
-    cd: complex | np.ndarray
 
     def __post_init__(self):
         total = self.abs_a2 + self.abs_b2 + self.abs_c2 + self.abs_d2
@@ -140,12 +137,8 @@ class CoefficientSet:
         if not total_dev < NORM_TOL:
             raise ValueError(f"coefficient moduli sum deviates from 1 by {total_dev}")
         pairs = {
-            "ab": (self.ab, self.abs_a2, self.abs_b2),
             "ac": (self.ac, self.abs_a2, self.abs_c2),
-            "ad": (self.ad, self.abs_a2, self.abs_d2),
-            "bc": (self.bc, self.abs_b2, self.abs_c2),
             "bd": (self.bd, self.abs_b2, self.abs_d2),
-            "cd": (self.cd, self.abs_c2, self.abs_d2),
         }
         for name, (cross, m1, m2) in pairs.items():
             excess = np.max(np.abs(cross) ** 2 - m1 * m2)
@@ -163,12 +156,8 @@ def coefficients(state: ManifoldState) -> CoefficientSet:
         abs_b2=np.abs(b) ** 2,
         abs_c2=np.abs(c) ** 2,
         abs_d2=np.abs(d) ** 2,
-        ab=a * np.conj(b),
         ac=a * np.conj(c),
-        ad=a * np.conj(d),
-        bc=b * np.conj(c),
         bd=b * np.conj(d),
-        cd=c * np.conj(d),
     )
 
 

@@ -232,20 +232,6 @@ def embed(space: CompositeSpace, factor_ops: Sequence[Optional[np.ndarray]]) -> 
     return full
 
 
-def tensor_product(
-    space: CompositeSpace, factor_ops: Sequence[Optional[np.ndarray]]
-) -> Operator:
-    """embed(space, factor_ops) as an Operator.
-
-    Returns a HermitianOperator when the result is Hermitian, otherwise a
-    plain Operator (raising/lowering operators stay unchecked).
-    """
-    full = embed(space, factor_ops)
-    if hermiticity_deviation(full) < HERMITICITY_TOL:
-        return HermitianOperator(space, full)
-    return Operator(space, full)
-
-
 def expectation(op: Operator, rho: DensityMatrix) -> float | np.ndarray:
     """Tr(op rho), checked real to within 1e-10; one value per matrix of a stack."""
     if op.space != rho.space:

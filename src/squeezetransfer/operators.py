@@ -9,24 +9,11 @@ photon number stays clear of the Fock cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (
-    CompositeSpace,
-    HermitianOperator,
-    Kind,
-    Operator,
-    embed,
-    tensor_product,
-)
-
-# The (i, j) of the six symmetrized products among SpinTriple.moment_operators,
-# and the position among them of each entry of the 3x3 second-moment matrix.
-MOMENT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-SECOND_MOMENT_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+from .hilbert import CompositeSpace, HermitianOperator, Kind, Operator, embed
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,16 +27,6 @@ class SpinTriple:
     @property
     def components(self) -> tuple[HermitianOperator, ...]:
         return (self.x, self.y, self.z)
-
-    @cached_property
-    def moment_operators(self) -> np.ndarray:
-        """The 3 components, then the 6 symmetrized products {S_i, S_j}/2 for
-        (i, j) in MOMENT_PAIRS: a read-only (9, d, d) stack, built once."""
-        comps = [s.matrix for s in self.components]
-        products = [(comps[i] @ comps[j] + comps[j] @ comps[i]) / 2 for i, j in MOMENT_PAIRS]
-        ops = np.stack(comps + products)
-        ops.setflags(write=False)
-        return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +66,12 @@ def ladder(space: CompositeSpace, mode_index: int) -> tuple[Operator, Operator]:
     return Operator(space, low), Operator(space, high)
 
 
-def _transition_locals(
+def transition_matrices(
     space: CompositeSpace, cavity: int, transitions: Sequence[tuple[str, str]]
-) -> tuple[int, np.ndarray]:
-    """The factor index of the atom of the given cavity, and the (k, 2, 2)
-    stack of |to><from| for each (from_level, to_level) of `transitions`."""
+) -> np.ndarray:
+    """|to><from| on the atom of the given cavity (1 or 2), identity elsewhere,
+    for each (from_level, to_level) of `transitions`: a (k, d, d) stack of bare
+    matrices."""
     if cavity not in (1, 2):
         raise ValueError(f"cavity must be 1 or 2, got {cavity}")
     levels = ("g", "e")
@@ -105,24 +83,7 @@ def _transition_locals(
     atoms = space.factor_indices(Kind.ATOM)
     if len(atoms) < cavity:
         raise ValueError(f"space has {len(atoms)} atom factors, cavity {cavity} requested")
-    return atoms[cavity - 1], local
-
-
-def atomic_transition(
-    space: CompositeSpace, cavity: int, from_level: str, to_level: str
-) -> Operator:
-    """|to><from| on the atom of the given cavity (1 or 2), identity elsewhere."""
-    index, local = _transition_locals(space, cavity, [(from_level, to_level)])
-    return tensor_product(space, _on_factor(space, index, local[0]))
-
-
-def transition_matrices(
-    space: CompositeSpace, cavity: int, transitions: Sequence[tuple[str, str]]
-) -> np.ndarray:
-    """atomic_transition(space, cavity, from_level, to_level) for each
-    (from_level, to_level) of `transitions`, as a (k, d, d) stack of bare matrices."""
-    index, local = _transition_locals(space, cavity, transitions)
-    return embed(space, _on_factor(space, index, local))
+    return embed(space, _on_factor(space, atoms[cavity - 1], local))
 
 
 def _single_atom_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

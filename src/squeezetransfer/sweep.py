@@ -48,8 +48,8 @@ from .witness import (
     contraction_matrix,
     density_spin_moments,
     kitagawa_ueda_xi_of,
-    manifold_spin_moments,
     moment_matrix,
+    moment_operators,
     ossi_of,
     sorensen_xi_e2_of,
 )
@@ -117,8 +117,6 @@ class SweepConfig:
     time_grid: GridSpec = GridSpec(0.0, 20.0, 401)
     observables: tuple[str, ...] = DEFAULT_OBSERVABLES
     method: Method = Method.CLOSED_FORM
-    output_path: str = "sweep.csv"
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.params.zeta != 0:
@@ -132,8 +130,6 @@ class SweepConfig:
             raise ValueError(f"unknown observables: {unknown}")
         if not self.observables or len(set(self.observables)) < len(self.observables):
             raise ValueError(f"need distinct observables, got {list(self.observables) or 'none'}")
-        if self.output_format not in _WRITERS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -221,13 +217,15 @@ def _max_disagreement(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Every grid cell, as one (n_zeta, n_t) array per column filled row by row.
 
-    The two routes find each side's spin moments independently.  The closed
-    form contracts its amplitudes with (16, 9) moment matrices built once per
-    sweep from the full-space spin operators.  The oracle contracts the reduced
-    states of its full-space vectors (reduced_states) with contraction matrices
-    of the reduced-space spin operators, also built once per sweep.  ineq_a,
-    ineq_p and var_x* are the paper's closed forms in the coefficients, which
-    the oracle takes from its vectors projected onto the manifold.
+    The two routes find each side's spin moments independently, each with one
+    density_spin_moments per side and row.  The closed form contracts the
+    (nt, 4, 4) manifold density matrices a a^dag of its amplitudes with (16, 9)
+    moment matrices built once per sweep from the full-space spin operators.
+    The oracle contracts the reduced states of its full-space vectors
+    (reduced_states) with contraction matrices of the reduced-space spin
+    operators, also built once per sweep.  ineq_a, ineq_p and var_x* are the
+    paper's closed forms in the coefficients, which the oracle takes from its
+    vectors projected onto the manifold.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -240,10 +238,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
         phi = blocks[0].basis
-        matrices = {s: moment_matrix(spin_of[s](space).moment_operators, phi) for s in sides}
+        matrices = {s: moment_matrix(moment_operators(spin_of[s](space)), phi) for s in sides}
     if oracle:
         spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
-        contractions = {s: contraction_matrix(spin.moment_operators) for s, spin in spins.items()}
+        contractions = {s: contraction_matrix(moment_operators(spin)) for s, spin in spins.items()}
     values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
     disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
     for i, (zeta, block) in enumerate(zip(zetas, blocks)):
@@ -251,9 +249,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             columns = []
             if closed:
                 state = ManifoldState(evolve_closed_form_grid(config.branch, block, times), times)
-                moments = {
-                    s: manifold_spin_moments(state.amplitudes, m) for s, m in matrices.items()
-                }
+                a = state.amplitudes.T
+                rho = a[:, :, None] * a.conj()[:, None, :] if sides else None  # a a^dag
+                moments = {s: density_spin_moments(rho, m) for s, m in matrices.items()}
                 columns.append(_row_columns(coefficients(state), moments, config))
             if oracle:
                 # model_operators' last step is h += zeta * hop: the same
@@ -424,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="sweep.csv")
     parser.add_argument(
         "--params-file",
-        help="JSON file with flat keys among: omega, mu, eta, lambda, e_g, e_e",
+        help="JSON file with flat keys among: omega, mu, eta, lambda (alias lam), e_g, e_e",
     )
     return parser
 
@@ -452,8 +450,6 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         time_grid=GridSpec(args.time_range[0], args.time_range[1], args.steps[1]),
         observables=tuple(s.strip() for s in args.observables.split(",")),
         method=Method(args.method),
-        output_path=args.output,
-        output_format=args.format,
     )
 
 
@@ -462,12 +458,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = config_from_args(args)
         result = run_sweep(config)
-        emit(result, config.columns, config.output_format, config.output_path,
+        emit(result, config.columns, args.format, args.output,
              include_disagreement=config.method is Method.BOTH)
-    except (ValueError, SweepError, ModelInconsistencyError, OSError) as exc:
+    except (ValueError, SweepError, ModelInconsistencyError, NumericalConsistencyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = f"wrote {len(result)} cells to {config.output_path}"
+    summary = f"wrote {len(result)} cells to {args.output}"
     if config.method is not Method.BOTH:
         print(summary)
         return 0

@@ -4,11 +4,12 @@ Generic path: the four collective-spin inequalities evaluated on a density
 matrix (violation of any witnesses particle entanglement), the Kitagawa-Ueda
 parameter xi, and the Sorensen parameter xi_e^2.  Each is a function of the
 spin mean and covariance; given a stacked DensityMatrix (one matrix per time)
-every value becomes an array over the stack.  The mean and covariance come
-from spin_moments on a DensityMatrix, from density_spin_moments on a stack of
-density matrices through the contraction_matrix of the moment operators, or
-from manifold_spin_moments on the four manifold amplitudes through the 4x4
-matrices basis^dag O basis of the same operators (moment_matrix).
+every value becomes an array over the stack.  The mean and covariance are
+the expectations of the nine moment_operators of a spin; density_spin_moments
+contracts a stack of density matrices with them.  The contraction is either
+the contraction_matrix of the operators themselves, or the moment_matrix of
+their 4x4 blocks basis^dag O basis on the four-state manifold, which takes the
+manifold density matrices a a^dag of manifold amplitudes a.
 
 Closed-form path: the per-branch witness expressions in the manifold
 coefficients, plus the per-branch quadrature-variance expressions.  The two
@@ -36,17 +37,30 @@ from .hilbert import (
     expectation,
     hermiticity_deviation,
 )
-from .operators import SECOND_MOMENT_INDEX, QuadraturePair, SpinTriple
+from .operators import QuadraturePair, SpinTriple
 
 VIOLATION_TOL = 1e-10
 MEAN_SPIN_FLOOR = 1e-8
 DENOMINATOR_FLOOR = 1e-12
 
 _AXES = ("x", "y", "z")
+# The (i, j) of the six symmetrized products among moment_operators, and the
+# position among them of each entry of the 3x3 second-moment matrix.
+_MOMENT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SECOND_MOMENT_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class BranchMismatchError(ValueError):
     """Coefficients do not belong to the requested initial-state branch."""
+
+
+def moment_operators(spin: SpinTriple) -> np.ndarray:
+    """The 3 components, then the 6 symmetrized products {S_i, S_j}/2 for
+    (i, j) in _MOMENT_PAIRS: the (9, d, d) stack whose expectations make the
+    spin mean and covariance."""
+    comps = [s.matrix for s in spin.components]
+    products = [(comps[i] @ comps[j] + comps[j] @ comps[i]) / 2 for i, j in _MOMENT_PAIRS]
+    return np.stack(comps + products)
 
 
 def contraction_matrix(operators: np.ndarray) -> np.ndarray:
@@ -57,7 +71,7 @@ def contraction_matrix(operators: np.ndarray) -> np.ndarray:
 
 
 def _mean_and_covariance(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split (..., 9) values of SpinTriple.moment_operators into the mean and
+    """Split (..., 9) values of moment_operators into the mean and
     the symmetrized covariance, after checking them real to within IMAG_TOL."""
     residue = np.max(np.abs(vals.imag))
     if not residue < IMAG_TOL:
@@ -65,13 +79,13 @@ def _mean_and_covariance(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"spin moment has imaginary residue {residue:.3e}"
         )
     mean = vals.real[..., :3]
-    second = vals.real[..., 3:][..., SECOND_MOMENT_INDEX]
+    second = vals.real[..., 3:][..., _SECOND_MOMENT_INDEX]
     return mean, second - mean[..., :, None] * mean[..., None, :]
 
 
 def density_spin_moments(rho: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """spin_moments of a (..., d, d) stack of density matrices, from the (d*d, 9)
-    contraction_matrix of SpinTriple.moment_operators."""
+    contraction_matrix or moment_matrix of moment_operators."""
     flat = rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
     return _mean_and_covariance(flat @ matrix)
 
@@ -81,12 +95,12 @@ def spin_moments(rho: DensityMatrix, spin: SpinTriple) -> tuple[np.ndarray, np.n
     and (..., 3, 3) for a stack of matrices.
 
     One contraction of the flattened states against the 3 components and the
-    6 symmetrized products of spin.moment_operators.  Every value is checked
+    6 symmetrized products of moment_operators(spin).  Every value is checked
     real to within IMAG_TOL.
     """
     if spin.x.space != rho.space:
         raise DimensionMismatchError("operator and state live on different spaces")
-    return density_spin_moments(rho.matrix, contraction_matrix(spin.moment_operators))
+    return density_spin_moments(rho.matrix, contraction_matrix(moment_operators(spin)))
 
 
 def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -95,7 +109,8 @@ def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
     Each operator O becomes its 4x4 matrix basis^dag O basis on the manifold,
     checked Hermitian to within HERMITICITY_TOL, so that for amplitudes `a`
     over the columns of `basis` the expectation is <O> = a^dag (basis^dag O
-    basis) a.  Columns are laid out for manifold_spin_moments.
+    basis) a = Tr((basis^dag O basis) a a^dag): the matrix is laid out for
+    density_spin_moments of the (..., 4, 4) stack of a a^dag.
     """
     if basis.shape != (operators.shape[-1], 4):
         raise DimensionMismatchError(
@@ -108,17 +123,6 @@ def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
             f"manifold moment matrix deviates from Hermiticity by {dev:.3e}"
         )
     return contraction_matrix(blocks)
-
-
-def manifold_spin_moments(
-    amplitudes: np.ndarray, matrix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """spin_moments of the pure states with the given (4, ...) manifold
-    amplitudes, from the (16, 9) moment_matrix of SpinTriple.moment_operators:
-    one product of the flattened amplitude outer products a a^dag."""
-    a = np.asarray(amplitudes, dtype=complex)
-    outer = (a[:, None] * a.conj()[None, :]).reshape((16,) + a.shape[1:])
-    return _mean_and_covariance(np.moveaxis(outer, 0, -1) @ matrix)
 
 
 @dataclass(frozen=True)

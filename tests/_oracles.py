@@ -8,11 +8,16 @@ import math
 import numpy as np
 
 from squeezetransfer import csvtext
-from squeezetransfer.dynamics import CoefficientSet, InitialState, ManifoldState
+from squeezetransfer.dynamics import InitialState, ManifoldState
 from squeezetransfer.hamiltonian import ManifoldBlock
 from squeezetransfer.hilbert import CompositeSpace, DensityMatrix, Kind
 from squeezetransfer.operators import SpinTriple
-from squeezetransfer.witness import MEAN_SPIN_FLOOR, _transverse_basis, spin_moments
+from squeezetransfer.witness import (
+    MEAN_SPIN_FLOOR,
+    _mean_and_covariance,
+    _transverse_basis,
+    spin_moments,
+)
 
 
 def transverse_variance(rho: DensityMatrix, spin: SpinTriple, angle: float) -> float:
@@ -26,6 +31,18 @@ def transverse_variance(rho: DensityMatrix, spin: SpinTriple, angle: float) -> f
         raise ValueError("mean spin direction undefined")
     n = _transverse_basis(mean / norm) @ np.array([math.cos(angle), math.sin(angle)])
     return float(n @ cov @ n)
+
+
+def manifold_spin_moments(
+    amplitudes: np.ndarray, matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments of the pure states with the given (4, ...) manifold
+    amplitudes a, as <O> = a^dag (Phi^dag O Phi) a: the flattened outer
+    products a a^dag, one per state, in one product with the (16, 9)
+    moment_matrix.  The reference for density_spin_moments on a a^dag stacks."""
+    a = np.asarray(amplitudes, dtype=complex)
+    outer = (a[:, None] * a.conj()[None, :]).reshape((16,) + a.shape[1:])
+    return _mean_and_covariance(np.moveaxis(outer, 0, -1) @ matrix)
 
 
 def brute_force_reduced_state(vec: np.ndarray, space: CompositeSpace, kind: Kind) -> np.ndarray:
@@ -66,9 +83,10 @@ def sector_constants(evecs: np.ndarray, weight: float) -> tuple[float, float]:
 
 def coefficient_formulas(
     block: ManifoldBlock, branch: InitialState, t: float
-) -> CoefficientSet:
-    """Coefficients from explicit algebraic formulas in the sector constants
-    (independent of the spectral propagation path).
+) -> dict[str, float | complex]:
+    """The moduli abs_x2 = |X|^2 and all six cross terms xy = X conj(Y) of the
+    amplitudes, keyed by name, from explicit algebraic formulas in the sector
+    constants (independent of the spectral propagation path).
 
     The last exponent of the BC* cross term must be omega_4 - omega_2; the
     superficially symmetric alternative omega_4 - omega_3 breaks
@@ -87,18 +105,18 @@ def coefficient_formulas(
     abs_b2 = 2 * alpha1**2 * a1**2 * (1 - np.cos(d12 * t))
 
     if branch is InitialState.ENTANGLED_SYMMETRIC:
-        return CoefficientSet(
-            abs_a2=float(abs_a2),
-            abs_b2=float(abs_b2),
-            abs_c2=0.0,
-            abs_d2=0.0,
-            ab=complex(ab),
-            ac=0j,
-            ad=0j,
-            bc=0j,
-            bd=0j,
-            cd=0j,
-        )
+        return {
+            "abs_a2": float(abs_a2),
+            "abs_b2": float(abs_b2),
+            "abs_c2": 0.0,
+            "abs_d2": 0.0,
+            "ab": complex(ab),
+            "ac": 0j,
+            "ad": 0j,
+            "bc": 0j,
+            "bd": 0j,
+            "cd": 0j,
+        }
 
     a3, alpha3 = sector_constants(block.vecs_anti, weight)
     e = np.exp
@@ -129,18 +147,18 @@ def coefficient_formulas(
     cd = alpha3 * a3**2 * (
         1 - e(1j * (w4 - w3) * t) + alpha3**2 * (e(1j * (w3 - w4) * t) - 1)
     )
-    return CoefficientSet(
-        abs_a2=float(abs_a2),
-        abs_b2=float(abs_b2),
-        abs_c2=float(abs_c2),
-        abs_d2=float(abs_d2),
-        ab=complex(ab),
-        ac=complex(ac),
-        ad=complex(ad),
-        bc=complex(bc),
-        bd=complex(bd),
-        cd=complex(cd),
-    )
+    return {
+        "abs_a2": float(abs_a2),
+        "abs_b2": float(abs_b2),
+        "abs_c2": float(abs_c2),
+        "abs_d2": float(abs_d2),
+        "ab": complex(ab),
+        "ac": complex(ac),
+        "ad": complex(ad),
+        "bc": complex(bc),
+        "bd": complex(bd),
+        "cd": complex(cd),
+    }
 
 
 def layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

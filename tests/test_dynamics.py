@@ -143,15 +143,21 @@ class TestOracleAgreement:
 class TestCoefficients:
     def test_sum_to_one_enforced(self):
         with pytest.raises(ValueError):
-            CoefficientSet(0.5, 0.1, 0.1, 0.1, 0j, 0j, 0j, 0j, 0j, 0j)
+            CoefficientSet(0.5, 0.1, 0.1, 0.1, 0j, 0j)
 
-    def test_cauchy_schwarz_enforced(self):
-        with pytest.raises(ValueError):
-            CoefficientSet(0.5, 0.5, 0.0, 0.0, 0.9 + 0j, 0j, 0j, 0j, 0j, 0j)
+    @pytest.mark.parametrize("field", ["ac", "bd"])
+    def test_cauchy_schwarz_enforced(self, field):
+        # |ac|^2 <= |A|^2 |C|^2 and |bd|^2 <= |B|^2 |D|^2, with |C|^2 = |D|^2 = 0
+        cross = {"ac": 0j, "bd": 0j, field: 0.9 + 0j}
+        with pytest.raises(ValueError, match=f"cross term {field} violates Cauchy-Schwarz"):
+            CoefficientSet(0.5, 0.5, 0.0, 0.0, **cross)
+        CoefficientSet(0.5, 0.5, 0.0, 0.0, 0j, 0j)
 
-    def test_nan_rejected(self):
+    @pytest.mark.parametrize("field", ["ac", "bd"])
+    def test_nan_rejected(self, field):
+        cross = {"ac": 0j, "bd": 0j, field: complex(np.nan)}
         with pytest.raises(ValueError):
-            CoefficientSet(1.0, 0.0, 0.0, 0.0, complex(np.nan), 0j, 0j, 0j, 0j, 0j)
+            CoefficientSet(1.0, 0.0, 0.0, 0.0, **cross)
 
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_row_matches_single_states(self, branch, default_block):
@@ -163,9 +169,7 @@ class TestCoefficients:
         assert rho_p.shape == (len(TIMES), 9, 9)
         for k, t in enumerate(TIMES):
             single = coefficients(ManifoldState(amps[:, k], t))
-            for field in (
-                "abs_a2", "abs_b2", "abs_c2", "abs_d2", "ab", "ac", "ad", "bc", "bd", "cd",
-            ):
+            for field in ("abs_a2", "abs_b2", "abs_c2", "abs_d2", "ac", "bd"):
                 assert getattr(row, field)[k] == pytest.approx(
                     getattr(single, field), abs=1e-15
                 ), field
@@ -175,14 +179,20 @@ class TestCoefficients:
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("t", TIMES)
     def test_explicit_formulas_match_spectral(self, branch, t, default_block):
-        spectral = coefficients(evolve_closed_form(branch, default_block, t))
+        state = evolve_closed_form(branch, default_block, t)
+        a, c, b, d = state.amplitudes  # (phi1, phi2, phi3, phi4) -> (A, C, B, D)
+        amp = {"a": a, "b": b, "c": c, "d": d}
         explicit = coefficient_formulas(default_block, branch, t)
-        for field in (
-            "abs_a2", "abs_b2", "abs_c2", "abs_d2", "ab", "ac", "ad", "bc", "bd", "cd",
-        ):
-            assert getattr(explicit, field) == pytest.approx(
-                getattr(spectral, field), abs=1e-10
-            ), field
+        assert len(explicit) == 10
+        for name, value in explicit.items():
+            if name.startswith("abs_"):
+                want = abs(amp[name[4]]) ** 2
+            else:
+                want = amp[name[0]] * np.conj(amp[name[1]])
+            assert value == pytest.approx(want, abs=1e-10), name
+        spectral = coefficients(state)
+        for field in ("abs_a2", "abs_b2", "abs_c2", "abs_d2", "ac", "bd"):
+            assert getattr(spectral, field) == pytest.approx(explicit[field], abs=1e-10), field
 
     def test_sector_normalization_identity(self, default_block):
         # A1 (1 + alpha1^2) equals the initial photonic weight of the sector

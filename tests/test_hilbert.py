@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from squeezetransfer.hilbert import (
-    HERMITICITY_TOL,
     CompositeSpace,
     DensityMatrix,
     DimensionMismatchError,
@@ -12,10 +11,8 @@ from squeezetransfer.hilbert import (
     atom,
     embed,
     expectation,
-    hermiticity_deviation,
     photon_mode,
     standard_space,
-    tensor_product,
 )
 from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospin
 
@@ -44,20 +41,22 @@ def test_basis_enumeration_row_major(space):
     assert len(set(labels)) == 36
 
 
-def test_tensor_product_identity():
+def test_embed_identity():
     sp = CompositeSpace((atom(), atom()))
-    op = tensor_product(sp, [None, None])
-    assert np.array_equal(op.matrix, np.eye(4))
+    assert np.array_equal(embed(sp, [None, None]), np.eye(4))
 
 
-def test_tensor_product_sigma_z_first_factor():
+def test_embed_sigma_z_first_factor():
     sp = CompositeSpace((atom(), atom()))
-    op = tensor_product(sp, [SIGMA_Z, None])
-    gg = sp.basis_vector(("g", "g"))
-    assert np.allclose(op.matrix @ gg, -gg)
+    gg, ge = sp.basis_vector(("g", "g")), sp.basis_vector(("g", "e"))
+    eg = sp.basis_vector(("e", "g"))
+    sz1 = embed(sp, [SIGMA_Z, None])
+    assert np.allclose(sz1 @ gg, -gg)
+    assert np.allclose(sz1 @ ge, -ge)
+    assert np.allclose(sz1 @ eg, eg)
 
 
-def test_tensor_product_collective_sx_action():
+def test_collective_sx_action():
     # S_x |g,g> = (|e,g> + |g,e>)/2, expanded by hand from the Pauli matrices
     sp = CompositeSpace((atom(), atom()))
     spin = collective_atomic_spin(sp)
@@ -85,23 +84,17 @@ def _random_local(rng, d, hermitian):
 
 
 @pytest.mark.parametrize("n_max", [2, 3])
-def test_tensor_product_matches_kron_chain_bit_for_bit(n_max, rng):
+def test_embed_matches_kron_chain_bit_for_bit(n_max, rng):
     space = standard_space(n_max)
-    kinds = set()
     for trial in range(40):
         ops = [
             None if rng.random() < 0.5
             else _random_local(rng, f.dimension, hermitian=trial % 2 == 0)
             for f in space.factors
         ]
-        expected = _kron_chain(space, ops)
-        assert embed(space, ops).tobytes() == expected.tobytes()
-        op = tensor_product(space, ops)
-        assert op.matrix.tobytes() == expected.tobytes()
-        hermitian = hermiticity_deviation(expected) < HERMITICITY_TOL
-        assert type(op) is (HermitianOperator if hermitian else Operator)
-        kinds.add(type(op))
-    assert kinds == {HermitianOperator, Operator}
+        got = embed(space, ops)
+        assert got.shape == (space.total_dim, space.total_dim)
+        assert got.tobytes() == _kron_chain(space, ops).tobytes()
 
 
 def test_embed_of_a_stack_is_the_stack_of_products(rng):
@@ -114,16 +107,19 @@ def test_embed_of_a_stack_is_the_stack_of_products(rng):
         assert got[k].tobytes() == _kron_chain(space, [None, local, atom_op, None]).tobytes()
 
 
-def test_tensor_product_dimension_mismatch_names_factor():
+def test_embed_dimension_mismatch_names_factor():
     sp = CompositeSpace((atom(), photon_mode(2)))
     with pytest.raises(DimensionMismatchError, match="factor 1"):
-        tensor_product(sp, [None, np.eye(2)])
+        embed(sp, [None, np.eye(2)])
+    with pytest.raises(DimensionMismatchError, match="factor 0"):
+        embed(sp, [np.stack([np.eye(3)] * 2), None])
 
 
-def test_tensor_product_wrong_arity():
+@pytest.mark.parametrize("n_ops", [0, 1, 3])
+def test_embed_wrong_arity(n_ops):
     sp = CompositeSpace((atom(), atom()))
-    with pytest.raises(DimensionMismatchError):
-        tensor_product(sp, [None])
+    with pytest.raises(DimensionMismatchError, match=f"{n_ops} factor operators"):
+        embed(sp, [None] * n_ops)
 
 
 def test_hermitian_operator_rejects_non_hermitian():
@@ -136,7 +132,7 @@ def test_expectation_identity(space, rng):
     v = rng.normal(size=36) + 1j * rng.normal(size=36)
     v /= np.linalg.norm(v)
     rho = DensityMatrix.from_state_vector(space, v)
-    ident = tensor_product(space, [None] * 4)
+    ident = Operator(space, embed(space, [None] * 4))
     assert expectation(ident, rho) == pytest.approx(1.0, abs=1e-12)
 
 

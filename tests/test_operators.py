@@ -10,13 +10,13 @@ from squeezetransfer.hilbert import (
     standard_space,
 )
 from squeezetransfer.operators import (
-    atomic_transition,
     collective_atomic_spin,
     commutator,
     ladder,
     photonic_pseudospin,
     quadratures,
     total_photon_projector,
+    transition_matrices,
 )
 
 
@@ -49,29 +49,44 @@ class TestLadder:
             ladder(space, 0)
 
 
-class TestAtomicTransition:
+class TestTransitionMatrices:
     def test_projector_on_ground(self, space):
-        see = atomic_transition(space, 1, "e", "e")
+        (see,) = transition_matrices(space, 1, [("e", "e")])
         v = space.basis_vector(("g", 0, "g", 0))
-        assert np.allclose(see.matrix @ v, 0)
+        assert np.allclose(see @ v, 0)
 
     def test_raising(self, space):
-        seg = atomic_transition(space, 1, "g", "e")  # |e><g|
+        (seg,) = transition_matrices(space, 1, [("g", "e")])  # |e><g|
         v = space.basis_vector(("g", 0, "g", 0))
-        assert np.allclose(seg.matrix @ v, space.basis_vector(("e", 0, "g", 0)))
+        assert np.allclose(seg @ v, space.basis_vector(("e", 0, "g", 0)))
 
     def test_population_difference(self, space):
-        see = atomic_transition(space, 2, "e", "e")
-        sgg = atomic_transition(space, 2, "g", "g")
+        see, sgg = transition_matrices(space, 2, [("e", "e"), ("g", "g")])
         rho = DensityMatrix.from_state_vector(space, space.basis_vector(("g", 0, "e", 0)))
         from squeezetransfer.hilbert import HermitianOperator
 
-        diff = HermitianOperator(space, see.matrix - sgg.matrix)
+        diff = HermitianOperator(space, see - sgg)
         assert expectation(diff, rho) == pytest.approx(1.0, abs=1e-14)
 
-    def test_rejects_bad_level(self, space):
+    def test_stack_is_each_transition_in_order(self, space):
+        pairs = [("e", "e"), ("g", "g"), ("g", "e"), ("e", "g")]
+        stack = transition_matrices(space, 2, pairs)
+        assert stack.shape == (4, 36, 36)
+        for (from_level, to_level), m in zip(pairs, stack):
+            for label in space.basis_labels:
+                out = m @ space.basis_vector(label)
+                if label[2] != from_level:
+                    assert not out.any()
+                else:
+                    moved = (label[0], label[1], to_level, label[3])
+                    assert np.array_equal(out, space.basis_vector(moved))
+
+    @pytest.mark.parametrize(
+        "cavity,pairs", [(1, [("g", "f")]), (2, [("e", "g"), ("x", "e")]), (3, [("g", "e")])]
+    )
+    def test_rejects_bad_level_or_cavity(self, space, cavity, pairs):
         with pytest.raises(ValueError):
-            atomic_transition(space, 1, "g", "f")
+            transition_matrices(space, cavity, pairs)
 
 
 class TestCollectiveSpin:

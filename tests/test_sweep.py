@@ -268,29 +268,30 @@ class TestRunSweep:
             real = getattr(sweep, name)
 
             def counting(*args):
-                shape = args[0].shape if name.endswith("matrix") else ()
+                shape = args[0].shape if name != "reduced_states" else ()
                 calls.append((name, *shape))
                 return real(*args)
 
             monkeypatch.setattr(sweep, name, counting)
 
-        for name in ("moment_matrix", "manifold_spin_moments", "contraction_matrix",
-                     "reduced_states", "density_spin_moments"):
+        for name in ("moment_matrix", "contraction_matrix", "reduced_states",
+                     "density_spin_moments"):
             spy(name)
         forbidden = _forbid_checked_and_analytic_states(monkeypatch)
         cfg = small_config(method=Method.BOTH, observables=observables)
         run_sweep(cfg)
         # Once per sweep: one moment matrix per side for the closed form, and
         # one contraction matrix of the reduced-space spin per side for the
-        # oracle.  Per row: one moment pass per side on the amplitudes; one
-        # Gram reduction of the oracle's vectors when a side is read, and one
-        # contraction per side.
-        reduced = {"atoms": (9, 4, 4), "photons": (9, 9, 9)}
+        # oracle.  Per row: one contraction per side of the closed form's
+        # (nt, 4, 4) stack a a^dag; one Gram reduction of the oracle's vectors
+        # when a side is read, and one contraction per side of its states.
+        nt = cfg.time_grid.steps
+        reduced = {"atoms": (4, 4), "photons": (9, 9)}
         once = [("moment_matrix", 9, 36, 36)] * len(sides)
-        once += [("contraction_matrix", *reduced[s]) for s in sides]
-        per_row = [("manifold_spin_moments",)] * len(sides)
+        once += [("contraction_matrix", 9, *reduced[s]) for s in sides]
+        per_row = [("density_spin_moments", nt, 4, 4)] * len(sides)
         per_row += [("reduced_states",)] * bool(sides)
-        per_row += [("density_spin_moments",)] * len(sides)
+        per_row += [("density_spin_moments", nt, *reduced[s]) for s in sides]
         assert calls == once + per_row * cfg.zeta_grid.steps
         assert forbidden == []
 
@@ -298,11 +299,59 @@ class TestRunSweep:
         import squeezetransfer.sweep as sweep
 
         calls = _forbid_checked_and_analytic_states(monkeypatch)
-        for name in ("reduced_states", "density_spin_moments", "contraction_matrix"):
+        for name in ("reduced_states", "contraction_matrix"):
             monkeypatch.setattr(sweep, name, lambda *a, _name=name: calls.append(_name))
+        real = sweep.density_spin_moments
+        shapes = []
+
+        def recording(rho, matrix):
+            shapes.append(rho.shape)
+            return real(rho, matrix)
+
+        monkeypatch.setattr(sweep, "density_spin_moments", recording)
         for branch in InitialState:
-            run_sweep(small_config(branch=branch, observables=sweep.OBSERVABLES))
+            cfg = small_config(branch=branch, observables=sweep.OBSERVABLES)
+            run_sweep(cfg)
+        nt, rows = cfg.time_grid.steps, cfg.zeta_grid.steps
         assert calls == []
+        assert shapes == [(nt, 4, 4)] * (2 * rows * len(InitialState))
+
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_closed_form_moments_are_the_amplitude_formula_bit_for_bit(self, branch):
+        """Every moment column of the closed route equals, bit for bit, the
+        witnesses of a^dag (Phi^dag O Phi) a from the row's amplitudes."""
+        from squeezetransfer.dynamics import evolve_closed_form_grid
+        from squeezetransfer.hamiltonian import manifold_blocks, model_operators
+        from squeezetransfer.hilbert import standard_space
+        from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospin
+        from squeezetransfer.witness import (
+            kitagawa_ueda_xi_of, moment_matrix, moment_operators, ossi_of, sorensen_xi_e2_of,
+        )
+
+        from _oracles import manifold_spin_moments
+
+        cfg = small_config(branch=branch, params=ModelParams(mu=0.13, eta=-0.07),
+                           zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 61),
+                           observables=("ossi_full", "xi", "xi_e2"))
+        result = run_sweep(cfg)
+        space = standard_space()
+        blocks = manifold_blocks(*model_operators(cfg.params, space), cfg.zeta_grid.values(),
+                                 cfg.params.lam)
+        spins = {"atoms": collective_atomic_spin(space), "photons": photonic_pseudospin(space)}
+        for i, block in enumerate(blocks):
+            amps = evolve_closed_form_grid(branch, block, cfg.time_grid.values())
+            for side, spin in spins.items():
+                matrix = moment_matrix(moment_operators(spin), blocks[0].basis)
+                moments = manifold_spin_moments(amps, matrix)
+                rep = ossi_of(*moments, 2)
+                want = {"a": rep.slack_a, "b": rep.slack_b,
+                        **{f"c_{ax}": v for ax, v in rep.slack_c.items()},
+                        **{f"d_{ax}": v for ax, v in rep.slack_d.items()}}
+                for name, value in want.items():
+                    assert result.values[f"{side}_slack_{name}"][i].tobytes() == value.tobytes()
+                if side == "atoms":
+                    for col, fn in (("xi", kitagawa_ueda_xi_of), ("xi_e2", sorensen_xi_e2_of)):
+                        assert result.values[col][i].tobytes() == fn(*moments, 2).tobytes()
 
     def test_oracle_fails_closed_on_weight_outside_the_manifold(
         self, tmp_path, capsys, monkeypatch
@@ -732,6 +781,24 @@ class TestCli:
         assert err.startswith("error:") and "leaks out of the four-state manifold" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "params", [{"e_g": 1e308, "e_e": 1e308}, {"e_g": -1.7e308, "e_e": -1.7e308},
+                   {"mu": 1e308, "eta": -1e308}],
+    )
+    def test_main_reports_overflowing_params(self, params, tmp_path, capsys):
+        # finite params whose sums overflow make H(0) nan before any row runs
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        out = tmp_path / "x.csv"
+        rc = main(["--params-file", str(pfile), "--zeta", "0.5", "--steps", "1", "3",
+                   "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_main_fails_closed_on_leaky_hopping(self, tmp_path, capsys, monkeypatch):
         import squeezetransfer.hamiltonian as hamiltonian
         from squeezetransfer.hilbert import standard_space
@@ -849,7 +916,7 @@ def test_import_leaves_scipy_out():
     src = Path(squeezetransfer.__file__).resolve().parents[1]
     code = """
 import json, sys
-builders = {"tensor_product", "embed", "_tables", "_layouts"}
+builders = {"embed", "_tables", "_layouts"}
 calls = []
 
 def record(frame, event, arg):

@@ -47,8 +47,9 @@ from squeezetransfer.witness import (
     closed_form_quadrature_variance,
     kitagawa_ueda_xi,
     kitagawa_ueda_xi_of,
-    manifold_spin_moments,
+    density_spin_moments,
     moment_matrix,
+    moment_operators,
     ossi,
     ossi_of,
     quadrature_variances,
@@ -57,7 +58,7 @@ from squeezetransfer.witness import (
     spin_moments,
 )
 
-from _oracles import transverse_variance
+from _oracles import manifold_spin_moments, transverse_variance
 from conftest import random_separable_two_qubit
 
 
@@ -157,15 +158,17 @@ def random_amplitudes(rng, n):
     return amps / np.linalg.norm(amps, axis=0)
 
 
-class TestMomentOperators:
-    def test_built_once_and_read_only(self, atom_spin):
-        ops = atom_spin.moment_operators
-        assert ops is atom_spin.moment_operators
-        assert ops.shape == (9, 4, 4) and not ops.flags.writeable
+def manifold_density(amps):
+    """The (n, 4, 4) stack of a a^dag for (4, n) amplitudes, as run_sweep builds it."""
+    a = amps.T
+    return a[:, :, None] * a.conj()[:, None, :]
 
+
+class TestMomentOperators:
     def test_components_then_symmetrized_products(self, photon_spin):
         comps = [s.matrix for s in photon_spin.components]
-        ops = photon_spin.moment_operators
+        ops = moment_operators(photon_spin)
+        assert ops.shape == (9, 9, 9)
         for k in range(3):
             assert np.array_equal(ops[k], comps[k])
         pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -180,8 +183,8 @@ class TestManifoldMoments:
     def matrices(self, space):
         phi = manifold_basis(space)
         return {
-            "atoms": moment_matrix(collective_atomic_spin(space).moment_operators, phi),
-            "photons": moment_matrix(photonic_pseudospin(space).moment_operators, phi),
+            "atoms": moment_matrix(moment_operators(collective_atomic_spin(space)), phi),
+            "photons": moment_matrix(moment_operators(photonic_pseudospin(space)), phi),
         }
 
     @pytest.mark.parametrize("side", ["atoms", "photons"])
@@ -200,16 +203,25 @@ class TestManifoldMoments:
             rho, spin = DensityMatrix(atom_space, analytic_rho_atoms(coeffs)), atom_spin
         else:
             rho, spin = DensityMatrix(photon_space, analytic_rho_photons(coeffs)), photon_spin
-        mean, cov = manifold_spin_moments(amps, matrices[side])
+        mean, cov = density_spin_moments(manifold_density(amps), matrices[side])
         ref_mean, ref_cov = spin_moments(rho, spin)
         assert mean.shape == ref_mean.shape and cov.shape == ref_cov.shape
         assert np.max(np.abs(mean - ref_mean)) <= 1e-14
         assert np.max(np.abs(cov - ref_cov)) <= 1e-14
 
+    @pytest.mark.parametrize("side", ["atoms", "photons"])
+    def test_contraction_is_the_amplitude_formula_bit_for_bit(self, side, matrices, rng):
+        amps = random_amplitudes(rng, 1201)
+        got = density_spin_moments(manifold_density(amps), matrices[side])
+        want = manifold_spin_moments(amps, matrices[side])
+        assert [g.shape for g in got] == [(1201, 3), (1201, 3, 3)]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_single_state(self, matrices, rng):
         amps = random_amplitudes(rng, 3)
-        mean, cov = manifold_spin_moments(amps[:, 1], matrices["photons"])
-        row_mean, row_cov = manifold_spin_moments(amps, matrices["photons"])
+        mean, cov = density_spin_moments(manifold_density(amps)[1], matrices["photons"])
+        row_mean, row_cov = density_spin_moments(manifold_density(amps), matrices["photons"])
         assert mean.shape == (3,) and cov.shape == (3, 3)
         assert np.max(np.abs(mean - row_mean[1])) <= 1e-15
         assert np.max(np.abs(cov - row_cov[1])) <= 1e-15
@@ -219,23 +231,23 @@ class TestManifoldMoments:
         skew = Operator(space, 10j * IMAG_TOL * np.eye(space.total_dim))
         spin = SpinTriple(full.x, full.y, skew)
         with pytest.raises(NumericalConsistencyError, match="Hermiticity"):
-            moment_matrix(spin.moment_operators, manifold_basis(space))
+            moment_matrix(moment_operators(spin), manifold_basis(space))
 
     def test_accepts_deviation_below_tolerance(self, space):
         full = collective_atomic_spin(space)
         skew = Operator(space, 0.4j * HERMITICITY_TOL * np.eye(space.total_dim))
-        ops = SpinTriple(full.x, full.y, skew).moment_operators
+        ops = moment_operators(SpinTriple(full.x, full.y, skew))
         assert moment_matrix(ops, manifold_basis(space)).shape == (16, 9)
 
     def test_rejects_basis_of_other_space(self, atom_spin, space):
         with pytest.raises(DimensionMismatchError):
-            moment_matrix(atom_spin.moment_operators, manifold_basis(space))
+            moment_matrix(moment_operators(atom_spin), manifold_basis(space))
 
     def test_rejects_imaginary_residue(self, matrices):
         # amplitudes that are not a state make a Hermitian form complex
         bad = matrices["atoms"] + 10j * IMAG_TOL
         with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
-            manifold_spin_moments(np.array([1.0, 0.0, 0.0, 0.0]), bad)
+            density_spin_moments(manifold_density(np.array([[1.0], [0.0], [0.0], [0.0]])), bad)
 
 
 class TestSmallestEigenvalue2x2:
