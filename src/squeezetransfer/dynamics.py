@@ -14,7 +14,9 @@ the amplitudes over phi2 and phi4 (antisymmetric sector).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +61,8 @@ def initial_vector(kind: InitialState, space: CompositeSpace) -> np.ndarray:
 class ManifoldState:
     """Four complex amplitudes over (phi1, phi2, phi3, phi4) at a given time.
 
-    Amplitudes of shape (4, nt) with nt times hold one state per column.
+    Amplitudes of shape (4, nt) with nt times hold one state per column, and
+    of shape (4, ..., nt) a stack of such rows.
     """
 
     amplitudes: np.ndarray
@@ -67,7 +70,7 @@ class ManifoldState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape[:1] != (4,) or amp.ndim > 2:
+        if amp.shape[:1] != (4,):
             raise ValueError(f"need 4 amplitudes, got shape {amp.shape}")
         norm_dev = np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0))
         if not norm_dev < NORM_TOL:
@@ -80,29 +83,33 @@ class ManifoldState:
 def _block_propagate(
     evals: np.ndarray, evecs: np.ndarray, amp2: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """Spectral propagation of a 2-vector: shape (2, nt)."""
-    coeffs = evecs.conj().T @ amp2
-    phases = np.exp(-1j * np.outer(evals, times))
-    return evecs @ (coeffs[:, None] * phases)
+    """Spectral propagation of a 2-vector by each block of a stack, with
+    eigenvalues (n, 2) and eigenvectors (n, 2, 2): shape (n, 2, nt)."""
+    coeffs = evecs.conj().swapaxes(-1, -2) @ amp2
+    phases = np.exp(-1j * (evals[..., :, None] * times))
+    return evecs @ (coeffs[..., :, None] * phases)
 
 
 def evolve_closed_form_grid(
-    initial: InitialState, block: ManifoldBlock, times: np.ndarray
+    initial: InitialState, block: ManifoldBlock | Sequence[ManifoldBlock], times: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes over (phi1, phi2, phi3, phi4) for every time: shape (4, nt)."""
+    """Amplitudes over (phi1, phi2, phi3, phi4) for every time: shape (4, nt)
+    for one block, and (4, n, nt) for a sequence of n blocks, one row each."""
     times = np.asarray(times, dtype=float)
+    blocks = [block] if isinstance(block, ManifoldBlock) else block
+    omegas = np.stack([b.omegas for b in blocks])
     amp0 = initial_amplitudes(initial)
-    out = np.zeros((4, times.size), dtype=complex)
+    out = np.zeros((4, len(blocks), times.size), dtype=complex)
     sym = _block_propagate(
-        block.omegas[:2], block.vecs_sym, amp0[[0, 2]], times
+        omegas[:, :2], np.stack([b.vecs_sym for b in blocks]), amp0[[0, 2]], times
     )
-    out[0], out[2] = sym[0], sym[1]
+    out[0], out[2] = sym[:, 0], sym[:, 1]
     if initial is InitialState.SEPARABLE_ONE_CAVITY:
         anti = _block_propagate(
-            block.omegas[2:], block.vecs_anti, amp0[[1, 3]], times
+            omegas[:, 2:], np.stack([b.vecs_anti for b in blocks]), amp0[[1, 3]], times
         )
-        out[1], out[3] = anti[0], anti[1]
-    return out
+        out[1], out[3] = anti[:, 0], anti[:, 1]
+    return out[:, 0] if isinstance(block, ManifoldBlock) else out
 
 
 def evolve_closed_form(
@@ -121,7 +128,8 @@ class CoefficientSet:
 
     Cross-term fields hold X * conj(Y) for the letter pair in the name,
     e.g. ac = A conj(C).  Every field is a scalar, or an (nt,) array when the
-    set comes from a (4, nt) state.
+    set comes from a (4, nt) state, and an (..., nt) array from a (4, ..., nt)
+    stack of rows.
     """
 
     abs_a2: float | np.ndarray
@@ -198,6 +206,14 @@ def reduced_spaces(space: CompositeSpace) -> dict[str, CompositeSpace]:
     return {side: space.subspace(space.factor_indices(k)) for side, k in _SIDE_KINDS.items()}
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_layout(space: CompositeSpace) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The factor axes of `space` atoms first, and the dimensions of
+    reduced_spaces(space), built once per space."""
+    order = tuple(i for k in _SIDE_KINDS.values() for i in space.factor_indices(k))
+    return order, tuple(sub.total_dim for sub in reduced_spaces(space).values())
+
+
 def reduced_states(states: np.ndarray, space: CompositeSpace) -> dict[str, np.ndarray]:
     """The "atoms" and "photons" states, on reduced_spaces(space), of pure states
     given as (dim,) or one per column of (dim, nt), as Gram matrices: each state
@@ -208,11 +224,12 @@ def reduced_states(states: np.ndarray, space: CompositeSpace) -> dict[str, np.nd
     psi = np.asarray(states, dtype=complex)
     if psi.shape[:1] != (space.total_dim,) or psi.ndim > 2:
         raise DimensionMismatchError(f"states of shape {psi.shape} do not fit {space.dims}")
-    atoms, modes = (space.factor_indices(k) for k in _SIDE_KINDS.values())
+    order, sides = _gram_layout(space)
     n, lead = len(space.dims), psi.shape[1:]
-    m = psi.reshape(space.dims + lead).transpose(*range(n, psi.ndim + n - 1), *atoms, *modes)
-    m = m.reshape(lead + tuple(sub.total_dim for sub in reduced_spaces(space).values()))
-    rhos = {"atoms": m @ m.conj().swapaxes(-1, -2), "photons": m.swapaxes(-1, -2) @ m.conj()}
+    m = psi.reshape(space.dims + lead).transpose(*range(n, psi.ndim + n - 1), *order)
+    m = m.reshape(lead + sides)
+    mc = m.conj()
+    rhos = {"atoms": m @ mc.swapaxes(-1, -2), "photons": m.swapaxes(-1, -2) @ mc}
     for side, rho in rhos.items():
         tr_dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
         dev = hermiticity_deviation(rho)

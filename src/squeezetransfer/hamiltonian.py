@@ -110,21 +110,29 @@ def model_operators(
 ) -> tuple[HermitianOperator, HermitianOperator]:
     """(H, Hop): the full interaction-picture Hamiltonian on the canonical
     space, and the hopping operator a1^dag^2 a2^2 + a2^dag^2 a1^2 that it
-    adds with coefficient zeta, both from the same embedded ladder operators."""
+    adds with coefficient zeta, both from the same embedded ladder operators.
+
+    Finite parameters can still overflow H; that raises a ValueError naming
+    them, without numpy's floating-point warnings."""
     _require_canonical(space)
     ladders = [ladder_matrices(space, m) for m in space.factor_indices(Kind.PHOTON_MODE)]
     d = space.total_dim
     h = np.zeros((d, d), dtype=complex)
-    for cavity, (a, ad) in zip((1, 2), ladders):
-        # |e><e|, |g><g|, |e><g| and |g><e|
-        see, sgg, seg, sge = transition_matrices(
-            space, cavity, [("e", "e"), ("g", "g"), ("g", "e"), ("e", "g")]
-        )
-        h += params.mu * see + params.eta * sgg
-        h += params.lam * (seg @ a @ a + sge @ ad @ ad)
-        h -= 0.5 * (params.e_g + params.e_e) * np.eye(d)
-    hop = hopping_matrix(ladders)
-    h += params.zeta * hop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cavity, (a, ad) in zip((1, 2), ladders):
+            # |e><e|, |g><g|, |e><g| and |g><e|
+            see, sgg, seg, sge = transition_matrices(
+                space, cavity, [("e", "e"), ("g", "g"), ("g", "e"), ("e", "g")]
+            )
+            h += params.mu * see + params.eta * sgg
+            h += params.lam * (seg @ a @ a + sge @ ad @ ad)
+            h -= 0.5 * (params.e_g + params.e_e) * np.eye(d)
+        hop = hopping_matrix(ladders)
+        h += params.zeta * hop
+    if not np.isfinite(h).all():
+        names = ", ".join(f"{k}={getattr(params, k)!r}"
+                          for k in ("mu", "eta", "lam", "zeta", "e_g", "e_e"))
+        raise ValueError(f"the Hamiltonian overflows for {names}: it has non-finite entries")
     return HermitianOperator(space, h), HermitianOperator(space, hop)
 
 
@@ -218,7 +226,9 @@ def manifold_blocks(
     """Blocks of H(zeta) = h0 + zeta * hop for every zeta, from one projection
     of each: the basis does not depend on zeta, so the block is linear in it.
     By the triangle inequality, x(h0) + max|zeta| * x(hop) bounds x(H(zeta))
-    for x the leakage and the Hermiticity deviation; both bounds are checked."""
+    for x the leakage and the Hermiticity deviation; both bounds are checked.
+    A block that overflows in units of lam raises a ValueError naming lam and
+    the largest zeta, without numpy's floating-point warnings."""
     zetas = np.asarray(zetas, dtype=float)
     z_max = float(np.max(np.abs(zetas)))
     phi = manifold_basis(h0.space)
@@ -226,5 +236,9 @@ def manifold_blocks(
     herm = hermiticity_deviation(h0.matrix) + z_max * hermiticity_deviation(hop.matrix)
     if not herm < HERMITICITY_TOL:
         raise ModelInconsistencyError(f"Hamiltonian deviates from Hermiticity by {herm:.3e}")
-    h4 = (h4_0 + zetas[:, None, None] * h4_hop) / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        h4 = (h4_0 + zetas[:, None, None] * h4_hop) / lam
+    if not np.isfinite(h4).all():
+        raise ValueError(f"the four-state block overflows in units of lam={lam!r} for zeta up "
+                         f"to {z_max!r}: it has non-finite entries")
     return _parity_blocks(h4, leak_0 + z_max * leak_hop, phi)

@@ -14,6 +14,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -120,9 +121,27 @@ def standard_space(n_max: int = 2) -> CompositeSpace:
     return CompositeSpace((atom(), photon_mode(n_max), atom(), photon_mode(n_max)))
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major indices of the entries (i, j), i <= j, of a d x d matrix,
+    and of their mirror images (j, i)."""
+    flat = np.arange(d * d).reshape(d, d)
+    upper = np.arange(d)[:, None] <= np.arange(d)
+    pairs = flat[upper], flat.T[upper]
+    for index in pairs:  # shared by every caller through the cache
+        index.setflags(write=False)
+    return pairs
+
+
 def hermiticity_deviation(matrix: np.ndarray) -> float:
-    """Largest entry of |M - M^dag| over one matrix or a stack (..., d, d)."""
-    return float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2))))
+    """Largest entry of |M - M^dag| over one matrix or a stack (..., d, d).
+
+    |M_ij - conj(M_ji)| and |M_ji - conj(M_ij)| are the same number, so only
+    the upper triangle with its diagonal is compared, with the same result."""
+    d = matrix.shape[-1]
+    upper, lower = _triangle_pairs(d)
+    flat = matrix.reshape(matrix.shape[:-2] + (d * d,))
+    return float(np.max(np.abs(flat.take(upper, axis=-1) - flat.take(lower, axis=-1).conj())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,11 @@
 
 Every (zeta, t) cell is a pure function of the configuration.  The model
 operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
-four-state blocks are projected once, and each zeta row is computed as arrays
-over the time grid, written in place into one (n_zeta, n_t) grid per column.
-Output is written straight from those grids, so identical configurations give
-byte-identical files.
+four-state blocks are projected once, and the zeta rows are computed in
+blocks of consecutive rows sized by _SWEEP_BLOCK_BYTES, each written in place
+into one (n_zeta, n_t) grid per column; a cell's bits do not depend on its
+block.  Output is written straight from those grids, so identical
+configurations give byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +56,12 @@ from .witness import (
 )
 
 DISAGREEMENT_TOL = 1e-8
+# Bytes of the closed form's a a^dag stack, a block's largest array, per block
+# of zeta rows: larger blocks pay less numpy call overhead and more peak RSS.
+_SWEEP_BLOCK_BYTES = 1 << 18
+_AAD_CELL_BYTES = 16 * np.dtype(complex).itemsize  # one cell's 4x4 a a^dag
+# The failures of a row's checks, which the sweep reports with the row's zeta.
+_ROW_ERRORS = (ValueError, NumericalConsistencyError)
 # Bytes of CSV field buffer per block; a block's encoder arrays and text set
 # the run's peak RSS, and fewer, larger blocks pay less numpy call overhead.
 _CSV_BLOCK_BYTES = 1 << 17
@@ -170,8 +177,8 @@ def _row_columns(
     coeffs: CoefficientSet, moments: dict[str, tuple[np.ndarray, np.ndarray]],
     config: SweepConfig,
 ) -> dict[str, np.ndarray]:
-    """Every requested column over one zeta row, from the row's coefficients
-    and each requested side's (mean, cov) spin moments."""
+    """Every requested column over a stack of rows (such as both routes' rows
+    of a block), from their coefficients and each side's (mean, cov) moments."""
     obs = set(config.observables)
     witnesses = variance = None
     if obs & {"ineq_a", "ineq_p"}:
@@ -214,18 +221,25 @@ def _max_disagreement(
     return worst
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Every grid cell, as one (n_zeta, n_t) array per column filled row by row.
+def _block_rows(n_t: int) -> int:
+    """Zeta rows per block: as many as fit in _SWEEP_BLOCK_BYTES of a a^dag."""
+    return max(1, _SWEEP_BLOCK_BYTES // (n_t * _AAD_CELL_BYTES))
 
-    The two routes find each side's spin moments independently, each with one
-    density_spin_moments per side and row.  The closed form contracts the
-    (nt, 4, 4) manifold density matrices a a^dag of its amplitudes with (16, 9)
-    moment matrices built once per sweep from the full-space spin operators.
-    The oracle contracts the reduced states of its full-space vectors
-    (reduced_states) with contraction matrices of the reduced-space spin
-    operators, also built once per sweep.  ineq_a, ineq_p and var_x* are the
-    paper's closed forms in the coefficients, which the oracle takes from its
-    vectors projected onto the manifold.
+
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Every grid cell, as one (n_zeta, n_t) array per column, filled in blocks
+    of _block_rows consecutive zeta rows.
+
+    Per block, the closed form propagates all rows at once and contracts the
+    (rows, nt, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
+    matrices built once per sweep, one density_spin_moments per side.  The
+    oracle builds, diagonalizes and propagates each row's H(zeta) on its own,
+    and contracts the reduced states of its vectors (reduced_states) with
+    contraction matrices of the reduced-space spins, also built once.  Both
+    routes fill one buffer per block, so one ManifoldState and one
+    _row_columns pass serve both; the oracle's coefficients are its vectors
+    projected onto the manifold.  A failing block is re-run row by row, so
+    that the error names the failing row's zeta.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -234,6 +248,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     sides = _moment_sides(config.observables)
     closed = config.method in (Method.CLOSED_FORM, Method.BOTH)
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
+    n_routes = closed + oracle
     blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
     spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
@@ -242,33 +257,62 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if oracle:
         spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
         contractions = {s: contraction_matrix(moment_operators(spin)) for s, spin in spins.items()}
-    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
-    disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
-    for i, (zeta, block) in enumerate(zip(zetas, blocks)):
-        try:
-            columns = []
-            if closed:
-                state = ManifoldState(evolve_closed_form_grid(config.branch, block, times), times)
-                a = state.amplitudes.T
-                rho = a[:, :, None] * a.conj()[:, None, :] if sides else None  # a a^dag
-                moments = {s: density_spin_moments(rho, m) for s, m in matrices.items()}
-                columns.append(_row_columns(coefficients(state), moments, config))
-            if oracle:
+
+    def block_columns(rows: slice) -> dict[str, np.ndarray]:
+        """Every column over the rows, as (n_routes, rows, nt) arrays: the
+        closed form first when it runs, then the oracle."""
+        shape = (n_routes, rows.stop - rows.start, times.size)
+        amps = np.empty((4, *shape), dtype=complex)
+        means = {s: np.empty(shape + (3,)) for s in sides}
+        covs = {s: np.empty(shape + (3, 3)) for s in sides}
+        if closed:
+            amps[:, 0] = evolve_closed_form_grid(config.branch, blocks[rows], times)
+            a = np.moveaxis(amps[:, 0], 0, -1)
+            rho = a[..., :, None] * a.conj()[..., None, :] if sides else None  # a a^dag
+            for s, m in matrices.items():
+                means[s][0], covs[s][0] = density_spin_moments(rho, m)
+        if oracle:
+            for i, (zeta, block) in enumerate(zip(zetas[rows], blocks[rows])):
                 # model_operators' last step is h += zeta * hop: the same
                 # float arithmetic as building H(zeta) directly.
                 h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
                 full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
-                coeffs = coefficients(ManifoldState(project_amplitudes(full, block), times))
+                amps[:, -1, i] = project_amplitudes(full, block)
                 rho = reduced_states(full, space) if sides else {}
-                moments = {s: density_spin_moments(rho[s], c) for s, c in contractions.items()}
-                columns.append(_row_columns(coeffs, moments, config))
-        except (ValueError, NumericalConsistencyError) as exc:
-            raise SweepError(f"row zeta={zeta}: {exc}") from exc
+                for s, c in contractions.items():
+                    means[s][-1, i], covs[s][-1, i] = density_spin_moments(rho[s], c)
+        moments = {s: (means[s], covs[s]) for s in sides}
+        return _row_columns(coefficients(ManifoldState(amps, times)), moments, config)
+
+    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
+    disagreement = np.empty((zetas.size, times.size)) if n_routes == 2 else None
+    step = _block_rows(times.size)
+    for start in range(0, zetas.size, step):
+        rows = slice(start, min(start + step, zetas.size))
+        try:
+            columns = block_columns(rows)
+        except _ROW_ERRORS as exc:
+            raise _row_error(block_columns, zetas, rows, exc) from exc
         for name, grid in values.items():
-            grid[i] = columns[0][name]
+            grid[rows] = columns[name][0]
         if disagreement is not None:
-            disagreement[i] = _max_disagreement(*columns)
+            disagreement[rows] = _max_disagreement(
+                {k: v[0] for k, v in columns.items()}, {k: v[1] for k, v in columns.items()}
+            )
     return SweepResult(zetas, times, values, disagreement)
+
+
+def _row_error(
+    block_columns: Callable[[slice], dict], zetas: np.ndarray, rows: slice, exc: Exception
+) -> SweepError:
+    """The error of the first row of a failed block that fails on its own, with
+    its zeta; the rows are re-run one at a time on this error path only."""
+    for i in range(rows.start, rows.stop):
+        try:
+            block_columns(slice(i, i + 1))
+        except _ROW_ERRORS as row_exc:
+            return SweepError(f"row zeta={zetas[i]}: {row_exc}")
+    return SweepError(f"rows zeta={zetas[rows.start]}..{zetas[rows.stop - 1]}: {exc}")
 
 
 def _csv_block_rows(n_columns: int) -> int:

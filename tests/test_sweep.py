@@ -252,13 +252,14 @@ class TestRunSweep:
         assert extractions == []
         assert len(sweeps) == 1
 
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     @pytest.mark.parametrize(
         "observables,sides",
         [(("xi", "xi_e2"), ["atoms"]), (("ossi_full",), ["atoms", "photons"]),
          (("ossi_full", "xi", "xi_e2"), ["atoms", "photons"]), (("ineq_a", "var_x1"), [])],
     )
-    def test_one_state_and_one_moment_pass_per_route_row_and_side(
-        self, observables, sides, monkeypatch
+    def test_one_state_and_one_moment_pass_per_route_block_and_side(
+        self, observables, sides, rows_per_block, monkeypatch
     ):
         import squeezetransfer.sweep as sweep
 
@@ -268,31 +269,40 @@ class TestRunSweep:
             real = getattr(sweep, name)
 
             def counting(*args):
-                shape = args[0].shape if name != "reduced_states" else ()
+                shape = args[0].shape if name in ("moment_matrix", "contraction_matrix",
+                                                  "density_spin_moments") else ()
                 calls.append((name, *shape))
                 return real(*args)
 
             monkeypatch.setattr(sweep, name, counting)
 
         for name in ("moment_matrix", "contraction_matrix", "reduced_states",
-                     "density_spin_moments"):
+                     "density_spin_moments", "_row_columns"):
             spy(name)
         forbidden = _forbid_checked_and_analytic_states(monkeypatch)
         cfg = small_config(method=Method.BOTH, observables=observables)
+        nt = cfg.time_grid.steps
+        budget = rows_per_block * nt * sweep._AAD_CELL_BYTES
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", budget)
+        assert sweep._block_rows(nt) == rows_per_block
         run_sweep(cfg)
         # Once per sweep: one moment matrix per side for the closed form, and
         # one contraction matrix of the reduced-space spin per side for the
-        # oracle.  Per row: one contraction per side of the closed form's
-        # (nt, 4, 4) stack a a^dag; one Gram reduction of the oracle's vectors
-        # when a side is read, and one contraction per side of its states.
-        nt = cfg.time_grid.steps
+        # oracle.  Per block: one contraction per side of the closed form's
+        # (rows, nt, 4, 4) stack a a^dag; per row of it, one Gram reduction of
+        # the oracle's vectors when a side is read and one contraction per side
+        # of its states; then one witness pass over both routes.
         reduced = {"atoms": (4, 4), "photons": (9, 9)}
-        once = [("moment_matrix", 9, 36, 36)] * len(sides)
-        once += [("contraction_matrix", 9, *reduced[s]) for s in sides]
-        per_row = [("density_spin_moments", nt, 4, 4)] * len(sides)
-        per_row += [("reduced_states",)] * bool(sides)
+        want = [("moment_matrix", 9, 36, 36)] * len(sides)
+        want += [("contraction_matrix", 9, *reduced[s]) for s in sides]
+        per_row = [("reduced_states",)] * bool(sides)
         per_row += [("density_spin_moments", nt, *reduced[s]) for s in sides]
-        assert calls == once + per_row * cfg.zeta_grid.steps
+        n_zeta = cfg.zeta_grid.steps
+        for start in range(0, n_zeta, rows_per_block):
+            rows = min(rows_per_block, n_zeta - start)
+            want += [("density_spin_moments", rows, nt, 4, 4)] * len(sides)
+            want += per_row * rows + [("_row_columns",)]
+        assert calls == want
         assert forbidden == []
 
     def test_closed_form_route_builds_no_reduced_state(self, monkeypatch):
@@ -312,9 +322,56 @@ class TestRunSweep:
         for branch in InitialState:
             cfg = small_config(branch=branch, observables=sweep.OBSERVABLES)
             run_sweep(cfg)
+        # the small grid is one block: one (rows, nt, 4, 4) stack per side
         nt, rows = cfg.time_grid.steps, cfg.zeta_grid.steps
+        assert sweep._block_rows(nt) >= rows
         assert calls == []
-        assert shapes == [(nt, 4, 4)] * (2 * rows * len(InitialState))
+        assert shapes == [(rows, nt, 4, 4)] * (2 * len(InitialState))
+
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_blocks_do_not_change_a_bit(self, branch, monkeypatch):
+        """One row per block, blocks of 2 with a partial last block, and the
+        whole grid in one block give the same bits in every column."""
+        import squeezetransfer.sweep as sweep
+
+        cfg = small_config(branch=branch, method=Method.BOTH, observables=OBSERVABLES,
+                           params=ModelParams(mu=0.13, eta=-0.07),
+                           zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 31))
+        results = []
+        for rows_per_block in (1, 2, 5):
+            budget = rows_per_block * 31 * sweep._AAD_CELL_BYTES
+            monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", budget)
+            assert sweep._block_rows(31) == rows_per_block
+            results.append(run_sweep(cfg))
+        first = results[0]
+        for other in results[1:]:
+            assert list(other.values) == list(first.values) == list(cfg.columns)
+            for name, grid in first.values.items():
+                assert other.values[name].tobytes() == grid.tobytes(), name
+            assert other.method_disagreement.tobytes() == first.method_disagreement.tobytes()
+
+    def test_peak_memory_of_an_oracle_states_run(self):
+        """run_sweep's traced peak on the benchmark's oracle_states shape: the
+        (51, 201) output grids (1.9 MB) plus one block's working arrays.  The
+        bound is the 3.9 MB measured at the current _SWEEP_BLOCK_BYTES plus
+        0.5 MB; twice the budget peaks at 5.4 MB."""
+        import tracemalloc
+
+        cfg = SweepConfig(
+            params=ModelParams(mu=0.05, eta=-0.1),
+            branch=InitialState.SEPARABLE_ONE_CAVITY,
+            zeta_grid=GridSpec(0.0, 2.0, 51),
+            time_grid=GridSpec(0.0, 20.0, 201),
+            observables=("ineq_a", "ineq_p", "ossi_full", "xi", "var_x1", "var_x2"),
+            method=Method.BOTH,
+        )
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.4 * 2**20
 
     @pytest.mark.parametrize("branch", list(InitialState))
     def test_closed_form_moments_are_the_amplitude_formula_bit_for_bit(self, branch):
@@ -781,13 +838,17 @@ class TestCli:
         assert err.startswith("error:") and "leaks out of the four-state manifold" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings fail the test
     @pytest.mark.parametrize(
-        "params", [{"e_g": 1e308, "e_e": 1e308}, {"e_g": -1.7e308, "e_e": -1.7e308},
-                   {"mu": 1e308, "eta": -1e308}],
+        "params, named",
+        [({"e_g": 1e308, "e_e": 1e308}, "e_g=1e+308, e_e=1e+308"),
+         ({"e_g": -1.7e308, "e_e": -1.7e308}, "e_g=-1.7e+308, e_e=-1.7e+308"),
+         ({"mu": 1e308, "eta": -1e308}, "mu=1e+308, eta=-1e+308"),
+         ({"lambda": 1e-320}, "lam=1e-320")],
     )
-    def test_main_reports_overflowing_params(self, params, tmp_path, capsys):
-        # finite params whose sums overflow make H(0) nan before any row runs
+    def test_main_reports_overflowing_params(self, params, named, tmp_path, capsys):
+        # finite params whose sums overflow H(0), or its block in units of lam,
+        # are named before any row runs
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps(params))
         out = tmp_path / "x.csv"
@@ -796,7 +857,8 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert "overflows" in err and named in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_main_fails_closed_on_leaky_hopping(self, tmp_path, capsys, monkeypatch):
@@ -822,25 +884,47 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_main_names_failing_row(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_main_names_failing_row(self, rows_per_block, tmp_path, capsys, monkeypatch):
+        # zeta = 0.5 is the second row: of a block of its own, or of one
+        # three-row block, which is re-run a row at a time to name it
         import squeezetransfer.sweep as sweep
 
-        rows = []
-        real = sweep.branch_witnesses
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * 2 * sweep._AAD_CELL_BYTES)
+        made = []
+        real_blocks, real_evolve = sweep.manifold_blocks, sweep.evolve_closed_form_grid
 
-        def failing_on_second_row(coeffs, branch):
-            rows.append(branch)
-            if len(rows) == 2:
+        def recording_blocks(*args):
+            made[:] = real_blocks(*args)
+            return made
+
+        def failing_on_second_row(branch, blocks, times):
+            if made[1] in blocks:
                 raise NumericalConsistencyError("injected failure")
-            return real(coeffs, branch)
+            return real_evolve(branch, blocks, times)
 
-        monkeypatch.setattr(sweep, "branch_witnesses", failing_on_second_row)
+        monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_second_row)
         out = tmp_path / "x.csv"
         rc = main(["--zeta-range", "0", "1", "--steps", "3", "2", "--observables", "ineq_a",
                    "--output", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: row zeta=0.5: injected failure\n"
         assert not out.exists()
+
+    def test_block_failure_that_no_row_repeats_is_reported(self, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        real_evolve = sweep.evolve_closed_form_grid
+
+        def failing_on_blocks(branch, blocks, times):
+            if len(blocks) > 1:
+                raise NumericalConsistencyError("injected failure")
+            return real_evolve(branch, blocks, times)
+
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_blocks)
+        with pytest.raises(SweepError, match=r"^rows zeta=0.0..1.0: injected failure$"):
+            run_sweep(small_config())
 
     def test_main_fails_on_route_disagreement(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
