@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -80,36 +79,40 @@ class ManifoldState:
         object.__setattr__(self, "amplitudes", amp)
 
 
+def _time_range(times: np.ndarray) -> str:
+    return f"{float(np.min(times))!r}..{float(np.max(times))!r}"
+
+
 def _block_propagate(
     evals: np.ndarray, evecs: np.ndarray, amp2: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """Spectral propagation of a 2-vector by each block of a stack, with
-    eigenvalues (n, 2) and eigenvectors (n, 2, 2): shape (n, 2, nt)."""
+    """Spectral propagation of a 2-vector by a 2x2 block, or by each block of a
+    stack, with eigenvalues (..., 2) and eigenvectors (..., 2, 2): shape (..., 2, nt).
+    Phases that overflow raise a ValueError naming the time range."""
     coeffs = evecs.conj().swapaxes(-1, -2) @ amp2
-    phases = np.exp(-1j * (evals[..., :, None] * times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = evals[..., :, None] * times
+    if not np.isfinite(angles).all():
+        raise ValueError(f"the closed form's phases overflow over the time range "
+                         f"{_time_range(times)} (units of 1/lam)")
+    phases = np.exp(-1j * angles)
     return evecs @ (coeffs[..., :, None] * phases)
 
 
 def evolve_closed_form_grid(
-    initial: InitialState, block: ManifoldBlock | Sequence[ManifoldBlock], times: np.ndarray
+    initial: InitialState, block: ManifoldBlock, times: np.ndarray
 ) -> np.ndarray:
     """Amplitudes over (phi1, phi2, phi3, phi4) for every time: shape (4, nt)
-    for one block, and (4, n, nt) for a sequence of n blocks, one row each."""
+    for one block, and (4, n, nt) for a stack of n blocks, one row each."""
     times = np.asarray(times, dtype=float)
-    blocks = [block] if isinstance(block, ManifoldBlock) else block
-    omegas = np.stack([b.omegas for b in blocks])
     amp0 = initial_amplitudes(initial)
-    out = np.zeros((4, len(blocks), times.size), dtype=complex)
-    sym = _block_propagate(
-        omegas[:, :2], np.stack([b.vecs_sym for b in blocks]), amp0[[0, 2]], times
-    )
-    out[0], out[2] = sym[:, 0], sym[:, 1]
+    out = np.zeros((4, *block.omegas.shape[:-1], times.size), dtype=complex)
+    sym = _block_propagate(block.omegas[..., :2], block.vecs_sym, amp0[[0, 2]], times)
+    out[0], out[2] = sym[..., 0, :], sym[..., 1, :]
     if initial is InitialState.SEPARABLE_ONE_CAVITY:
-        anti = _block_propagate(
-            omegas[:, 2:], np.stack([b.vecs_anti for b in blocks]), amp0[[1, 3]], times
-        )
-        out[1], out[3] = anti[:, 0], anti[:, 1]
-    return out[:, 0] if isinstance(block, ManifoldBlock) else out
+        anti = _block_propagate(block.omegas[..., 2:], block.vecs_anti, amp0[[1, 3]], times)
+        out[1], out[3] = anti[..., 0, :], anti[..., 1, :]
+    return out
 
 
 def evolve_closed_form(
@@ -117,7 +120,7 @@ def evolve_closed_form(
 ) -> ManifoldState:
     if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    amps = evolve_closed_form_grid(initial, block, np.array([t]))[:, 0]
+    amps = evolve_closed_form_grid(initial, block, np.array([t]))[..., 0]
     return ManifoldState(amps, t)
 
 
@@ -179,10 +182,16 @@ class SpectralPropagator:
         self._evecs = evecs
 
     def evolve_grid(self, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Columns are the evolved state at each time: shape (dim, nt)."""
+        """Columns are the evolved state at each time: shape (dim, nt).  Phases
+        that overflow raise a ValueError naming the time range."""
         times = np.asarray(times, dtype=float)
         coeffs = self._evecs.conj().T @ np.asarray(vec, dtype=complex)
-        phases = np.exp(-1j * np.outer(self._evals, times))
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = np.outer(self._evals, times)
+        if not np.isfinite(angles).all():
+            raise ValueError(f"the full-space phases overflow over the time range "
+                             f"{_time_range(times)} (units of 1/lam)")
+        phases = np.exp(-1j * angles)
         return self._evecs @ (coeffs[:, None] * phases)
 
 
@@ -197,7 +206,8 @@ def evolve_numeric_oracle(
 
 
 def project_amplitudes(vec: np.ndarray, block: ManifoldBlock) -> np.ndarray:
-    """Overlap of a full-space vector with (phi1, phi2, phi3, phi4)."""
+    """Overlap of a full-space vector with (phi1, phi2, phi3, phi4), the basis
+    of the block, which a stack of blocks shares."""
     return block.basis.conj().T @ np.asarray(vec, dtype=complex)
 
 

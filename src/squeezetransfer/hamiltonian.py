@@ -166,11 +166,15 @@ def _ordered_block_eigen(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ManifoldBlock:
-    """Projected 4x4 Hamiltonian with its symmetric/antisymmetric sub-blocks.
+    """Projected 4x4 Hamiltonian with its symmetric/antisymmetric sub-blocks,
+    for one zeta or for a stack of them.
 
     Eigenfrequencies are in units of lam: omegas = (w1, w2, w3, w4) with
     (w1, w2) the descending eigenvalues of h_sym on (phi1, phi3) and
-    (w3, w4) the descending eigenvalues of h_anti on (phi2, phi4).
+    (w3, w4) the descending eigenvalues of h_anti on (phi2, phi4).  One zeta
+    has h_sym, h_anti, vecs_sym, vecs_anti of shape (2, 2) and omegas of
+    shape (4,); a stack of n puts a leading (n,) axis on each of them, and
+    block[rows] takes its rows.  The basis (dim, 4) is shared.
     """
 
     basis: np.ndarray
@@ -179,10 +183,15 @@ class ManifoldBlock:
     omegas: np.ndarray
     vecs_sym: np.ndarray
     vecs_anti: np.ndarray
+    __iter__ = None  # not a sequence: __getitem__ alone would make it iterable
+
+    def __getitem__(self, rows) -> "ManifoldBlock":
+        return ManifoldBlock(self.basis, self.h_sym[rows], self.h_anti[rows], self.omegas[rows],
+                             self.vecs_sym[rows], self.vecs_anti[rows])
 
     @property
-    def delta_12(self) -> float:
-        return float(self.omegas[0] - self.omegas[1])
+    def delta_12(self) -> float | np.ndarray:
+        return self.omegas[..., 0] - self.omegas[..., 1]
 
 
 def _project(h: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
@@ -191,9 +200,9 @@ def _project(h: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
     return h4, float(np.max(np.abs(h @ phi - phi @ h4)))
 
 
-def _parity_blocks(h4: np.ndarray, leakage: float, phi: np.ndarray) -> list[ManifoldBlock]:
+def _parity_blocks(h4: np.ndarray, leakage: float, phi: np.ndarray) -> ManifoldBlock:
     """Check (n, 4, 4) projected blocks in units of lam, of Hamiltonians that leak
-    by at most `leakage`, and split each into its parity sub-blocks."""
+    by at most `leakage`, and split them into one stack of parity sub-blocks."""
     if not leakage < LEAKAGE_TOL:
         raise ModelInconsistencyError(
             f"Hamiltonian leaks out of the four-state manifold by {leakage:.3e}"
@@ -210,7 +219,7 @@ def _parity_blocks(h4: np.ndarray, leakage: float, phi: np.ndarray) -> list[Mani
     w_sym, v_sym = _ordered_block_eigen(sym)
     w_anti, v_anti = _ordered_block_eigen(anti)
     omegas = np.concatenate([w_sym, w_anti], axis=-1)
-    return [ManifoldBlock(phi, *f) for f in zip(sym, anti, omegas, v_sym, v_anti)]
+    return ManifoldBlock(phi, sym, anti, omegas, v_sym, v_anti)
 
 
 def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBlock:
@@ -222,9 +231,10 @@ def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBl
 
 def manifold_blocks(
     h0: HermitianOperator, hop: HermitianOperator, zetas: np.ndarray, lam: float = 1.0
-) -> list[ManifoldBlock]:
-    """Blocks of H(zeta) = h0 + zeta * hop for every zeta, from one projection
-    of each: the basis does not depend on zeta, so the block is linear in it.
+) -> ManifoldBlock:
+    """The stack of blocks of H(zeta) = h0 + zeta * hop, row i for zetas[i], from
+    one projection of each: the basis does not depend on zeta, so the block is
+    linear in it.
     By the triangle inequality, x(h0) + max|zeta| * x(hop) bounds x(H(zeta))
     for x the leakage and the Hermiticity deviation; both bounds are checked.
     A block that overflows in units of lam raises a ValueError naming lam and

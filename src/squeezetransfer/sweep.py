@@ -252,8 +252,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
     spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
-        phi = blocks[0].basis
-        matrices = {s: moment_matrix(moment_operators(spin_of[s](space)), phi) for s in sides}
+        matrices = {s: moment_matrix(moment_operators(spin_of[s](space)), blocks.basis)
+                    for s in sides}
     if oracle:
         spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
         contractions = {s: contraction_matrix(moment_operators(spin)) for s, spin in spins.items()}
@@ -272,12 +272,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             for s, m in matrices.items():
                 means[s][0], covs[s][0] = density_spin_moments(rho, m)
         if oracle:
-            for i, (zeta, block) in enumerate(zip(zetas[rows], blocks[rows])):
+            for i, zeta in enumerate(zetas[rows]):
                 # model_operators' last step is h += zeta * hop: the same
                 # float arithmetic as building H(zeta) directly.
                 h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
                 full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
-                amps[:, -1, i] = project_amplitudes(full, block)
+                amps[:, -1, i] = project_amplitudes(full, blocks)
                 rho = reduced_states(full, space) if sides else {}
                 for s, c in contractions.items():
                     means[s][-1, i], covs[s][-1, i] = density_spin_moments(rho[s], c)
@@ -382,19 +382,25 @@ def _json_chunks(names: list[str], result: SweepResult, grids: list[np.ndarray])
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write a sibling temporary file, then move it over `path` (never over a
-    directory).  A failure is an OSError that names `path`, not the temporary file."""
-    if os.path.isdir(path):
+    """Write `path`'s real target (symlinks resolved, so a link survives)
+    through a temporary file beside it that then replaces it, never over a
+    directory.  An existing target that is not a regular file, such as a FIFO
+    or a device, is written in place: replacing it would delete it.  A
+    failure is an OSError that names `path`, not the target or the temporary file."""
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    tmp = f"{path}.tmp{os.getpid()}"
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if os.path.exists(tmp):  # only when the write or the replace failed
+        if not in_place and os.path.exists(tmp):  # only when the write or the replace failed
             os.remove(tmp)
 
 

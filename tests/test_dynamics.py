@@ -18,7 +18,13 @@ from squeezetransfer.dynamics import (
     project_amplitudes,
     reduced_states,
 )
-from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
+from squeezetransfer.hamiltonian import (
+    ModelParams,
+    build_hamiltonian,
+    extract_manifold_block,
+    manifold_blocks,
+    model_operators,
+)
 from squeezetransfer.hilbert import (
     DimensionMismatchError,
     Kind,
@@ -85,6 +91,22 @@ class TestClosedFormEvolution:
         for k, t in enumerate(TIMES):
             state = evolve_closed_form(InitialState.SEPARABLE_ONE_CAVITY, default_block, t)
             assert np.allclose(grid[:, k], state.amplitudes, atol=1e-13)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_stack_rows_are_the_single_blocks_bit_for_bit(self, branch, space):
+        params = ModelParams(mu=0.13, eta=-0.07, lam=1.3)
+        stack = manifold_blocks(*model_operators(params, space), [0.0, 0.4, 2.0], params.lam)
+        times = np.linspace(0.0, 20.0, 33)
+        grid = evolve_closed_form_grid(branch, stack, times)
+        assert grid.shape == (4, 3, times.size)
+        for i in range(3):
+            row = evolve_closed_form_grid(branch, stack[i], times)
+            assert row.shape == (4, times.size)
+            assert row.tobytes() == grid[:, i].tobytes()
+        # one time on a stack is one state per row, not the first row's
+        state = evolve_closed_form(branch, stack, times[5])
+        assert state.amplitudes.shape == (4, 3)
+        assert np.allclose(state.amplitudes, grid[:, :, 5], rtol=0, atol=1e-15)
 
     def test_rejects_negative_time(self, default_block):
         with pytest.raises(ValueError):

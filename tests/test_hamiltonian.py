@@ -216,8 +216,9 @@ class TestManifoldBlocks:
         zetas = np.array([0.0, 0.25, 2.0])
         h0, hop = model_operators(self.PARAMS, space)
         blocks = manifold_blocks(h0, hop, zetas, self.PARAMS.lam)
-        assert len(blocks) == zetas.size
-        for zeta, block in zip(zetas, blocks):
+        assert blocks.omegas.shape == (zetas.size, 4)
+        for i, zeta in enumerate(zetas):
+            block = blocks[i]
             params = dataclasses.replace(self.PARAMS, zeta=zeta)
             ref = extract_manifold_block(build_hamiltonian(params, space), params.lam)
             for name in ("omegas", "vecs_sym", "vecs_anti", "h_sym", "h_anti"):
@@ -229,9 +230,9 @@ class TestManifoldBlocks:
                 assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] > 0)
 
     def test_hopping_projects_to_photonic_diagonal(self, space):
-        block0, block1 = manifold_blocks(*model_operators(ModelParams(), space), [0.0, 1.0])
-        assert np.allclose(block1.h_sym - block0.h_sym, [[2, 0], [0, 0]], atol=1e-14)
-        assert np.allclose(block1.h_anti - block0.h_anti, [[-2, 0], [0, 0]], atol=1e-14)
+        blocks = manifold_blocks(*model_operators(ModelParams(), space), [0.0, 1.0])
+        assert np.allclose(blocks.h_sym[1] - blocks.h_sym[0], [[2, 0], [0, 0]], atol=1e-14)
+        assert np.allclose(blocks.h_anti[1] - blocks.h_anti[0], [[-2, 0], [0, 0]], atol=1e-14)
 
     @pytest.mark.parametrize("defect,message", [("leakage", "leaks"), ("hermiticity", "Hermiticity")])
     def test_checks_bound_over_largest_zeta(self, space, defect, message):
@@ -248,6 +249,6 @@ class TestManifoldBlocks:
             bad[i, j] += 1e-13
         hop = HermitianOperator(space, bad)
         h0 = build_hamiltonian(ModelParams(), space)
-        assert len(manifold_blocks(h0, hop, [0.0, 1.0])) == 2
+        assert manifold_blocks(h0, hop, [0.0, 1.0]).omegas.shape == (2, 4)
         with pytest.raises(ModelInconsistencyError, match=message):
             manifold_blocks(h0, hop, [0.0, 1.0, 20.0])

@@ -395,10 +395,10 @@ class TestRunSweep:
         blocks = manifold_blocks(*model_operators(cfg.params, space), cfg.zeta_grid.values(),
                                  cfg.params.lam)
         spins = {"atoms": collective_atomic_spin(space), "photons": photonic_pseudospin(space)}
-        for i, block in enumerate(blocks):
-            amps = evolve_closed_form_grid(branch, block, cfg.time_grid.values())
+        for i in range(cfg.zeta_grid.steps):
+            amps = evolve_closed_form_grid(branch, blocks[i], cfg.time_grid.values())
             for side, spin in spins.items():
-                matrix = moment_matrix(moment_operators(spin), blocks[0].basis)
+                matrix = moment_matrix(moment_operators(spin), blocks.basis)
                 moments = manifold_spin_moments(amps, matrix)
                 rep = ossi_of(*moments, 2)
                 want = {"a": rep.slack_a, "b": rep.slack_b,
@@ -797,6 +797,53 @@ class TestCli:
                 assert err.endswith("it is a directory\n") and opened == []
         assert list(somedir.iterdir()) == []
 
+    SMALL_RUN = ["--zeta", "0.5", "--steps", "1", "2", "--time-range", "0", "1"]
+
+    def test_output_through_symlink_writes_its_target(self, tmp_path, capsys):
+        real = tmp_path / "data" / "real.csv"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert main([*self.SMALL_RUN, "--output", str(link)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 cells to {link}\n"
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text().startswith("zeta,t,")
+        # the temporary file sat beside the target, and is gone
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "real.csv"]
+
+    def test_output_to_fifo_writes_into_it(self, tmp_path):
+        import threading
+
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:  # blocks until the writer opens it
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert main([*self.SMALL_RUN, "--output", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received[0].startswith(b"zeta,t,") and received[0].count(b"\n") == 3
+        assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.parametrize("method", ["closed_form", "numeric_oracle", "both"])
+    def test_main_reports_overflowing_phases(self, method, tmp_path, capsys, recwarn):
+        # The phases w * t overflow a float at t = 1e308, though every time is finite.
+        out = tmp_path / "x.csv"
+        rc = main(["--zeta", "1", "--steps", "1", "3", "--time-range", "0", "1e308",
+                   "--observables", "ineq_a", "--method", method, "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row zeta=1.0: ") and err.count("\n") == 1
+        assert "phases overflow over the time range 0.0..1e+308" in err
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -895,11 +942,11 @@ class TestCli:
         real_blocks, real_evolve = sweep.manifold_blocks, sweep.evolve_closed_form_grid
 
         def recording_blocks(*args):
-            made[:] = real_blocks(*args)
-            return made
+            made[:] = [real_blocks(*args)]
+            return made[0]
 
         def failing_on_second_row(branch, blocks, times):
-            if made[1] in blocks:
+            if made[0].omegas[1, 0] in blocks.omegas[:, 0]:
                 raise NumericalConsistencyError("injected failure")
             return real_evolve(branch, blocks, times)
 
@@ -918,7 +965,7 @@ class TestCli:
         real_evolve = sweep.evolve_closed_form_grid
 
         def failing_on_blocks(branch, blocks, times):
-            if len(blocks) > 1:
+            if blocks.omegas.shape[0] > 1:
                 raise NumericalConsistencyError("injected failure")
             return real_evolve(branch, blocks, times)
 

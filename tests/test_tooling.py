@@ -1,7 +1,9 @@
 """The package names that the benchmark harness (perfbench/) and the
-acceptance gate import still exist.  Tier-1 does not collect perfbench/, so
-without this check a removed or renamed name would surface only when the
-benchmark runs.  The files are parsed, not imported or run."""
+acceptance gate import, and the functions that the harness's call trace
+wraps, still exist.  Tier-1 does not collect perfbench/, so without this
+check a removed or renamed name would surface only when the benchmark runs,
+and a trace target that is not found reads as 0 calls rather than failing.
+The files are parsed, not imported or run."""
 
 import ast
 import importlib
@@ -41,3 +43,26 @@ def test_benchmark_and_acceptance_imports_exist():
     missing = sorted(f"{file}: {module}.{name}" for file, module, name in imports
                      if not _exists(module, name))
     assert missing == []
+
+
+def _trace_targets(path: Path):
+    """(module, attr) of each Target(metric, module, attr, ...) in TARGETS."""
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            for call in node.value.elts:
+                yield tuple(ast.literal_eval(arg) for arg in call.args[1:3])
+
+
+def _resolves(module: str, attr: str) -> bool:
+    owner = importlib.import_module(f"squeezetransfer.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return callable(owner)
+
+
+def test_call_trace_targets_exist():
+    targets = list(_trace_targets(ROOT / "perfbench" / "calltrace.py"))
+    assert ("dynamics", "evolve_closed_form_grid") in targets
+    assert [f"{module}.{attr}" for module, attr in targets if not _resolves(module, attr)] == []
