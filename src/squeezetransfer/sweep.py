@@ -3,10 +3,10 @@
 Every (zeta, t) cell is a pure function of the configuration.  The model
 operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
 four-state blocks are projected once, and the zeta rows are computed in
-blocks of consecutive rows sized by _SWEEP_BLOCK_BYTES, each written in place
-into one (n_zeta, n_t) grid per column; a cell's bits do not depend on its
-block.  Output is written straight from those grids, so identical
-configurations give byte-identical files.
+blocks of consecutive rows sized by _SWEEP_BLOCK_BYTES; a cell's bits do not
+depend on its block.  The CLI writes each block as it is computed, so a run
+holds one block, not the grid, and identical configurations give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import argparse
 import enum
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .csvtext import WIDTH, g17_text
 from .dynamics import (
     CoefficientSet,
     InitialState,
@@ -43,6 +41,7 @@ from .hamiltonian import (
 )
 from .hilbert import HermitianOperator, NumericalConsistencyError, standard_space
 from .operators import collective_atomic_spin, photonic_pseudospin
+from .output import WRITERS, emit_blocks
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
@@ -62,11 +61,6 @@ _SWEEP_BLOCK_BYTES = 1 << 18
 _AAD_CELL_BYTES = 16 * np.dtype(complex).itemsize  # one cell's 4x4 a a^dag
 # The failures of a row's checks, which the sweep reports with the row's zeta.
 _ROW_ERRORS = (ValueError, NumericalConsistencyError)
-# Bytes of CSV field buffer per block; a block's encoder arrays and text set
-# the run's peak RSS, and fewer, larger blocks pay less numpy call overhead.
-_CSV_BLOCK_BYTES = 1 << 17
-# JSON records per block; the block's text, not the file's, is held at once.
-_JSON_BLOCK_RECORDS = 1024
 
 _OSSI_COLUMNS = tuple(
     f"{side}_slack_{name}"
@@ -227,8 +221,27 @@ def _block_rows(n_t: int) -> int:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Every grid cell, as one (n_zeta, n_t) array per column, filled in blocks
-    of _block_rows consecutive zeta rows.
+    """Every grid cell, as one (n_zeta, n_t) array per column: the blocks of
+    sweep_blocks, each written in place as it is taken."""
+    zetas, times = config.zeta_grid.values(), config.time_grid.values()
+    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
+    disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
+    rows = slice(0, 0)
+    for block in sweep_blocks(config):
+        rows = slice(rows.stop, rows.stop + block.zeta.size)
+        for name, grid in values.items():
+            grid[rows] = block.values[name]
+        if disagreement is not None:
+            disagreement[rows] = block.method_disagreement
+    return SweepResult(zetas, times, values, disagreement)
+
+
+def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
+    """The sweep as a stream of SweepResults, one per block of _block_rows
+    consecutive zeta rows (zetas[rows] and the whole t axis), in zeta order.
+    The model and the moment matrices are built by this call, so their errors
+    come before any block; each block is computed when it is taken, and the
+    stream keeps none.
 
     Per block, the closed form propagates all rows at once and contracts the
     (rows, nt, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
@@ -284,22 +297,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         moments = {s: (means[s], covs[s]) for s in sides}
         return _row_columns(coefficients(ManifoldState(amps, times)), moments, config)
 
-    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
-    disagreement = np.empty((zetas.size, times.size)) if n_routes == 2 else None
-    step = _block_rows(times.size)
-    for start in range(0, zetas.size, step):
-        rows = slice(start, min(start + step, zetas.size))
+    def block(rows: slice) -> SweepResult:
         try:
             columns = block_columns(rows)
         except _ROW_ERRORS as exc:
             raise _row_error(block_columns, zetas, rows, exc) from exc
-        for name, grid in values.items():
-            grid[rows] = columns[name][0]
-        if disagreement is not None:
-            disagreement[rows] = _max_disagreement(
-                {k: v[0] for k, v in columns.items()}, {k: v[1] for k, v in columns.items()}
-            )
-    return SweepResult(zetas, times, values, disagreement)
+        # the closed form's half first when it runs, the oracle's last
+        first, last = ({k: v[r] for k, v in columns.items()} for r in (0, -1))
+        return SweepResult(zetas[rows], times, {c: first[c] for c in config.columns},
+                           _max_disagreement(first, last) if n_routes == 2 else None)
+
+    step = _block_rows(times.size)
+    return (block(slice(i, min(i + step, zetas.size))) for i in range(0, zetas.size, step))
 
 
 def _row_error(
@@ -315,99 +324,6 @@ def _row_error(
     return SweepError(f"rows zeta={zetas[rows.start]}..{zetas[rows.stop - 1]}: {exc}")
 
 
-def _csv_block_rows(n_columns: int) -> int:
-    """Rows per CSV block: as many as fit in _CSV_BLOCK_BYTES of field buffer."""
-    return max(1, _CSV_BLOCK_BYTES // (n_columns * (WIDTH + 1)))
-
-
-def _cell_blocks(result: SweepResult, grids: list[np.ndarray], rows: int) -> Iterator[tuple]:
-    """Zeta-major blocks of `rows` cells: their zeta and t indices and grid values."""
-    flat = [np.ravel(g) for g in grids]
-    n_cells = len(result)
-    for i in range(0, n_cells, rows):
-        zi, tj = np.divmod(np.arange(i, min(i + rows, n_cells)), result.t.size)
-        values = np.empty((zi.size, len(flat)))
-        for k, col in enumerate(flat):
-            values[:, k] = col[i : i + rows]
-        yield zi, tj, values
-
-
-def _csv_chunks(names: list[str], result: SweepResult, grids: list[np.ndarray]) -> Iterator[str]:
-    """CSV text in blocks of rows, so the whole file is never held at once.
-
-    Each axis is encoded once and its text gathered per block; the value
-    columns are encoded once per block.  The fields are laid out in a (rows,
-    columns, WIDTH + 1) byte buffer, zero-padded, with the separator in the
-    last byte of each field, and the zero bytes dropped.
-    """
-    yield ",".join(names) + "\n"
-    zeta_text, t_text = g17_text(result.zeta), g17_text(result.t)
-    for zi, tj, values in _cell_blocks(result, grids, _csv_block_rows(len(names))):
-        buf = np.zeros((zi.size, len(names), WIDTH + 1), np.uint8)
-        buf[:, 0, :-1] = zeta_text[zi]
-        buf[:, 1, :-1] = t_text[tj]
-        buf[:, 2:, :-1] = g17_text(values)
-        buf[:, :, -1] = ord(",")
-        buf[:, -1, -1] = ord("\n")
-        buf = buf.ravel()
-        yield np.compress(buf != 0, buf).tobytes().decode("ascii")
-
-
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(values: np.ndarray) -> list[str]:
-    """Each value as json.dumps writes a float (float.__repr__, with inf as
-    Infinity), except that nan becomes null."""
-    values = np.asarray(values, dtype=np.float64)
-    text = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        text = [_JSON_NON_FINITE.get(s, s) for s in text]
-    return text
-
-
-def _json_chunks(names: list[str], result: SweepResult, grids: list[np.ndarray]) -> Iterator[str]:
-    """The bytes of json.dumps(records, indent=2) + "\n", one record per cell
-    in zeta-major order, in blocks of _JSON_BLOCK_RECORDS records: each axis
-    is converted to text once and gathered per block, each value column is
-    converted once per block, and the text fills a fixed record template."""
-    keys = (json.dumps(name).replace("%", "%%") for name in names)
-    record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    zeta_text, t_text = (np.array(_json_text(a), dtype=object) for a in (result.zeta, result.t))
-    yield "[\n"
-    for k, (zi, tj, values) in enumerate(_cell_blocks(result, grids, _JSON_BLOCK_RECORDS)):
-        text = (zeta_text[zi].tolist(), t_text[tj].tolist(), *map(_json_text, values.T))
-        yield (",\n" if k else "") + ",\n".join(map(record.__mod__, zip(*text)))
-    yield "\n]\n"
-
-
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write `path`'s real target (symlinks resolved, so a link survives)
-    through a temporary file beside it that then replaces it, never over a
-    directory.  An existing target that is not a regular file, such as a FIFO
-    or a device, is written in place: replacing it would delete it.  A
-    failure is an OSError that names `path`, not the target or the temporary file."""
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if in_place else f"{target}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        if not in_place:
-            os.replace(tmp, target)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
-        if not in_place and os.path.exists(tmp):  # only when the write or the replace failed
-            os.remove(tmp)
-
-
-# The output formats: the --format choices, and the writer of each.
-_WRITERS = {"csv": _csv_chunks, "json": _json_chunks}
-
-
 def emit(
     result: SweepResult,
     columns: Sequence[str],
@@ -415,20 +331,14 @@ def emit(
     path: str,
     include_disagreement: bool = False,
 ) -> None:
-    """Write the result's columns to disk atomically; byte-stable for identical inputs."""
+    """Write the result's columns to disk atomically, byte-stable for
+    identical inputs: output.emit_blocks of the result as its one block."""
     if not len(result):
         raise ValueError("no cells to emit")
-    names = ["zeta", "t", *columns]
-    grids = [result.values[c] for c in columns]
-    if include_disagreement:
-        if result.method_disagreement is None:
-            raise ValueError("the result has no method disagreement to emit")
-        names.append("method_disagreement")
-        grids.append(result.method_disagreement)
-    chunks = _WRITERS.get(output_format)
-    if chunks is None:
-        raise ValueError(f"unknown output format {output_format!r}")
-    _write_atomic(path, chunks(names, result, grids))
+    if include_disagreement and result.method_disagreement is None:
+        raise ValueError("the result has no method disagreement to emit")
+    emit_blocks(result.zeta, result.t, [result], columns, output_format, path,
+                include_disagreement)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -468,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in Method],
         default="closed_form",
     )
-    parser.add_argument("--format", choices=list(_WRITERS), default="csv")
+    parser.add_argument("--format", choices=list(WRITERS), default="csv")
     parser.add_argument("--output", default="sweep.csv")
     parser.add_argument(
         "--params-file",
@@ -480,13 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
     params = ModelParams()
     if args.params_file:
-        with open(args.params_file, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if isinstance(mapping, dict) and "zeta" in mapping:
-            raise ValueError(
-                "zeta is not a --params-file key; give it with --zeta or --zeta-range"
-            )
-        params = ModelParams.from_mapping(mapping)
+        try:
+            with open(args.params_file, "r", encoding="utf-8") as fh:
+                mapping = json.load(fh)
+            if isinstance(mapping, dict) and "zeta" in mapping:
+                raise ValueError(
+                    "zeta is not a --params-file key; give it with --zeta or --zeta-range"
+                )
+            params = ModelParams.from_mapping(mapping)
+        except ValueError as exc:
+            raise ValueError(f"{args.params_file}: {exc}") from exc
     if args.zeta is None:
         zeta_grid = GridSpec(*(args.zeta_range or (0.0, 2.0)), args.steps[0])
     elif args.zeta_range is None:
@@ -505,26 +418,36 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement so far, at (zeta, t)
+
+    def tracked(blocks: Iterator[SweepResult]) -> Iterator[SweepResult]:
+        for block in blocks:
+            grid = block.method_disagreement
+            i, j = np.unravel_index(np.argmax(grid), grid.shape)
+            if grid[i, j] > worst[0]:  # a tie keeps the earlier cell, as argmax does
+                worst[:] = grid[i, j], block.zeta[i], block.t[j]
+            yield block
+
     try:
         config = config_from_args(args)
-        result = run_sweep(config)
-        emit(result, config.columns, args.format, args.output,
-             include_disagreement=config.method is Method.BOTH)
+        both = config.method is Method.BOTH
+        blocks = sweep_blocks(config)
+        emit_blocks(config.zeta_grid.values(), config.time_grid.values(),
+                    tracked(blocks) if both else blocks, config.columns, args.format,
+                    args.output, include_disagreement=both)
     except (ValueError, SweepError, ModelInconsistencyError, NumericalConsistencyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = f"wrote {len(result)} cells to {args.output}"
-    if config.method is not Method.BOTH:
+    summary = f"wrote {config.zeta_grid.steps * config.time_grid.steps} cells to {args.output}"
+    if not both:
         print(summary)
         return 0
-    disagreement = result.method_disagreement
-    i, j = np.unravel_index(np.argmax(disagreement), disagreement.shape)
-    worst = disagreement[i, j]
-    cell = f"zeta={result.zeta[i]:g}, t={result.t[j]:g}"
-    print(f"{summary} (max method disagreement {worst:.3e} at {cell})")
-    if not worst <= DISAGREEMENT_TOL:
-        print(f"error: the dynamics routes disagree by {worst:.3e} at {cell}, "
+    disagreement, zeta, t = worst
+    cell = f"zeta={zeta:g}, t={t:g}"
+    print(f"{summary} (max method disagreement {disagreement:.3e} at {cell})")
+    if not disagreement <= DISAGREEMENT_TOL:
+        print(f"error: the dynamics routes disagree by {disagreement:.3e} at {cell}, "
               f"above {DISAGREEMENT_TOL:g}", file=sys.stderr)
         return 1
     return 0

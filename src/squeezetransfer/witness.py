@@ -175,21 +175,33 @@ def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
 
 @dataclass(frozen=True)
 class BranchWitnesses:
-    """Closed-form witness values with their per-branch violation orientation."""
+    """The paper's closed-form witness values of one branch."""
 
     ineq_a: float | np.ndarray
     ineq_p: float | np.ndarray
-    a_violated: bool | np.ndarray
-    p_violated: bool | np.ndarray
 
 
 def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitnesses:
-    """Per-branch closed forms.
+    """Per-branch closed forms, the paper's formulas.
 
-    Entangled branch: ineq_a = 4 - 5|A|^2 and ineq_p = |A|^2, squeezing
-    flagged by positive values.  Separable branch:
+    Entangled branch: ineq_a = 4 - 5|A|^2 and ineq_p = |A|^2, which the paper
+    reads as squeezing where they are positive.  Separable branch:
     ineq_a = 3|B|^2 - |D|^2 - 2(|B|^2 + |D|^2)^2 and ineq_p = 2|A|^2 - 1,
-    squeezing flagged by negative values.
+    read as squeezing where they are negative.
+
+    On each branch's states (C = D = 0 on the entangled branch) each is an
+    exact affine function of the generic slacks of ossi(..., 2) (ossi_of on
+    the manifold moments), which the tests hold to 1e-13:
+
+        entangled  ineq_a = 5 * atoms slack_c_x - 1
+                   ineq_p = 1 - atoms slack_c_x
+        separable  ineq_a = 2 * atoms slack_b - atoms slack_c_x
+                   ineq_p = -photons slack_c_y
+
+    So where the paper's sign reads squeezing, the inequality its formula
+    equals is satisfied (entangled ineq_a > 0 is atoms slack_c_x > 0.2;
+    separable ineq_p < 0 is photons slack_c_y > 0): the sign is not a
+    violation of a collective-spin inequality.
     """
     if branch is InitialState.ENTANGLED_SYMMETRIC:
         antisym = np.max(coeffs.abs_c2 + coeffs.abs_d2)
@@ -198,23 +210,9 @@ def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitn
                 f"entangled branch must have no antisymmetric weight, "
                 f"found |C|^2 + |D|^2 = {antisym:.3e}"
             )
-        ineq_a = 4 - 5 * coeffs.abs_a2
-        ineq_p = coeffs.abs_a2
-        return BranchWitnesses(
-            ineq_a,
-            ineq_p,
-            a_violated=ineq_a > VIOLATION_TOL,
-            p_violated=ineq_p > VIOLATION_TOL,
-        )
+        return BranchWitnesses(4 - 5 * coeffs.abs_a2, coeffs.abs_a2)
     s = coeffs.abs_b2 + coeffs.abs_d2
-    ineq_a = 3 * coeffs.abs_b2 - coeffs.abs_d2 - 2 * s**2
-    ineq_p = 2 * coeffs.abs_a2 - 1
-    return BranchWitnesses(
-        ineq_a,
-        ineq_p,
-        a_violated=ineq_a < -VIOLATION_TOL,
-        p_violated=ineq_p < -VIOLATION_TOL,
-    )
+    return BranchWitnesses(3 * coeffs.abs_b2 - coeffs.abs_d2 - 2 * s**2, 2 * coeffs.abs_a2 - 1)
 
 
 def _transverse_basis(n0: np.ndarray) -> np.ndarray:

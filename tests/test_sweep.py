@@ -576,6 +576,13 @@ class TestEmit:
             emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
             assert path.read_bytes() == reference_text(result, ("a", "b"), fmt).encode("utf-8")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axes_only(self, fmt, tmp_path):
+        result = SweepResult(np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0]), {})
+        path = tmp_path / f"out.{fmt}"
+        emit(result, (), fmt, str(path))
+        assert path.read_bytes() == reference_text(result, (), fmt).encode()
+
     def test_json_matches_json_dumps(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1 / 3, -2.5e-300, 6.02214076e23,
                    1e16, 123456789.0, 5e-324]
@@ -591,25 +598,25 @@ class TestEmit:
 
     @staticmethod
     def _count_encodings(monkeypatch):
-        """Record the array each g17_text call in the sweep encodes."""
-        import squeezetransfer.sweep as sweep
+        """Record the array each g17_text call of the writer encodes."""
+        from squeezetransfer import output
 
         calls = []
-        real = sweep.g17_text
+        real = output.g17_text
 
         def counting(values):
             calls.append(np.array(values))
             return real(values)
 
-        monkeypatch.setattr(sweep, "g17_text", counting)
+        monkeypatch.setattr(output, "g17_text", counting)
         return calls
 
     @pytest.mark.parametrize("n", [1, 7, "block+3"])
     def test_each_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
-        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
 
         columns = ("v1", "a", "v2", "b")
-        block = sweep._csv_block_rows(2 + len(columns))
+        block = output._csv_block_rows(2 + len(columns))
         n = 2 * block + 3 if n == "block+3" else n
         calls = self._count_encodings(monkeypatch)
         rng = np.random.default_rng(2)
@@ -631,7 +638,7 @@ class TestEmit:
             np.testing.assert_array_equal(encoded[:, k], values[name])
 
     def test_each_column_encoded_once_per_block_without_sharing(self, tmp_path, monkeypatch):
-        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
 
         calls = self._count_encodings(monkeypatch)
         cfg = small_config(zeta_grid=GridSpec(0.0, 1.0, 5), time_grid=GridSpec(0.0, 20.0, 401))
@@ -640,7 +647,7 @@ class TestEmit:
         path = tmp_path / "out.csv"
         emit(result, cfg.columns, "csv", str(path))
         assert path.read_bytes() == reference_text(result, cfg.columns, "csv").encode("utf-8")
-        n, block = len(result), sweep._csv_block_rows(2 + len(cfg.columns))
+        n, block = len(result), output._csv_block_rows(2 + len(cfg.columns))
         assert n > 2 * block  # blocks start inside zeta rows
         np.testing.assert_array_equal(calls[0], result.zeta)
         np.testing.assert_array_equal(calls[1], result.t)
@@ -652,13 +659,13 @@ class TestEmit:
 
     @pytest.mark.parametrize("case", ["signed_zero_t", "block_plus_one", "single_cell"])
     def test_axis_text_matches_reference_formatter(self, case, tmp_path):
-        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
 
         rng = np.random.default_rng(1)
         if case == "signed_zero_t":
             zeta, t = np.array([-0.0, 0.5]), np.array([0.0, -0.0, 1.0, -0.0])
         elif case == "block_plus_one":
-            n = sweep._csv_block_rows(4) + 1
+            n = output._csv_block_rows(4) + 1
             zeta, t = np.array([0.7]), np.linspace(0.0, 20.0, n)
         else:
             zeta, t = np.array([0.3]), np.array([-0.0])
@@ -671,9 +678,9 @@ class TestEmit:
 
     @pytest.mark.parametrize("n", [1, "block", "block+1"])
     def test_json_blocks_match_json_dumps(self, n, tmp_path):
-        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
 
-        block = sweep._JSON_BLOCK_RECORDS
+        block = output._JSON_BLOCK_RECORDS
         # one zeta row; several rows filling one block; a block and one cell
         shape = {1: (1, 1), "block": (2, block // 2), "block+1": (5, (block + 1) // 5)}[n]
         n = shape[0] * shape[1]
@@ -685,13 +692,13 @@ class TestEmit:
         path = tmp_path / "out.json"
         emit(result, ("a", "b", "c"), "json", str(path))
         assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
-        chunks = list(sweep._json_chunks(["zeta", "t", "a", "b", "c"], result,
-                                         [values["a"], shared, shared]))
+        chunks = list(output._json_chunks(["zeta", "t", "a", "b", "c"], result.zeta, result.t,
+                                          [result]))
         assert len(chunks) == 2 + -(-n // block)  # "[", one per block of records, "]"
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
-        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
 
         path = tmp_path / "out.csv"
         path.write_bytes(b"old bytes\n")
@@ -705,9 +712,9 @@ class TestEmit:
             raise OSError("cannot replace")
 
         if failure == "write":
-            monkeypatch.setattr(sweep, "open", broken_open, raising=False)
+            monkeypatch.setattr(output, "open", broken_open, raising=False)
         else:
-            monkeypatch.setattr(sweep.os, "replace", broken_replace)
+            monkeypatch.setattr(output.os, "replace", broken_replace)
         cfg = small_config()
         with pytest.raises(OSError):
             emit(run_sweep(cfg), cfg.columns, "csv", str(path))
@@ -766,15 +773,23 @@ class TestCli:
         assert not out.exists()
 
     def test_main_reports_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.output as writer
         import squeezetransfer.sweep as sweep
 
-        opened = []
+        opened, blocks = [], []
 
         def spying_open(file, *args, **kwargs):
             opened.append(file)
             return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(sweep, "open", spying_open, raising=False)
+        real_columns = sweep._row_columns
+
+        def counting_columns(*args):
+            blocks.append(args)
+            return real_columns(*args)
+
+        monkeypatch.setattr(writer, "open", spying_open, raising=False)
+        monkeypatch.setattr(sweep, "_row_columns", counting_columns)
         somedir = tmp_path / "somedir"
         somedir.mkdir()
         missing = str(tmp_path / "missing" / "x.csv")
@@ -795,6 +810,7 @@ class TestCli:
             if output != missing:
                 # a directory is refused before any file is opened
                 assert err.endswith("it is a directory\n") and opened == []
+            assert blocks == []  # and before any block is computed
         assert list(somedir.iterdir()) == []
 
     SMALL_RUN = ["--zeta", "0.5", "--steps", "1", "2", "--time-range", "0", "1"]
@@ -1039,6 +1055,177 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "--zeta" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"mu": ', "Expecting value: line 1 column 8 (char 7)"),
+         ('{"mu": "0.1"}', "mu must be a number, got '0.1'")],
+    )
+    def test_main_names_a_bad_params_file(self, text, reason, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(text)
+        out = tmp_path / "x.csv"
+        rc = main(["--params-file", str(pfile), "--steps", "2", "3", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {pfile}: {reason}\n"
+        assert not out.exists()
+
+
+class TestStream:
+    """main writes each sweep block as it is computed, through the writer
+    that emit hands a whole result to."""
+
+    # 3 rows a sweep block at 301 times: blocks of 3, 3 and 1 rows
+    ARGS = ["--zeta-range", "0", "1.2", "--steps", "7", "301"]
+    ZETAS = GridSpec(0.0, 1.2, 7).values()
+
+    @staticmethod
+    def fail_row(monkeypatch, index):
+        """Make the closed form fail on any block that holds zeta row `index`."""
+        import squeezetransfer.sweep as sweep
+
+        made = []
+        real_blocks, real_evolve = sweep.manifold_blocks, sweep.evolve_closed_form_grid
+
+        def recording_blocks(*args):
+            made[:] = [real_blocks(*args)]
+            return made[0]
+
+        def failing(branch, blocks, times):
+            if made[0].omegas[index, 0] in blocks.omegas[:, 0]:
+                raise NumericalConsistencyError("injected failure")
+            return real_evolve(branch, blocks, times)
+
+        monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_cli_writes_the_bytes_of_emit(self, method, fmt, tmp_path, monkeypatch):
+        import squeezetransfer.sweep as sweep
+        from squeezetransfer import output
+
+        both = method is Method.BOTH
+        sub = output._csv_block_rows(6 + both) if fmt == "csv" else output._JSON_BLOCK_RECORDS
+        cells = sweep._block_rows(301) * 301
+        # writer sub-blocks start inside zeta rows, and the sweep blocks end
+        # inside writer sub-blocks
+        assert cells == 903 and sub % 301 and cells % sub
+        argv = [*self.ARGS, "--method", method.value, "--format", fmt]
+        cfg = config_from_args(_build_parser().parse_args(argv))
+        result = run_sweep(cfg)
+        encoded = {"emit": [], "cli": []}
+        real = output.g17_text
+
+        def recording(values):
+            encoded[side].append(np.shape(values))
+            return real(values)
+
+        monkeypatch.setattr(output, "g17_text", recording)
+        side = "emit"
+        emit(result, cfg.columns, fmt, str(tmp_path / side), include_disagreement=both)
+        side = "cli"
+        assert main([*argv, "--output", str(tmp_path / side)]) == 0
+        assert (tmp_path / "cli").read_bytes() == (tmp_path / "emit").read_bytes()
+        # the same text encodings: each axis once, and the value sub-blocks
+        # of the whole grid, whatever the sweep blocks
+        assert encoded["cli"] == encoded["emit"]
+        if fmt == "csv":
+            assert encoded["cli"][:2] == [(7,), (301,)] and len(encoded["cli"]) > 4
+
+    def test_failing_row_in_a_later_block_leaves_the_target(self, tmp_path, capsys, monkeypatch):
+        from squeezetransfer import output
+
+        opened = []
+
+        def spying_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(output, "open", spying_open, raising=False)
+        self.fail_row(monkeypatch, 4)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n")
+        rc = main([*self.ARGS, "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: row zeta={self.ZETAS[4]}: injected failure\n"
+        # the first block went to a temporary file, which is gone
+        assert len(opened) == 1 and ".tmp" in opened[0]
+        assert out.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_fifo_reader_gets_the_blocks_before_a_failing_one(self, tmp_path, capsys, monkeypatch):
+        import threading
+
+        whole = tmp_path / "whole.csv"
+        assert main([*self.ARGS, "--output", str(whole)]) == 0
+        capsys.readouterr()
+        self.fail_row(monkeypatch, 4)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:  # blocks until the writer opens it
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        rc = main([*self.ARGS, "--output", str(fifo)])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: row zeta={self.ZETAS[4]}: injected failure\n"
+        # the header and the whole lines of the first block (3 rows), then EOF
+        lines = whole.read_bytes().splitlines(keepends=True)
+        assert received == [b"".join(lines[: 1 + 3 * 301])]
+
+    def test_worst_cell_is_the_grids_first_argmax(self, tmp_path, capsys, monkeypatch):
+        """On a real both-route run, then on disagreements tied between the
+        second and the third block."""
+        import squeezetransfer.sweep as sweep
+
+        def worst_cell(argv):
+            assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 0
+            line = capsys.readouterr().out
+            grid = run_sweep(config_from_args(_build_parser().parse_args(argv)))
+            d = grid.method_disagreement
+            i, j = np.unravel_index(np.argmax(d), d.shape)
+            cell = f"zeta={grid.zeta[i]:g}, t={grid.t[j]:g}"
+            assert line.endswith(f"(max method disagreement {d[i, j]:.3e} at {cell})\n")
+            return i, j
+
+        argv = [*self.ARGS, "--branch", "separable", "--observables", "ossi_full,xi",
+                "--method", "both"]
+        worst_cell(argv)
+        blocks = []
+
+        def tied(first, last):
+            grid = np.zeros(np.shape(first["xi"]))
+            grid[-1, 5] = 1e-9 if len(blocks) % 3 else 5e-10  # the same in blocks 2 and 3
+            blocks.append(grid.shape)
+            return grid
+
+        monkeypatch.setattr(sweep, "_max_disagreement", tied)
+        assert worst_cell(argv) == (5, 5)  # the last row of block 2, not the row of block 3
+        assert blocks == [(3, 301), (3, 301), (1, 301)] * 2
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        """The traced peak of a 401x401 default run is within 0.5 MiB of a
+        101x401 one: main holds one block, not the (n_zeta, n_t) grids."""
+        import tracemalloc
+
+        out = str(tmp_path / "x.csv")
+        assert main(["--steps", "2", "3", "--output", out]) == 0  # builds cached tables
+        peaks = []
+        for n_zeta in (101, 401):
+            tracemalloc.start()
+            try:
+                assert main(["--steps", str(n_zeta), "401", "--output", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20
 
 
 def test_import_leaves_scipy_out():

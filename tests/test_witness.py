@@ -58,6 +58,8 @@ from squeezetransfer.witness import (
     spin_moments,
 )
 
+from squeezetransfer.sweep import GridSpec, Method, SweepConfig, run_sweep
+
 from _oracles import manifold_spin_moments, transverse_variance
 from conftest import random_separable_two_qubit
 
@@ -376,16 +378,12 @@ class TestBranchWitnesses:
         bw = branch_witnesses(coeffs, InitialState.ENTANGLED_SYMMETRIC)
         assert bw.ineq_a == pytest.approx(-1.0, abs=1e-12)
         assert bw.ineq_p == pytest.approx(1.0, abs=1e-12)
-        assert not bw.a_violated
-        assert bw.p_violated
 
     def test_separable_t0(self, default_block):
         coeffs = branch_state(default_block, InitialState.SEPARABLE_ONE_CAVITY, 0.0)
         bw = branch_witnesses(coeffs, InitialState.SEPARABLE_ONE_CAVITY)
         assert bw.ineq_a == pytest.approx(0.0, abs=1e-12)
         assert bw.ineq_p == pytest.approx(0.0, abs=1e-12)
-        assert not bw.a_violated
-        assert not bw.p_violated
 
     def test_branch_mismatch_raises(self, default_block):
         coeffs = branch_state(default_block, InitialState.SEPARABLE_ONE_CAVITY, 1.1)
@@ -393,11 +391,57 @@ class TestBranchWitnesses:
             branch_witnesses(coeffs, InitialState.ENTANGLED_SYMMETRIC)
 
     def test_entangled_atomic_witness_turns_on(self, default_block):
-        # once |A|^2 drops below 4/5 the atomic witness flags squeezing
+        # once |A|^2 drops below 4/5 the atomic witness turns positive, which
+        # the paper reads as squeezing
         coeffs = branch_state(default_block, InitialState.ENTANGLED_SYMMETRIC, 1.0)
         assert coeffs.abs_a2 < 0.8
         bw = branch_witnesses(coeffs, InitialState.ENTANGLED_SYMMETRIC)
-        assert bw.a_violated
+        assert bw.ineq_a > 0
+
+    @staticmethod
+    def identity_gaps(values, branch):
+        """|closed form - the affine function of generic slacks it equals|, for
+        ineq_a and ineq_p, from columns named as the sweep names them."""
+        if branch is InitialState.ENTANGLED_SYMMETRIC:
+            want = {"ineq_a": 5 * values["atoms_slack_c_x"] - 1,
+                    "ineq_p": 1 - values["atoms_slack_c_x"]}
+        else:
+            want = {"ineq_a": 2 * values["atoms_slack_b"] - values["atoms_slack_c_x"],
+                    "ineq_p": -values["photons_slack_c_y"]}
+        return [np.abs(values[name] - w) for name, w in want.items()]
+
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_closed_forms_are_affine_in_generic_slacks(self, branch, space, rng):
+        """On random states of the branch's manifold (C = D = 0 on the
+        entangled branch), from the manifold moments of each side's spin."""
+        amps = rng.standard_normal((4, 2000)) + 1j * rng.standard_normal((4, 2000))
+        if branch is InitialState.ENTANGLED_SYMMETRIC:
+            amps[[1, 3]] = 0  # (phi1, phi2, phi3, phi4) hold (A, C, B, D)
+        amps /= np.linalg.norm(amps, axis=0)
+        bw = branch_witnesses(coefficients(ManifoldState(amps, np.zeros(2000))), branch)
+        values = {"ineq_a": bw.ineq_a, "ineq_p": bw.ineq_p}
+        for side, spin in (("atoms", collective_atomic_spin), ("photons", photonic_pseudospin)):
+            matrix = moment_matrix(moment_operators(spin(space)), manifold_basis(space))
+            rep = ossi_of(*manifold_spin_moments(amps, matrix), 2)
+            values[f"{side}_slack_b"] = rep.slack_b
+            values.update({f"{side}_slack_c_{ax}": v for ax, v in rep.slack_c.items()})
+        for gap in self.identity_gaps(values, branch):
+            assert gap.max() < 1e-13
+
+    @pytest.mark.parametrize("branch", list(InitialState))
+    @pytest.mark.parametrize("method", [Method.BOTH, Method.NUMERIC_ORACLE])
+    def test_closed_forms_are_affine_in_generic_slacks_over_a_sweep(self, branch, method):
+        """On a 21x41 grid, from each route: the closed form (the values of a
+        --method both run, which also holds the routes within 1e-8) and the
+        oracle's own vectors."""
+        cfg = SweepConfig(branch=branch, zeta_grid=GridSpec(0.0, 2.0, 21),
+                          time_grid=GridSpec(0.0, 20.0, 41),
+                          observables=("ineq_a", "ineq_p", "ossi_full"), method=method)
+        result = run_sweep(cfg)
+        if method is Method.BOTH:
+            assert result.method_disagreement.max() <= 1e-8
+        for gap in self.identity_gaps(result.values, branch):
+            assert gap.max() < 1e-13
 
 
 class TestXi:
