@@ -1,10 +1,12 @@
-"""The dataset files: CSV or JSON text of a stream of sweep blocks, written
+"""The dataset files: CSV or JSON bytes of a stream of sweep blocks, written
 atomically.
 
 A block is a SweepResult over consecutive zeta rows and the whole t axis;
 the blocks of one file come in zeta order and share that t axis.  Each block
 is written as it is taken, in sub-blocks of cells, so memory grows neither
 with the grid nor with the file, and identical blocks give identical bytes.
+An array that a block holds under several column names is encoded once per
+sub-block, and its text copied into each of those columns.
 """
 
 from __future__ import annotations
@@ -43,68 +45,82 @@ def _cell_blocks(
     blocks: Iterable[SweepResult], n_t: int, names: list[str], rows: int
 ) -> Iterator[tuple]:
     """Zeta-major sub-blocks of `rows` cells of the stream, the last one
-    shorter: their zeta and t indices and values of the columns names[2:].
+    shorter: their zeta and t indices, the values of each distinct array of
+    the columns names[2:], and for each column the index of its array there.
 
-    The cells are gathered across block boundaries into one buffer of whole
-    sub-blocks, about _GATHER_BYTES of values, whose sub-blocks are then
-    handed out in turn; so the sub-blocks do not depend on the blocks.  Each
-    sub-block's values are a view of that buffer, valid until the next
-    sub-block is taken.  If a block fails, the cells of the blocks before it
-    come first, then its error.
+    A column whose array is another column's, such as one array under two
+    names, is gathered once.  The cells are gathered across block boundaries
+    into one buffer of whole sub-blocks, about _GATHER_BYTES of values, whose
+    sub-blocks are then handed out in turn; so the sub-blocks do not depend on
+    the blocks, unless a block shares its arrays among the columns unlike the
+    block before it, which ends the sub-block there.  Each sub-block's values
+    are a view of that buffer, valid until the next sub-block is taken.  If a
+    block fails, the cells of the blocks before it come first, then its error.
     """
-    n_columns = len(names) - 2
-    size = rows * max(1, _GATHER_BYTES // (rows * 8 * max(1, n_columns)))
-    values, filled, start = np.empty((size, n_columns)), 0, 0
+    columns, values, filled, start = None, np.empty((0, 0)), 0, 0
     error = None
     try:
         for block in blocks:
             grids = dict(block.values, method_disagreement=block.method_disagreement)
-            flat = [np.ravel(grids[name]) for name in names[2:]]
+            arrays = {id(grids[name]): grids[name] for name in names[2:]}
+            position = {key: k for k, key in enumerate(arrays)}
+            index = [position[id(grids[name])] for name in names[2:]]
+            if index != columns:
+                yield from _sub_blocks(values[:filled], start, n_t, rows, columns)
+                filled, start, columns = 0, start + filled, index
+                size = rows * max(1, _GATHER_BYTES // (rows * 8 * max(1, len(arrays))))
+                values = np.empty((size, len(arrays)))
+            flat = [np.ravel(grid) for grid in arrays.values()]
             i = 0
             while i < len(block):
-                n = min(size - filled, len(block) - i)
+                n = min(len(values) - filled, len(block) - i)
                 for k, col in enumerate(flat):
                     values[filled : filled + n, k] = col[i : i + n]
                 filled, i = filled + n, i + n
-                if filled == size:
-                    yield from _sub_blocks(values, start, n_t, rows)
-                    filled, start = 0, start + size
+                if filled == len(values):
+                    yield from _sub_blocks(values, start, n_t, rows, columns)
+                    filled, start = 0, start + filled
     except Exception as exc:  # from a block: it is raised once the cells before it are out
         error = exc
-    yield from _sub_blocks(values[:filled], start, n_t, rows)
+    yield from _sub_blocks(values[:filled], start, n_t, rows, columns)
     if error is not None:
         raise error
 
 
-def _sub_blocks(values: np.ndarray, start: int, n_t: int, rows: int) -> Iterator[tuple]:
+def _sub_blocks(
+    values: np.ndarray, start: int, n_t: int, rows: int, columns: list[int]
+) -> Iterator[tuple]:
     """The sub-blocks of `rows` cells of gathered values whose first cell is
-    `start`: their zeta and t indices, and values."""
+    `start`: their zeta and t indices, values and column indices."""
     for i in range(0, len(values), rows):
         cells = np.arange(start + i, start + min(i + rows, len(values)))
-        yield (*np.divmod(cells, n_t), values[i : i + rows])
+        yield (*np.divmod(cells, n_t), values[i : i + rows], columns)
 
 
 def _csv_chunks(
     names: list[str], zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult]
-) -> Iterator[str]:
-    """CSV text in sub-blocks of rows, so the whole file is never held at once.
+) -> Iterator[bytes]:
+    """CSV bytes in sub-blocks of rows, so the whole file is never held at once.
 
-    Each axis is encoded once and its text gathered per sub-block; the value
-    columns are encoded once per sub-block.  The fields are laid out in a
+    Each axis is encoded once and its text gathered per sub-block; each
+    distinct value array is encoded once per sub-block, and its text copied
+    into every column of that array.  The fields are laid out in one reused
     (rows, columns, WIDTH + 1) byte buffer, zero-padded, with the separator
-    in the last byte of each field, and the zero bytes dropped.
+    in the last byte of each field; every byte of a sub-block's rows is
+    written, and the zero bytes are dropped in one pass.
     """
-    yield ",".join(names) + "\n"
+    yield (",".join(names) + "\n").encode()
     zeta_text, t_text = g17_text(zeta), g17_text(t)
-    for zi, tj, values in _cell_blocks(blocks, t.size, names, _csv_block_rows(len(names))):
-        buf = np.zeros((zi.size, len(names), WIDTH + 1), np.uint8)
-        buf[:, 0, :-1] = zeta_text[zi]
-        buf[:, 1, :-1] = t_text[tj]
-        buf[:, 2:, :-1] = g17_text(values)
-        buf[:, :, -1] = ord(",")
-        buf[:, -1, -1] = ord("\n")
-        buf = buf.ravel()
-        yield np.compress(buf != 0, buf).tobytes().decode("ascii")
+    rows = _csv_block_rows(len(names))
+    fields = np.empty((rows, len(names), WIDTH + 1), np.uint8)
+    fields[:, :, -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, rows):
+        buf = fields[:zi.size]
+        buf[:, 0, :-1] = zeta_text.take(zi, axis=0)
+        buf[:, 1, :-1] = t_text.take(tj, axis=0)
+        buf[:, 2:, :-1] = g17_text(values).take(columns, axis=1)
+        yield buf.tobytes().translate(None, b"\0")
 
 
 _JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
@@ -122,35 +138,40 @@ def _json_text(values: np.ndarray) -> list[str]:
 
 def _json_chunks(
     names: list[str], zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult]
-) -> Iterator[str]:
+) -> Iterator[bytes]:
     """The bytes of json.dumps(records, indent=2) + "\n", one record per cell
     in zeta-major order, in sub-blocks of _JSON_BLOCK_RECORDS records: each
-    axis is converted to text once and gathered per sub-block, each value
-    column is converted once per sub-block, and the text fills a fixed
-    record template."""
+    axis is converted to text once and gathered per sub-block, each distinct
+    value array is converted once per sub-block, and the text fills a fixed
+    record template.  The text is ASCII: json.dumps escapes other characters
+    of the names."""
     keys = (json.dumps(name).replace("%", "%%") for name in names)
     record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
     zeta_text, t_text = (np.array(_json_text(a), dtype=object) for a in (zeta, t))
-    yield "[\n"
-    for k, (zi, tj, values) in enumerate(_cell_blocks(blocks, t.size, names, _JSON_BLOCK_RECORDS)):
-        text = (zeta_text[zi].tolist(), t_text[tj].tolist(), *map(_json_text, values.T))
-        yield (",\n" if k else "") + ",\n".join(map(record.__mod__, zip(*text)))
-    yield "\n]\n"
+    yield b"[\n"
+    blocks = _cell_blocks(blocks, t.size, names, _JSON_BLOCK_RECORDS)
+    for k, (zi, tj, values, columns) in enumerate(blocks):
+        arrays = list(map(_json_text, values.T))
+        text = (zeta_text[zi].tolist(), t_text[tj].tolist(), *(arrays[c] for c in columns))
+        yield ((",\n" if k else "") + ",\n".join(map(record.__mod__, zip(*text)))).encode()
+    yield b"\n]\n"
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write `path`'s real target (symlinks resolved, so a link survives)
-    through a temporary file beside it that then replaces it, never over a
-    directory.  An existing target that is not a regular file, such as a FIFO
-    or a device, is written in place: replacing it would delete it.  A
-    failure is an OSError that names `path`, not the target or the temporary file."""
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the bytes of `chunks` to `path`'s real target (symlinks resolved,
+    so a link survives) through a temporary file beside it that then replaces
+    it, never over a directory.  The file is binary: the chunks are its
+    bytes, with no text layer to encode them again.  An existing target that
+    is not a regular file, such as a FIFO or a device, is written in place:
+    replacing it would delete it.  A failure is an OSError that names `path`,
+    not the target or the temporary file."""
     target = os.path.realpath(path)
     if os.path.isdir(target):
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else f"{target}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         if not in_place:
             os.replace(tmp, target)

@@ -55,8 +55,8 @@ from .witness import (
 )
 
 DISAGREEMENT_TOL = 1e-8
-# Bytes of the closed form's a a^dag stack, a block's largest array, per block
-# of zeta rows: larger blocks pay less numpy call overhead and more peak RSS.
+# Bytes of a block's largest array: larger blocks pay less numpy call
+# overhead and more peak RSS.
 _SWEEP_BLOCK_BYTES = 1 << 18
 _AAD_CELL_BYTES = 16 * np.dtype(complex).itemsize  # one cell's 4x4 a a^dag
 # The failures of a row's checks, which the sweep reports with the row's zeta.
@@ -215,22 +215,29 @@ def _max_disagreement(
     return worst
 
 
-def _block_rows(n_t: int) -> int:
-    """Zeta rows per block: as many as fit in _SWEEP_BLOCK_BYTES of a a^dag."""
-    return max(1, _SWEEP_BLOCK_BYTES // (n_t * _AAD_CELL_BYTES))
+def _block_rows(config: SweepConfig) -> int:
+    """Zeta rows per block: as many as fit in _SWEEP_BLOCK_BYTES of its largest
+    array, a a^dag if spin moments are read, else every route's 4 amplitudes."""
+    routes = 1 + (config.method is Method.BOTH)
+    cell = _AAD_CELL_BYTES if _moment_sides(config.observables) else routes * _AAD_CELL_BYTES // 4
+    return max(1, _SWEEP_BLOCK_BYTES // (config.time_grid.steps * cell))
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Every grid cell, as one (n_zeta, n_t) array per column: the blocks of
-    sweep_blocks, each written in place as it is taken."""
+    sweep_blocks, each written in place as it is taken; an array named twice
+    stays one."""
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
-    values = {c: np.empty((zetas.size, times.size)) for c in config.columns}
+    values = {}
     disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
     rows = slice(0, 0)
     for block in sweep_blocks(config):
         rows = slice(rows.stop, rows.stop + block.zeta.size)
-        for name, grid in values.items():
-            grid[rows] = block.values[name]
+        made = {}
+        for name, grid in block.values.items():
+            if name not in values:
+                values[name] = made.setdefault(id(grid), np.empty((zetas.size, times.size)))
+            values[name][rows] = grid
         if disagreement is not None:
             disagreement[rows] = block.method_disagreement
     return SweepResult(zetas, times, values, disagreement)
@@ -303,11 +310,12 @@ def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
         except _ROW_ERRORS as exc:
             raise _row_error(block_columns, zetas, rows, exc) from exc
         # the closed form's half first when it runs, the oracle's last
-        first, last = ({k: v[r] for k, v in columns.items()} for r in (0, -1))
+        first, last = ({k: views.setdefault(id(v), v[r]) for k, v in columns.items()}
+                       for views, r in (({}, 0), ({}, -1)))
         return SweepResult(zetas[rows], times, {c: first[c] for c in config.columns},
                            _max_disagreement(first, last) if n_routes == 2 else None)
 
-    step = _block_rows(times.size)
+    step = _block_rows(config)
     return (block(slice(i, min(i + step, zetas.size))) for i in range(0, zetas.size, step))
 
 
@@ -365,9 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--time-range", type=float, nargs=2, metavar=("MIN", "MAX"), default=[0.0, 20.0],
         help="time window in units of 1/lambda (default: 0 20)",
     )
-    parser.add_argument(
-        "--steps", type=int, nargs=2, metavar=("NZETA", "NTIME"), default=[201, 401]
-    )
+    parser.add_argument("--steps", type=int, nargs=2, metavar=("NZETA", "NTIME"))
     parser.add_argument(
         "--observables",
         default=",".join(DEFAULT_OBSERVABLES),
@@ -379,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="closed_form",
     )
     parser.add_argument("--format", choices=list(WRITERS), default="csv")
-    parser.add_argument("--output", default="sweep.csv")
+    parser.add_argument("--output", help="default: sweep.FORMAT")
     parser.add_argument(
         "--params-file",
         help="JSON file with flat keys among: omega, mu, eta, lambda (alias lam), e_g, e_e",
@@ -400,17 +406,18 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
             params = ModelParams.from_mapping(mapping)
         except ValueError as exc:
             raise ValueError(f"{args.params_file}: {exc}") from exc
+    steps = args.steps or (201 if args.zeta is None else 1, 401)
     if args.zeta is None:
-        zeta_grid = GridSpec(*(args.zeta_range or (0.0, 2.0)), args.steps[0])
+        zeta_grid = GridSpec(*(args.zeta_range or (0.0, 2.0)), steps[0])
     elif args.zeta_range is None:
-        zeta_grid = GridSpec(args.zeta, args.zeta, 1)
+        zeta_grid = GridSpec(args.zeta, args.zeta, steps[0])
     else:
         raise ValueError("give either --zeta or --zeta-range, not both")
     return SweepConfig(
         params=params,
         branch=InitialState(args.branch),
         zeta_grid=zeta_grid,
-        time_grid=GridSpec(args.time_range[0], args.time_range[1], args.steps[1]),
+        time_grid=GridSpec(args.time_range[0], args.time_range[1], steps[1]),
         observables=tuple(s.strip() for s in args.observables.split(",")),
         method=Method(args.method),
     )
@@ -418,6 +425,7 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    args.output = args.output or f"sweep.{args.format}"
     worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement so far, at (zeta, t)
 
     def tracked(blocks: Iterator[SweepResult]) -> Iterator[SweepResult]:

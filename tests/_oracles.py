@@ -3,6 +3,7 @@ package computes by other routes."""
 
 from __future__ import annotations
 
+import fractions
 import math
 
 import numpy as np
@@ -161,8 +162,8 @@ def coefficient_formulas(
     }
 
 
-def layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X mask, Y mask, constants) rows of one csvtext key, slot by slot."""
+def layout(kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X mask, Y mask, constants) rows of one csvtext kind, slot by slot."""
     width, digit = csvtext.WIDTH, csvtext._DIGIT
     x, y = np.zeros(width, np.uint8), np.zeros(width, np.uint8)
     const = np.zeros(width, np.uint8)
@@ -171,8 +172,6 @@ def layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
         const[slot:slot + len(text)] = np.frombuffer(text, np.uint8)
 
     special = {csvtext._ZERO: b"0", csvtext._INF: b"inf", csvtext._NAN: b"nan"}
-    if negative and kind != csvtext._NAN:
-        put(0, b"-")
     if kind in special:
         put(digit, special[kind])
         return x, y, const
@@ -197,17 +196,43 @@ def layout(kind: int, negative: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return x, y, const
 
 
-def layout_tables() -> dict[str, np.ndarray]:
-    """The key layouts, digit words and trailing-zero counts of csvtext._tables,
-    built one key and one number at a time."""
-    kinds = csvtext._KINDS
-    x, y, const = (np.array(rows) for rows in zip(*(layout(k % kinds, k >= kinds)
-                                                     for k in range(2 * kinds))))
+def kind_of(e: int, sig: int) -> int:
+    """The csvtext kind of a value with decimal exponent e and sig significant
+    digits, as '%.17g' chooses its notation."""
+    if -4 <= e < 17:
+        return (e + 4) * 17 + sig - 1
+    return csvtext._FIXED_KINDS + 4 * (sig - 1) + 2 * (e < 0) + (abs(e) >= 100)
+
+
+def power_of_ten(e: int) -> tuple[float, float]:
+    """hi + lo == 10**(16 - e) to within 2**-106 relative, from exact integers."""
+    p = 16 - e
+    if p >= 0:
+        hi = float(10**p)
+        return hi, float(10**p - int(hi))
+    hi = 1 / 10**-p
+    num, den = hi.as_integer_ratio()
+    return hi, float(fractions.Fraction(1, 10**-p) - fractions.Fraction(num, den))
+
+
+def reference_tables() -> dict[str, np.ndarray]:
+    """Every csvtext table, built one kind, one number and one exponent at a
+    time: the key layouts, the digit words, the trailing-zero counts, the
+    kind of each (exponent, digits) and the powers of ten with hi's Veltkamp
+    halves."""
+    x, y, const = (np.array(rows) for rows in zip(*map(layout, range(csvtext._KINDS))))
     numbers = ["%04d" % i for i in range(10000)]
+    exponents = range(csvtext._E_MIN, csvtext._E_MAX + 1)
+    powers = np.array([power_of_ten(e) for e in exponents]).T
+    split = float(2**27 + 1)
+    high = [split * h - (split * h - h) for h in powers[0]]
     return {
         "words": np.frombuffer("".join(numbers).encode("ascii"), np.uint32),
         "zeros": np.array([4] + [len(s) - len(s.rstrip("0")) for s in numbers[1:]]),
+        "kinds": np.array([kind_of(e, sig) for e in range(csvtext._E_MIN, csvtext._E_MAX + 2)
+                           for sig in range(1, 18)]),
         "x_mask": x,
         "y_mask": y,
         "const": const,
+        "powers": np.array([*powers, high, powers[0] - high]),
     }

@@ -4,7 +4,7 @@ import pytest
 import squeezetransfer.csvtext as csvtext
 from squeezetransfer.csvtext import WIDTH, g17_text
 
-from _oracles import layout_tables
+from _oracles import reference_tables
 
 
 def texts(values):
@@ -106,9 +106,24 @@ def test_shapes_and_empty():
     assert g17_text(np.empty(0)).shape == (0, WIDTH)
 
 
-def test_tables_match_the_per_key_layouts():
+def test_tables_match_a_reference_build():
     tables = csvtext._tables()
-    for name, expected in layout_tables().items():
+    csvtext._powers(csvtext._E_MIN, csvtext._E_MAX)
+    for name, expected in reference_tables().items():
         got = getattr(tables, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert np.array_equal(got, expected), name
+
+
+def test_powers_are_filled_for_the_exponents_values_need(monkeypatch):
+    monkeypatch.setattr(csvtext, "_tables", csvtext._tables.__wrapped__)
+    fresh = csvtext._tables()
+    monkeypatch.setattr(csvtext, "_tables", lambda: fresh)
+    values = np.array([0.5, 3.0, 12.5])
+    assert texts(values) == reference(values)
+    assert fresh.filled == [-3, 3]  # e in -1..1, two either side
+    assert texts(np.array([1e30])) == reference([1e30])
+    assert fresh.filled == [-3, 32]  # one range, the gap filled too
+    expected = reference_tables()["powers"]
+    filled = slice(-3 - csvtext._E_MIN, 33 - csvtext._E_MIN)
+    assert np.array_equal(fresh.powers[:, filled], expected[:, filled])

@@ -282,9 +282,10 @@ class TestRunSweep:
         forbidden = _forbid_checked_and_analytic_states(monkeypatch)
         cfg = small_config(method=Method.BOTH, observables=observables)
         nt = cfg.time_grid.steps
-        budget = rows_per_block * nt * sweep._AAD_CELL_BYTES
-        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", budget)
-        assert sweep._block_rows(nt) == rows_per_block
+        # blocks are sized by a a^dag when a side is read, else by both routes' amplitudes
+        cell = sweep._AAD_CELL_BYTES if sides else sweep._AAD_CELL_BYTES // 2
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * nt * cell)
+        assert sweep._block_rows(cfg) == rows_per_block
         run_sweep(cfg)
         # Once per sweep: one moment matrix per side for the closed form, and
         # one contraction matrix of the reduced-space spin per side for the
@@ -324,24 +325,26 @@ class TestRunSweep:
             run_sweep(cfg)
         # the small grid is one block: one (rows, nt, 4, 4) stack per side
         nt, rows = cfg.time_grid.steps, cfg.zeta_grid.steps
-        assert sweep._block_rows(nt) >= rows
+        assert sweep._block_rows(cfg) >= rows
         assert calls == []
         assert shapes == [(rows, nt, 4, 4)] * (2 * len(InitialState))
 
+    @pytest.mark.parametrize("observables", [OBSERVABLES, DEFAULT_OBSERVABLES])
     @pytest.mark.parametrize("branch", list(InitialState))
-    def test_blocks_do_not_change_a_bit(self, branch, monkeypatch):
+    def test_blocks_do_not_change_a_bit(self, branch, observables, monkeypatch):
         """One row per block, blocks of 2 with a partial last block, and the
-        whole grid in one block give the same bits in every column."""
+        whole grid in one block give the same bits in every column, for blocks
+        sized by a a^dag and, with no spin moments read, by the amplitudes."""
         import squeezetransfer.sweep as sweep
 
-        cfg = small_config(branch=branch, method=Method.BOTH, observables=OBSERVABLES,
+        cfg = small_config(branch=branch, method=Method.BOTH, observables=observables,
                            params=ModelParams(mu=0.13, eta=-0.07),
                            zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 31))
+        cell = sweep._AAD_CELL_BYTES if "xi" in observables else sweep._AAD_CELL_BYTES // 2
         results = []
         for rows_per_block in (1, 2, 5):
-            budget = rows_per_block * 31 * sweep._AAD_CELL_BYTES
-            monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", budget)
-            assert sweep._block_rows(31) == rows_per_block
+            monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * 31 * cell)
+            assert sweep._block_rows(cfg) == rows_per_block
             results.append(run_sweep(cfg))
         first = results[0]
         for other in results[1:]:
@@ -576,6 +579,29 @@ class TestEmit:
             emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
             assert path.read_bytes() == reference_text(result, ("a", "b"), fmt).encode("utf-8")
 
+    @pytest.mark.parametrize("sharing", [(True, False), (False, True)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_that_share_arrays_differently(self, fmt, sharing, tmp_path):
+        """Column b is column a's array in one block and an array of its own in
+        the other: the bytes are still those of the whole grid."""
+        from squeezetransfer import output
+
+        rng = np.random.default_rng(5)
+        zeta, t = np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 20.0, 7)
+        a, b = rng.standard_normal((3, 7)), rng.standard_normal((3, 7))
+        blocks = []
+        for rows, shared in zip((slice(0, 1), slice(1, 3)), sharing):
+            if shared:
+                b[rows] = a[rows]
+            grids = {"a": a[rows], "b": b[rows].copy()}
+            if shared:
+                grids["b"] = grids["a"]
+            blocks.append(SweepResult(zeta[rows], t, grids))
+        path = tmp_path / f"out.{fmt}"
+        output.emit_blocks(zeta, t, blocks, ("a", "b"), fmt, str(path))
+        expected = SweepResult(zeta, t, {"a": a, "b": b})
+        assert path.read_bytes() == reference_text(expected, ("a", "b"), fmt).encode()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_axes_only(self, fmt, tmp_path):
         result = SweepResult(np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0]), {})
@@ -622,28 +648,30 @@ class TestEmit:
         rng = np.random.default_rng(2)
         shared = np.resize([np.nan, -0.0, np.inf, 1 / 3], n) * rng.standard_normal(n)
         values = {"a": rng.standard_normal(n), "v1": shared, "v2": shared, "b": shared.copy()}
-        result = SweepResult(np.array([0.5]), np.linspace(0.0, 20.0, n),
-                             {name: col[None] for name, col in values.items()})
+        grids = {name: col[None] for name, col in values.items()}
+        grids["v2"] = grids["v1"]  # one array under two names; "b" is an equal copy
+        result = SweepResult(np.array([0.5]), np.linspace(0.0, 20.0, n), grids)
         path = tmp_path / "out.csv"
         emit(result, columns, "csv", str(path))
         assert path.read_bytes() == reference_text(result, columns, "csv").encode("utf-8")
-        # each axis once, over the axis itself; then per block one (rows, 4)
-        # array, every column once, even one given under two names
+        # each axis once, over the axis itself; then per block one (rows, 3)
+        # array, every distinct array once, in the order of its first column
         np.testing.assert_array_equal(calls[0], result.zeta)
         np.testing.assert_array_equal(calls[1], result.t)
         blocks = calls[2:]
-        assert [c.shape for c in blocks] == [(min(block, n - i), 4) for i in range(0, n, block)]
+        assert [c.shape for c in blocks] == [(min(block, n - i), 3) for i in range(0, n, block)]
         encoded = np.concatenate(blocks)
-        for k, name in enumerate(columns):
+        for k, name in enumerate(("v1", "a", "b")):
             np.testing.assert_array_equal(encoded[:, k], values[name])
 
-    def test_each_column_encoded_once_per_block_without_sharing(self, tmp_path, monkeypatch):
+    def test_each_array_of_a_sweep_encoded_once_per_block(self, tmp_path, monkeypatch):
         from squeezetransfer import output
 
         calls = self._count_encodings(monkeypatch)
         cfg = small_config(zeta_grid=GridSpec(0.0, 1.0, 5), time_grid=GridSpec(0.0, 20.0, 401))
         assert cfg.columns == ("ineq_a", "ineq_p", "var_x1", "var_x2")
         result = run_sweep(cfg)
+        assert result.values["var_x1"] is result.values["var_x2"]
         path = tmp_path / "out.csv"
         emit(result, cfg.columns, "csv", str(path))
         assert path.read_bytes() == reference_text(result, cfg.columns, "csv").encode("utf-8")
@@ -652,9 +680,10 @@ class TestEmit:
         np.testing.assert_array_equal(calls[0], result.zeta)
         np.testing.assert_array_equal(calls[1], result.t)
         blocks = calls[2:]
-        assert [c.shape for c in blocks] == [(min(block, n - i), 4) for i in range(0, n, block)]
+        # var_x1 and var_x2 are one array, encoded once
+        assert [c.shape for c in blocks] == [(min(block, n - i), 3) for i in range(0, n, block)]
         encoded = np.concatenate(blocks)
-        for k, name in enumerate(cfg.columns):
+        for k, name in enumerate(cfg.columns[:3]):
             np.testing.assert_array_equal(encoded[:, k], result.values[name].ravel())
 
     @pytest.mark.parametrize("case", ["signed_zero_t", "block_plus_one", "single_cell"])
@@ -705,7 +734,7 @@ class TestEmit:
 
         def broken_open(file, *args, **kwargs):
             with open(file, *args, **kwargs) as fh:
-                fh.write("zeta,t,")
+                fh.write(b"zeta,t,")
             raise OSError("disk full")
 
         def broken_replace(src, dst):
@@ -881,6 +910,8 @@ class TestCli:
         [
             ["--zeta-range", "0", "2", "--steps", "1", "3"],  # would drop MAX
             ["--time-range", "0", "0", "--steps", "2", "3"],  # would repeat every cell
+            ["--zeta", "0.5", "--steps", "7", "3"],  # as --zeta-range 0.5 0.5 would
+            ["--zeta", "0.5", "--steps", "201", "3"],  # the default NZETA, given
         ],
     )
     def test_main_rejects_degenerate_grid(self, grid, tmp_path, capsys):
@@ -888,8 +919,28 @@ class TestCli:
         rc = main([*grid, "--output", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--zeta" in err
+        assert err.startswith("error:") and "--zeta" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("steps, n_t", [([], 401), (["--steps", "1", "3"], 3)])
+    def test_main_takes_one_zeta_step_with_zeta(self, steps, n_t, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["--zeta", "0.5", *steps, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {n_t} cells to {out}\n"
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + n_t and {line.split(",")[0] for line in lines[1:]} == {"0.5"}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_output_name_follows_the_format(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--steps", "2", "3", "--format", fmt]) == 0
+        assert capsys.readouterr().out == f"wrote 6 cells to sweep.{fmt}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [f"sweep.{fmt}"]
+        text = (tmp_path / f"sweep.{fmt}").read_text()
+        if fmt == "json":
+            assert len(json.loads(text)) == 6
+        else:
+            assert text.startswith("zeta,t,") and len(text.splitlines()) == 7
 
     def test_main_reports_model_error(self, tmp_path, capsys):
         # At zeta = 1e5 the round-off in H(zeta) alone leaks out of the manifold
@@ -953,7 +1004,9 @@ class TestCli:
         # three-row block, which is re-run a row at a time to name it
         import squeezetransfer.sweep as sweep
 
-        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * 2 * sweep._AAD_CELL_BYTES)
+        # ineq_a reads no spin moments: blocks are sized by one route's amplitudes
+        budget = rows_per_block * 2 * sweep._AAD_CELL_BYTES // 4
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", budget)
         made = []
         real_blocks, real_evolve = sweep.manifold_blocks, sweep.evolve_closed_form_grid
 
@@ -969,8 +1022,10 @@ class TestCli:
         monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_second_row)
         out = tmp_path / "x.csv"
-        rc = main(["--zeta-range", "0", "1", "--steps", "3", "2", "--observables", "ineq_a",
-                   "--output", str(out)])
+        argv = ["--zeta-range", "0", "1", "--steps", "3", "2", "--observables", "ineq_a"]
+        assert sweep._block_rows(config_from_args(_build_parser().parse_args(argv))) == (
+            rows_per_block)
+        rc = main([*argv, "--output", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: row zeta=0.5: injected failure\n"
         assert not out.exists()
@@ -1075,8 +1130,10 @@ class TestStream:
     """main writes each sweep block as it is computed, through the writer
     that emit hands a whole result to."""
 
-    # 3 rows a sweep block at 301 times: blocks of 3, 3 and 1 rows
-    ARGS = ["--zeta-range", "0", "1.2", "--steps", "7", "301"]
+    # The default observables read no spin moments, so their blocks are sized
+    # by the amplitudes: at 1001 times, blocks of 4 and 3 rows on one route,
+    # of 2, 2, 2 and 1 rows on both.
+    ARGS = ["--zeta-range", "0", "1.2", "--steps", "7", "1001"]
     ZETAS = GridSpec(0.0, 1.2, 7).values()
 
     @staticmethod
@@ -1107,12 +1164,12 @@ class TestStream:
 
         both = method is Method.BOTH
         sub = output._csv_block_rows(6 + both) if fmt == "csv" else output._JSON_BLOCK_RECORDS
-        cells = sweep._block_rows(301) * 301
-        # writer sub-blocks start inside zeta rows, and the sweep blocks end
-        # inside writer sub-blocks
-        assert cells == 903 and sub % 301 and cells % sub
         argv = [*self.ARGS, "--method", method.value, "--format", fmt]
         cfg = config_from_args(_build_parser().parse_args(argv))
+        rows = sweep._block_rows(cfg)
+        # writer sub-blocks start inside zeta rows, and the sweep blocks that
+        # the CLI computes end inside writer sub-blocks
+        assert rows == (2 if both else 4) and sub % 1001 and rows * 1001 % sub
         result = run_sweep(cfg)
         encoded = {"emit": [], "cli": []}
         real = output.g17_text
@@ -1131,7 +1188,9 @@ class TestStream:
         # of the whole grid, whatever the sweep blocks
         assert encoded["cli"] == encoded["emit"]
         if fmt == "csv":
-            assert encoded["cli"][:2] == [(7,), (301,)] and len(encoded["cli"]) > 4
+            assert encoded["cli"][:2] == [(7,), (1001,)] and len(encoded["cli"]) > 4
+            # var_x1 and var_x2 are one array, encoded once
+            assert {shape[1] for shape in encoded["cli"][2:]} == {3 + both}
 
     def test_failing_row_in_a_later_block_leaves_the_target(self, tmp_path, capsys, monkeypatch):
         from squeezetransfer import output
@@ -1176,9 +1235,9 @@ class TestStream:
         assert not reader.is_alive()
         assert rc == 1
         assert capsys.readouterr().err == f"error: row zeta={self.ZETAS[4]}: injected failure\n"
-        # the header and the whole lines of the first block (3 rows), then EOF
+        # the header and the whole lines of the first block (4 rows), then EOF
         lines = whole.read_bytes().splitlines(keepends=True)
-        assert received == [b"".join(lines[: 1 + 3 * 301])]
+        assert received == [b"".join(lines[: 1 + 4 * 1001])]
 
     def test_worst_cell_is_the_grids_first_argmax(self, tmp_path, capsys, monkeypatch):
         """On a real both-route run, then on disagreements tied between the
@@ -1195,8 +1254,9 @@ class TestStream:
             assert line.endswith(f"(max method disagreement {d[i, j]:.3e} at {cell})\n")
             return i, j
 
-        argv = [*self.ARGS, "--branch", "separable", "--observables", "ossi_full,xi",
-                "--method", "both"]
+        # spin moments: blocks sized by a a^dag, 3 rows at 301 times
+        argv = ["--zeta-range", "0", "1.2", "--steps", "7", "301", "--branch", "separable",
+                "--observables", "ossi_full,xi", "--method", "both"]
         worst_cell(argv)
         blocks = []
 
@@ -1234,7 +1294,7 @@ def test_import_leaves_scipy_out():
     src = Path(squeezetransfer.__file__).resolve().parents[1]
     code = """
 import json, sys
-builders = {"embed", "_tables", "_layouts"}
+builders = {"embed", "_tables", "_layouts", "_powers"}
 calls = []
 
 def record(frame, event, arg):
