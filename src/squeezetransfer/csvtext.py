@@ -1,26 +1,37 @@
-"""The text of Python's ``'%.17g' % v`` for a whole float64 array at once.
+"""Python's ``'%.17g' % v`` (``g17_text``), or JSON's ``float.__repr__``
+(``json_text``), for a whole float64 array at once.
 
 Each value gets a row of WIDTH bytes: its ASCII characters in order, with
 zero bytes in the slots it does not use, so ``row[row != 0]`` is its text.
 
 The digits come from whole-array arithmetic: the decimal exponent e from
 log10, then |v| * 10**(16 - e) as a double-double (an exact Dekker product
-of |v| with a hi/lo pair for the power of ten, plus the low-part product),
-rounded to a 17-digit integer.  The double-double is within about 1e-13 of
-the exact product, so the rounding is proven whenever the fraction is
-farther than TIE_WINDOW from one half.  A value that is not proven (a near
-tie, or |v| outside [MIN_PROVEN, MAX_PROVEN), where the power table or the
-split could leave the normal range) is formatted by ``'%.17g' %`` itself, so
-every row is exact.  This is Grisu3's idea (Loitsch, "Printing
-floating-point numbers quickly and accurately with integers", PLDI 2010): a
-fast path that checks its own rounding.
+of |v| with a hi/lo pair for the power of ten, plus the low-part product):
+a 17-digit integer and a fraction, within about 1e-13 of the exact product.
+A decision on it is proven when the exact product is farther than
+TIE_WINDOW from where the decision changes.  A value that is not proven, or
+|v| outside [MIN_PROVEN, MAX_PROVEN) (where the power table or the split
+could leave the normal range), is formatted by Python itself, so every row
+is exact.  This is Grisu3's idea (Loitsch, "Printing floating-point numbers
+quickly and accurately with integers", PLDI 2010): a fast path that checks
+its own rounding.
+
+g17_text rounds the product to 17 digits.  json_text takes repr's shortest
+digits, as Ryu does (Adams, PLDI 2018): scaled, the value's rounding
+interval (half an ulp either side, the lower half-gap halved at a power of
+two) is 1.1 to 22.2 wide, and repr's digits are the integer in it with the
+most trailing zeros, the nearest to the product if several tie.  With b
+the highest integer inside and n the number of integers inside: if b's
+last two digits are below n, that is b less them (the only multiple of 100
+inside); else it is the multiple of 10, or the integer, nearest to the
+product.  An interval end or a choice too close to call falls back.
 
 The layout is table-driven.  Each value's 17 digits are written from a
 4-digit table into fixed slots, once in place (X) and once shifted right by
-one slot (Y), past a decimal point.  A kind per value (%g notation, exponent
+one slot (Y), past a decimal point.  A kind per value (notation, exponent
 and significant digits) selects masks of X and Y and a row of constant
-characters ("0.000" prefix, point, "e+", "nan", "inf"); a negative sign goes
-in slot 0.
+characters ("0.000" prefix, point, ".0", "e+", "nan", "Infinity"); a
+negative sign goes in slot 0.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ TIE_WINDOW = 1e-9
 _E_MIN, _E_MAX = -252, 251  # decimal exponents of the proven range, with room to move
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _TEN16, _TEN17 = 10**16, 10**17
+_EXPONENT_BITS, _MANTISSA_BITS = np.uint64(0x7FF << 52), np.uint64((1 << 52) - 1)
 
 # Slots of a row.  X holds digit j at _DIGIT + j and the exponent's last
 # three digits at 29-31; Y is X one slot to the right.
@@ -46,10 +58,13 @@ _DIGIT = 7
 _EXP_DIGITS = 29
 # Kinds: fixed notation for e in [-4, 16] (by e and significant digits),
 # then d.ddd notation (by significant digits, exponent sign and 3-digit
-# exponent), then zero, inf and nan.
+# exponent), then zero, inf and nan; then repr's integers in fixed notation,
+# with ".0" (by e in [0, 15]), and JSON's zero, inf and nan.
 _FIXED_KINDS = 21 * 17
 _ZERO, _INF, _NAN = range(_FIXED_KINDS + 17 * 4, _FIXED_KINDS + 17 * 4 + 3)
-_KINDS = _NAN + 1
+_WHOLE = _NAN + 1
+_JSON_ZERO, _JSON_INF, _JSON_NAN = range(_WHOLE + 16, _WHOLE + 19)
+_KINDS = _JSON_NAN + 1
 
 
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,7 +96,11 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ec[1:, :, _DIGIT + 1] = ord(".")
     ec[:, :, 25] = ord("e")
     ec[:, :2, 26], ec[:, 2:, 26] = ord("+"), ord("-")
-    for k, text in ((_ZERO, b"0"), (_INF, b"inf"), (_NAN, b"nan")):
+    for point in range(1, 17):  # repr's integers: e + 1 digits, then ".0"
+        x[_WHOLE + point - 1, _DIGIT:_DIGIT + point] = 0xFF
+        const[_WHOLE + point - 1, _DIGIT + point:_DIGIT + point + 2] = ord("."), ord("0")
+    for k, text in ((_ZERO, b"0"), (_INF, b"inf"), (_NAN, b"nan"),
+                    (_JSON_ZERO, b"0.0"), (_JSON_INF, b"Infinity"), (_JSON_NAN, b"null")):
         const[k, _DIGIT:_DIGIT + len(text)] = np.frombuffer(text, np.uint8)
     return x, y, const
 
@@ -92,6 +111,7 @@ class _Tables(NamedTuple):
     words: np.ndarray  # ASCII of 0..9999 as uint32 words
     zeros: np.ndarray  # trailing zero digits of 0..9999 (4 for 0)
     kinds: np.ndarray  # a value's kind, at (e - _E_MIN) * 17 + significant digits - 1
+    json_kinds: np.ndarray  # the same for repr
     x_mask: np.ndarray  # per kind: the slots taken from X,
     y_mask: np.ndarray  # from Y,
     const: np.ndarray  # and the constant characters
@@ -114,8 +134,13 @@ def _tables() -> _Tables:
     for lo, hi, rest in ((_E_MIN, -99, 3), (-99, 0, 2), (0, 100, 0), (100, _E_MAX + 2, 1)):
         kinds[lo - _E_MIN:hi - _E_MIN] = np.arange(_FIXED_KINDS + rest, _ZERO, 4)
     kinds[-4 - _E_MIN:17 - _E_MIN] = np.arange(_FIXED_KINDS).reshape(21, 17)
+    # repr writes e = 16 as d.ddd, and integers with e in [0, 15] with ".0".
+    json_kinds = kinds.copy()
+    json_kinds[16 - _E_MIN] = kinds[17 - _E_MIN]
+    whole = json_kinds[-_E_MIN:16 - _E_MIN]
+    whole[np.tri(16, 17, dtype=bool)] = np.repeat(np.arange(_WHOLE, _WHOLE + 16), np.arange(1, 17))
     return _Tables(powers, [1, 0], words.view(np.uint32).ravel(), zeros.ravel(),
-                   kinds.ravel(), *_layouts())
+                   kinds.ravel(), json_kinds.ravel(), *_layouts())
 
 
 def _powers(lo: int, hi: int) -> np.ndarray:
@@ -174,6 +199,48 @@ def _scaled(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> tuple[np.ndarra
 def g17_text(values: np.ndarray) -> np.ndarray:
     """values.shape + (WIDTH,) uint8 rows: row[row != 0] is the ASCII of
     '%.17g' % v for each value v."""
+    return _encode(values, shortest=False)
+
+
+def json_text(values: np.ndarray) -> np.ndarray:
+    """values.shape + (WIDTH,) uint8 rows: row[row != 0] is the ASCII of
+    float.__repr__(v) for each finite value v, and null, Infinity or
+    -Infinity for nan, inf and -inf."""
+    return _encode(values, shortest=True)
+
+
+def _shortest(
+    a: np.ndarray, e: np.ndarray, floor: np.ndarray, frac: np.ndarray, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """repr's digits of each value a, scaled to floor + frac = a * 10**(16 - e),
+    as an integer (10**17 after a carry), and where they are not proven."""
+    bits = a.view(np.uint64)
+    half_ulp = ((bits & _EXPONENT_BITS) - np.uint64(53 << 52)).view(np.float64)
+    upper = half_ulp * powers[0].take(e - _E_MIN)  # within 1e-15 of the scaled half-gaps
+    lower = np.where(bits & _MANTISSA_BITS, upper, 0.5 * upper)
+    high, low = frac + upper, frac - lower
+    top, bottom = np.floor(high), np.ceil(low)  # the interval's integers, less floor
+    unproven = np.abs(high - top - 0.5) > 0.5 - TIE_WINDOW  # an end that may be an integer
+    unproven |= np.abs(bottom - low - 0.5) > 0.5 - TIE_WINDOW
+    b = floor + top.astype(np.int64)
+    span = (top - bottom + 1).astype(np.int64)
+    last2 = b % 100
+    hundred = last2 < span
+    # Otherwise the multiple of 10 (if any fits) or the integer nearest to
+    # the product: one of the two around it, the other if it lies outside.
+    tens = b % 10 < span
+    step = 1 + 9 * tens
+    rest = floor % 10 * tens
+    above = rest + frac
+    nearest = floor - rest + step * (above > 0.5 * step)
+    nearest += step * (nearest < b - span + 1)
+    nearest -= step * (nearest > b)
+    unproven |= (np.abs(above - 0.5 * step) < TIE_WINDOW) & ~hundred
+    return np.where(hundred, b - last2, nearest), unproven
+
+
+def _encode(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """g17_text, or json_text if shortest."""
     values = np.asarray(values, dtype=np.float64)
     v = values.ravel()
     n = v.size
@@ -209,7 +276,14 @@ def g17_text(values: np.ndarray) -> np.ndarray:
         moves += 1
     else:
         unsettled = []
-    digits = floor + (frac > 0.5)  # half-even is moot: near ties fall back
+    if shortest:
+        digits, unproven = _shortest(ap, e, floor, frac, powers)
+        any_unproven = unproven.any()
+    else:
+        digits = floor + (frac > 0.5)  # half-even is moot: near ties fall back
+        near_tie = np.abs(frac - 0.5)
+        any_unproven = near_tie.min() < TIE_WINDOW
+    any_unproven = any_unproven or len(unsettled) or not every
     if digits.max() >= _TEN17:
         carry = np.flatnonzero(digits == _TEN17)
         digits[carry], e[carry] = _TEN16, e[carry] + 1
@@ -234,28 +308,29 @@ def g17_text(values: np.ndarray) -> np.ndarray:
         rare = np.flatnonzero(trailing == 4)
         z1, z2, z3 = (tables.zeros.take(g[rare]) for g in groups[:3])
         trailing[rare] += z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)
-    kind = tables.kinds.take(e * 17 + (16 - 17 * _E_MIN) - trailing)
+    kinds = tables.json_kinds if shortest else tables.kinds
+    kind = kinds.take(e * 17 + (16 - 17 * _E_MIN) - trailing)
     sign = np.signbit(v)
-    near_tie = np.abs(frac - 0.5)
-    any_unproven = near_tie.min() < TIE_WINDOW or len(unsettled) or not every
     if not every:
         zero, inf, nan = a == 0, np.isinf(a), np.isnan(a)
-        kind[zero], kind[inf], kind[nan] = _ZERO, _INF, _NAN
+        kind[zero], kind[inf], kind[nan] = (
+            (_JSON_ZERO, _JSON_INF, _JSON_NAN) if shortest else (_ZERO, _INF, _NAN))
         sign &= ~nan
     out = x & tables.x_mask.take(kind, axis=0)
     out |= y & tables.y_mask.take(kind, axis=0)
     out |= tables.const.take(kind, axis=0)
     np.multiply(sign, np.uint8(ord("-")), out=out[:, 0])
     if any_unproven:
-        unproven = near_tie < TIE_WINDOW
+        if not shortest:
+            unproven = near_tie < TIE_WINDOW
         unproven[unsettled] = True
         if not every:
             unproven |= ~proven & ~(zero | inf | nan)
-        _fallback(v, out, np.flatnonzero(unproven))
+        _fallback(v, out, np.flatnonzero(unproven), b"%r" if shortest else b"%.17g")
     return out.reshape(values.shape + (WIDTH,))
 
 
-def _fallback(v: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    """Python's own '%.17g' text for the rows the fast path did not prove."""
-    text = b"".join((b"%.17g" % x).ljust(WIDTH, b"\0") for x in v[rows].tolist())
+def _fallback(v: np.ndarray, out: np.ndarray, rows: np.ndarray, form: bytes) -> None:
+    """Python's own text, form % x, for the rows the fast path did not prove."""
+    text = b"".join((form % x).ljust(WIDTH, b"\0") for x in v[rows].tolist())
     out[rows] = np.frombuffer(text, np.uint8).reshape(-1, WIDTH)

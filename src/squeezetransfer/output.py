@@ -17,17 +17,15 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .csvtext import WIDTH, g17_text
+from .csvtext import WIDTH, g17_text, json_text
 
 if TYPE_CHECKING:
     from .sweep import SweepResult
 
-# Bytes of CSV field buffer per sub-block; a sub-block's encoder arrays and
-# text set the run's peak RSS, and fewer, larger ones pay less numpy call
-# overhead.
-_CSV_BLOCK_BYTES = 1 << 17
-# JSON records per sub-block; its text, not the file's, is held at once.
-_JSON_BLOCK_RECORDS = 1024
+# Bytes of CSV field or JSON record buffer per sub-block; a sub-block's
+# encoder arrays and text set the run's peak RSS, and fewer, larger ones pay
+# less numpy call overhead.
+_BLOCK_BYTES = 1 << 17
 # Bytes of cell values gathered from the blocks before any of them is
 # written.  Computing a block and writing text each evict the other's cache
 # contents, so the writer takes several blocks' cells at a time: alternating
@@ -36,9 +34,14 @@ _JSON_BLOCK_RECORDS = 1024
 _GATHER_BYTES = 1 << 17
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows per sub-block: as many as fit in _BLOCK_BYTES of buffer."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def _csv_block_rows(n_columns: int) -> int:
-    """Rows per CSV sub-block: as many as fit in _CSV_BLOCK_BYTES of field buffer."""
-    return max(1, _CSV_BLOCK_BYTES // (n_columns * (WIDTH + 1)))
+    """Rows per CSV sub-block, of n_columns fields of WIDTH + 1 bytes."""
+    return _block_rows(n_columns * (WIDTH + 1))
 
 
 def _cell_blocks(
@@ -123,37 +126,49 @@ def _csv_chunks(
         yield buf.tobytes().translate(None, b"\0")
 
 
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(values: np.ndarray) -> list[str]:
-    """Each value as json.dumps writes a float (float.__repr__, with inf as
-    Infinity), except that nan becomes null."""
-    values = np.asarray(values, dtype=np.float64)
-    text = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        text = [_JSON_NON_FINITE.get(s, s) for s in text]
-    return text
+def _json_record(names: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The bytes of one JSON record with WIDTH zero bytes for each value, and
+    the offset of each value's slot.  The record starts with its separator
+    from the record before it; the keys are json.dumps of the names, which
+    is ASCII and holds no zero byte."""
+    parts, slots = [b",\n  {\n"], []
+    for k, name in enumerate(names):
+        parts.append(f"    {json.dumps(name)}: ".encode())
+        slots.append(sum(map(len, parts)))
+        parts += [bytes(WIDTH), b",\n" if k < len(names) - 1 else b"\n"]
+    parts.append(b"  }")
+    return np.frombuffer(b"".join(parts), np.uint8), slots
 
 
 def _json_chunks(
     names: list[str], zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult]
 ) -> Iterator[bytes]:
     """The bytes of json.dumps(records, indent=2) + "\n", one record per cell
-    in zeta-major order, in sub-blocks of _JSON_BLOCK_RECORDS records: each
-    axis is converted to text once and gathered per sub-block, each distinct
-    value array is converted once per sub-block, and the text fills a fixed
-    record template.  The text is ASCII: json.dumps escapes other characters
-    of the names."""
-    keys = (json.dumps(name).replace("%", "%%") for name in names)
-    record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    zeta_text, t_text = (np.array(_json_text(a), dtype=object) for a in (zeta, t))
+    in zeta-major order, in sub-blocks of records, so the whole file is never
+    held at once.
+
+    As in _csv_chunks, each axis is encoded once and each distinct value
+    array once per sub-block.  The records are laid out in one reused
+    (records, record bytes) buffer, filled once with the keys, indentation,
+    braces and separators; each sub-block writes its values' zero-padded
+    text into their slots, and the zero bytes are dropped in one pass.  The
+    file's first record has its separator zeroed, so it is dropped too.
+    """
+    record, slots = _json_record(names)
+    zeta_text, t_text = json_text(zeta), json_text(t)
+    buffer = np.empty((_block_rows(record.size), record.size), np.uint8)
+    buffer[:] = record
+    buffer[0, :2] = 0
     yield b"[\n"
-    blocks = _cell_blocks(blocks, t.size, names, _JSON_BLOCK_RECORDS)
-    for k, (zi, tj, values, columns) in enumerate(blocks):
-        arrays = list(map(_json_text, values.T))
-        text = (zeta_text[zi].tolist(), t_text[tj].tolist(), *(arrays[c] for c in columns))
-        yield ((",\n" if k else "") + ",\n".join(map(record.__mod__, zip(*text)))).encode()
+    for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, len(buffer)):
+        buf = buffer[:zi.size]
+        buf[:, slots[0]:slots[0] + WIDTH] = zeta_text.take(zi, axis=0)
+        buf[:, slots[1]:slots[1] + WIDTH] = t_text.take(tj, axis=0)
+        text = json_text(values)
+        for slot, column in zip(slots[2:], columns):
+            buf[:, slot:slot + WIDTH] = text[:, column]
+        yield buf.tobytes().translate(None, b"\0")
+        buffer[0, :2] = record[:2]
     yield b"\n]\n"
 
 

@@ -171,9 +171,16 @@ def layout(kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     def put(slot: int, text: bytes) -> None:
         const[slot:slot + len(text)] = np.frombuffer(text, np.uint8)
 
-    special = {csvtext._ZERO: b"0", csvtext._INF: b"inf", csvtext._NAN: b"nan"}
+    special = {csvtext._ZERO: b"0", csvtext._INF: b"inf", csvtext._NAN: b"nan",
+               csvtext._JSON_ZERO: b"0.0", csvtext._JSON_INF: b"Infinity",
+               csvtext._JSON_NAN: b"null"}
     if kind in special:
         put(digit, special[kind])
+        return x, y, const
+    if kind >= csvtext._WHOLE:  # repr's integers: every digit before the point, then ".0"
+        point = kind - csvtext._WHOLE + 1
+        x[digit:digit + point] = 0xFF
+        put(digit + point, b".0")
         return x, y, const
     if kind < csvtext._FIXED_KINDS:
         e, sig = divmod(kind, 17)
@@ -196,10 +203,12 @@ def layout(kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, const
 
 
-def kind_of(e: int, sig: int) -> int:
+def kind_of(e: int, sig: int, shortest: bool = False) -> int:
     """The csvtext kind of a value with decimal exponent e and sig significant
-    digits, as '%.17g' chooses its notation."""
-    if -4 <= e < 17:
+    digits, as '%.17g' chooses its notation, or repr with shortest."""
+    if shortest and 0 <= e < 16 and sig <= e + 1:
+        return csvtext._WHOLE + e
+    if -4 <= e < (16 if shortest else 17):
         return (e + 4) * 17 + sig - 1
     return csvtext._FIXED_KINDS + 4 * (sig - 1) + 2 * (e < 0) + (abs(e) >= 100)
 
@@ -218,8 +227,8 @@ def power_of_ten(e: int) -> tuple[float, float]:
 def reference_tables() -> dict[str, np.ndarray]:
     """Every csvtext table, built one kind, one number and one exponent at a
     time: the key layouts, the digit words, the trailing-zero counts, the
-    kind of each (exponent, digits) and the powers of ten with hi's Veltkamp
-    halves."""
+    kind of each (exponent, digits) for '%.17g' and for repr, and the powers
+    of ten with hi's Veltkamp halves."""
     x, y, const = (np.array(rows) for rows in zip(*map(layout, range(csvtext._KINDS))))
     numbers = ["%04d" % i for i in range(10000)]
     exponents = range(csvtext._E_MIN, csvtext._E_MAX + 1)
@@ -231,6 +240,9 @@ def reference_tables() -> dict[str, np.ndarray]:
         "zeros": np.array([4] + [len(s) - len(s.rstrip("0")) for s in numbers[1:]]),
         "kinds": np.array([kind_of(e, sig) for e in range(csvtext._E_MIN, csvtext._E_MAX + 2)
                            for sig in range(1, 18)]),
+        "json_kinds": np.array([kind_of(e, sig, shortest=True)
+                                for e in range(csvtext._E_MIN, csvtext._E_MAX + 2)
+                                for sig in range(1, 18)]),
         "x_mask": x,
         "y_mask": y,
         "const": const,

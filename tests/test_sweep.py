@@ -507,6 +507,19 @@ def reference_text(result, columns, fmt):
     return json.dumps(records, indent=2) + "\n"
 
 
+def sub_block_rows(fmt, names):
+    """Cells per writer sub-block of a file with these column names."""
+    from squeezetransfer import output
+
+    if fmt == "csv":
+        return output._csv_block_rows(len(names))
+    return output._block_rows(output._json_record(list(names))[0].size)
+
+
+# The text encoder of each writer.
+ENCODERS = {"csv": "g17_text", "json": "json_text"}
+
+
 class TestEmit:
     def test_csv_layout(self, tmp_path):
         cfg = small_config()
@@ -622,38 +635,52 @@ class TestEmit:
         assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
         assert '"a": Infinity' in path.read_text() and '"a": -Infinity' in path.read_text()
 
+    def test_json_keys_are_json_dumps_of_the_names(self, tmp_path):
+        """Names with %, quotes, backslashes and non-ASCII text are escaped as
+        json.dumps escapes them, and take no part in any formatting."""
+        from squeezetransfer import output
+
+        columns = ("100%", "%s %d %%", 'say "hi"', "back\\slash\\", "\u03b6\u2082 \U0001d49c", "\t\n")
+        rng = np.random.default_rng(9)
+        zeta, t = np.array([0.0, 0.5]), np.linspace(0.0, 20.0, 3)
+        values = {name: rng.standard_normal((2, 3)) for name in columns}
+        path = tmp_path / "out.json"
+        output.emit_blocks(zeta, t, [SweepResult(zeta, t, values)], columns, "json", str(path))
+        expected = reference_text(SweepResult(zeta, t, values), columns, "json")
+        assert path.read_bytes() == expected.encode("ascii")
+        assert list(json.loads(path.read_text())[0]) == ["zeta", "t", *columns]
+
     @staticmethod
-    def _count_encodings(monkeypatch):
-        """Record the array each g17_text call of the writer encodes."""
+    def _count_encodings(monkeypatch, fmt="csv"):
+        """Record the array each encoder call of the fmt writer encodes."""
         from squeezetransfer import output
 
         calls = []
-        real = output.g17_text
+        real = getattr(output, ENCODERS[fmt])
 
         def counting(values):
             calls.append(np.array(values))
             return real(values)
 
-        monkeypatch.setattr(output, "g17_text", counting)
+        monkeypatch.setattr(output, ENCODERS[fmt], counting)
         return calls
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, 7, "block+3"])
-    def test_each_column_converted_once_per_block(self, n, tmp_path, monkeypatch):
-        from squeezetransfer import output
-
+    def test_each_column_converted_once_per_block(self, n, fmt, tmp_path, monkeypatch):
         columns = ("v1", "a", "v2", "b")
-        block = output._csv_block_rows(2 + len(columns))
+        block = sub_block_rows(fmt, ("zeta", "t", *columns))
         n = 2 * block + 3 if n == "block+3" else n
-        calls = self._count_encodings(monkeypatch)
+        calls = self._count_encodings(monkeypatch, fmt)
         rng = np.random.default_rng(2)
         shared = np.resize([np.nan, -0.0, np.inf, 1 / 3], n) * rng.standard_normal(n)
         values = {"a": rng.standard_normal(n), "v1": shared, "v2": shared, "b": shared.copy()}
         grids = {name: col[None] for name, col in values.items()}
         grids["v2"] = grids["v1"]  # one array under two names; "b" is an equal copy
         result = SweepResult(np.array([0.5]), np.linspace(0.0, 20.0, n), grids)
-        path = tmp_path / "out.csv"
-        emit(result, columns, "csv", str(path))
-        assert path.read_bytes() == reference_text(result, columns, "csv").encode("utf-8")
+        path = tmp_path / f"out.{fmt}"
+        emit(result, columns, fmt, str(path))
+        assert path.read_bytes() == reference_text(result, columns, fmt).encode("utf-8")
         # each axis once, over the axis itself; then per block one (rows, 3)
         # array, every distinct array once, in the order of its first column
         np.testing.assert_array_equal(calls[0], result.zeta)
@@ -664,19 +691,18 @@ class TestEmit:
         for k, name in enumerate(("v1", "a", "b")):
             np.testing.assert_array_equal(encoded[:, k], values[name])
 
-    def test_each_array_of_a_sweep_encoded_once_per_block(self, tmp_path, monkeypatch):
-        from squeezetransfer import output
-
-        calls = self._count_encodings(monkeypatch)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_array_of_a_sweep_encoded_once_per_block(self, fmt, tmp_path, monkeypatch):
+        calls = self._count_encodings(monkeypatch, fmt)
         cfg = small_config(zeta_grid=GridSpec(0.0, 1.0, 5), time_grid=GridSpec(0.0, 20.0, 401))
         assert cfg.columns == ("ineq_a", "ineq_p", "var_x1", "var_x2")
         result = run_sweep(cfg)
         assert result.values["var_x1"] is result.values["var_x2"]
-        path = tmp_path / "out.csv"
-        emit(result, cfg.columns, "csv", str(path))
-        assert path.read_bytes() == reference_text(result, cfg.columns, "csv").encode("utf-8")
-        n, block = len(result), output._csv_block_rows(2 + len(cfg.columns))
-        assert n > 2 * block  # blocks start inside zeta rows
+        path = tmp_path / f"out.{fmt}"
+        emit(result, cfg.columns, fmt, str(path))
+        assert path.read_bytes() == reference_text(result, cfg.columns, fmt).encode("utf-8")
+        n, block = len(result), sub_block_rows(fmt, ("zeta", "t", *cfg.columns))
+        assert n > 2 * block and block % 401  # blocks start inside zeta rows
         np.testing.assert_array_equal(calls[0], result.zeta)
         np.testing.assert_array_equal(calls[1], result.t)
         blocks = calls[2:]
@@ -709,9 +735,9 @@ class TestEmit:
     def test_json_blocks_match_json_dumps(self, n, tmp_path):
         from squeezetransfer import output
 
-        block = output._JSON_BLOCK_RECORDS
-        # one zeta row; several rows filling one block; a block and one cell
-        shape = {1: (1, 1), "block": (2, block // 2), "block+1": (5, (block + 1) // 5)}[n]
+        block = sub_block_rows("json", ("zeta", "t", "a", "b", "c"))
+        # one zeta row; rows filling one block; a block and one cell
+        shape = {1: (1, 1), "block": (block, 1), "block+1": (1, block + 1)}[n]
         n = shape[0] * shape[1]
         rng = np.random.default_rng(3)
         shared = np.resize([np.nan, np.inf, -np.inf, -0.0, 1 / 3], shape)
@@ -1163,22 +1189,23 @@ class TestStream:
         from squeezetransfer import output
 
         both = method is Method.BOTH
-        sub = output._csv_block_rows(6 + both) if fmt == "csv" else output._JSON_BLOCK_RECORDS
         argv = [*self.ARGS, "--method", method.value, "--format", fmt]
         cfg = config_from_args(_build_parser().parse_args(argv))
+        names = ("zeta", "t", *cfg.columns) + (("method_disagreement",) if both else ())
+        sub = sub_block_rows(fmt, names)
         rows = sweep._block_rows(cfg)
         # writer sub-blocks start inside zeta rows, and the sweep blocks that
         # the CLI computes end inside writer sub-blocks
         assert rows == (2 if both else 4) and sub % 1001 and rows * 1001 % sub
         result = run_sweep(cfg)
         encoded = {"emit": [], "cli": []}
-        real = output.g17_text
+        real = getattr(output, ENCODERS[fmt])
 
         def recording(values):
             encoded[side].append(np.shape(values))
             return real(values)
 
-        monkeypatch.setattr(output, "g17_text", recording)
+        monkeypatch.setattr(output, ENCODERS[fmt], recording)
         side = "emit"
         emit(result, cfg.columns, fmt, str(tmp_path / side), include_disagreement=both)
         side = "cli"
@@ -1187,10 +1214,9 @@ class TestStream:
         # the same text encodings: each axis once, and the value sub-blocks
         # of the whole grid, whatever the sweep blocks
         assert encoded["cli"] == encoded["emit"]
-        if fmt == "csv":
-            assert encoded["cli"][:2] == [(7,), (1001,)] and len(encoded["cli"]) > 4
-            # var_x1 and var_x2 are one array, encoded once
-            assert {shape[1] for shape in encoded["cli"][2:]} == {3 + both}
+        assert encoded["cli"][:2] == [(7,), (1001,)] and len(encoded["cli"]) > 4
+        # var_x1 and var_x2 are one array, encoded once
+        assert {shape[1] for shape in encoded["cli"][2:]} == {3 + both}
 
     def test_failing_row_in_a_later_block_leaves_the_target(self, tmp_path, capsys, monkeypatch):
         from squeezetransfer import output
@@ -1270,18 +1296,20 @@ class TestStream:
         assert worst_cell(argv) == (5, 5)  # the last row of block 2, not the row of block 3
         assert blocks == [(3, 301), (3, 301), (1, 301)] * 2
 
-    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_grid(self, fmt, tmp_path):
         """The traced peak of a 401x401 default run is within 0.5 MiB of a
         101x401 one: main holds one block, not the (n_zeta, n_t) grids."""
         import tracemalloc
 
-        out = str(tmp_path / "x.csv")
-        assert main(["--steps", "2", "3", "--output", out]) == 0  # builds cached tables
+        out = str(tmp_path / f"x.{fmt}")
+        args = ["--format", fmt, "--output", out]
+        assert main(["--steps", "2", "3", *args]) == 0  # builds cached tables
         peaks = []
         for n_zeta in (101, 401):
             tracemalloc.start()
             try:
-                assert main(["--steps", str(n_zeta), "401", "--output", out]) == 0
+                assert main(["--steps", str(n_zeta), "401", *args]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
