@@ -22,9 +22,8 @@ from .csvtext import WIDTH, g17_text, json_text
 if TYPE_CHECKING:
     from .sweep import SweepResult
 
-# Bytes of CSV field or JSON record buffer per sub-block; a sub-block's
-# encoder arrays and text set the run's peak RSS, and fewer, larger ones pay
-# less numpy call overhead.
+# Bytes of record buffer per sub-block; a sub-block's encoder arrays and text
+# set the run's peak RSS, and fewer, larger ones pay less numpy call overhead.
 _BLOCK_BYTES = 1 << 17
 # Bytes of cell values gathered from the blocks before any of them is
 # written.  Computing a block and writing text each evict the other's cache
@@ -32,16 +31,6 @@ _BLOCK_BYTES = 1 << 17
 # per block cost about 10% of a default CSV run's time.  The buffer is reused,
 # and adds about 0.1-0.2 MB to the peak RSS.
 _GATHER_BYTES = 1 << 17
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows per sub-block: as many as fit in _BLOCK_BYTES of buffer."""
-    return max(1, _BLOCK_BYTES // row_bytes)
-
-
-def _csv_block_rows(n_columns: int) -> int:
-    """Rows per CSV sub-block, of n_columns fields of WIDTH + 1 bytes."""
-    return _block_rows(n_columns * (WIDTH + 1))
 
 
 def _cell_blocks(
@@ -100,36 +89,17 @@ def _sub_blocks(
         yield (*np.divmod(cells, n_t), values[i : i + rows], columns)
 
 
-def _csv_chunks(
-    names: list[str], zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult]
-) -> Iterator[bytes]:
-    """CSV bytes in sub-blocks of rows, so the whole file is never held at once.
-
-    Each axis is encoded once and its text gathered per sub-block; each
-    distinct value array is encoded once per sub-block, and its text copied
-    into every column of that array.  The fields are laid out in one reused
-    (rows, columns, WIDTH + 1) byte buffer, zero-padded, with the separator
-    in the last byte of each field; every byte of a sub-block's rows is
-    written, and the zero bytes are dropped in one pass.
-    """
-    yield (",".join(names) + "\n").encode()
-    zeta_text, t_text = g17_text(zeta), g17_text(t)
-    rows = _csv_block_rows(len(names))
-    fields = np.empty((rows, len(names), WIDTH + 1), np.uint8)
-    fields[:, :, -1] = ord(",")
-    fields[:, -1, -1] = ord("\n")
-    for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, rows):
-        buf = fields[:zi.size]
-        buf[:, 0, :-1] = zeta_text.take(zi, axis=0)
-        buf[:, 1, :-1] = t_text.take(tj, axis=0)
-        buf[:, 2:, :-1] = g17_text(values).take(columns, axis=1)
-        yield buf.tobytes().translate(None, b"\0")
+def _csv(names: list[str]) -> tuple:
+    """CSV: a header line of the names, then one line of fields per cell."""
+    record = ((bytes(WIDTH) + b",") * len(names))[:-1] + b"\n"
+    return (g17_text, (",".join(names) + "\n").encode(), record,
+            range(0, len(record), WIDTH + 1), 0, b"")
 
 
-def _json_record(names: list[str]) -> tuple[np.ndarray, list[int]]:
-    """The bytes of one JSON record with WIDTH zero bytes for each value, and
-    the offset of each value's slot.  The record starts with its separator
-    from the record before it; the keys are json.dumps of the names, which
+def _json(names: list[str]) -> tuple:
+    """JSON: json.dumps(records, indent=2) + "\n", one record per cell.  A
+    record starts with its separator from the record before it, which the
+    file's first record drops; the keys are json.dumps of the names, which
     is ASCII and holds no zero byte."""
     parts, slots = [b",\n  {\n"], []
     for k, name in enumerate(names):
@@ -137,39 +107,48 @@ def _json_record(names: list[str]) -> tuple[np.ndarray, list[int]]:
         slots.append(sum(map(len, parts)))
         parts += [bytes(WIDTH), b",\n" if k < len(names) - 1 else b"\n"]
     parts.append(b"  }")
-    return np.frombuffer(b"".join(parts), np.uint8), slots
+    return json_text, b"[\n", b"".join(parts), slots, 2, b"\n]\n"
 
 
-def _json_chunks(
-    names: list[str], zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult]
+# The output formats: the --format choices, and the function of the column
+# names that gives each format's text encoder, head, record bytes with WIDTH
+# zero bytes for each value, the offsets of those slots, the count of leading
+# bytes that the first record drops, and tail.
+WRITERS = {"csv": _csv, "json": _json}
+
+
+def _chunks(
+    fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
+    blocks: Iterable[SweepResult],
 ) -> Iterator[bytes]:
-    """The bytes of json.dumps(records, indent=2) + "\n", one record per cell
-    in zeta-major order, in sub-blocks of records, so the whole file is never
-    held at once.
+    """The bytes of the file in format fmt: its head, one chunk per sub-block
+    of records, and its tail, so the whole file is never held at once.
 
-    As in _csv_chunks, each axis is encoded once and each distinct value
-    array once per sub-block.  The records are laid out in one reused
-    (records, record bytes) buffer, filled once with the keys, indentation,
-    braces and separators; each sub-block writes its values' zero-padded
-    text into their slots, and the zero bytes are dropped in one pass.  The
-    file's first record has its separator zeroed, so it is dropped too.
+    Each axis is encoded once and its text gathered per sub-block; each
+    distinct value array is encoded once per sub-block, and its text copied
+    into the slot of every column of that array.  The records are laid out in
+    one reused (records, record bytes) buffer, filled once with the record's
+    constant bytes; every slot of a sub-block's records is written, and the
+    zero bytes are dropped in one pass.
     """
-    record, slots = _json_record(names)
-    zeta_text, t_text = json_text(zeta), json_text(t)
-    buffer = np.empty((_block_rows(record.size), record.size), np.uint8)
+    encode, head, record, slots, skip, tail = WRITERS[fmt](names)
+    record = np.frombuffer(record, np.uint8)
+    buffer = np.empty((max(1, _BLOCK_BYTES // record.size), record.size), np.uint8)
     buffer[:] = record
-    buffer[0, :2] = 0
-    yield b"[\n"
+    buffer[0, :skip] = 0
+    zeta_text, t_text = encode(zeta), encode(t)
+    yield head
     for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, len(buffer)):
         buf = buffer[:zi.size]
-        buf[:, slots[0]:slots[0] + WIDTH] = zeta_text.take(zi, axis=0)
-        buf[:, slots[1]:slots[1] + WIDTH] = t_text.take(tj, axis=0)
-        text = json_text(values)
-        for slot, column in zip(slots[2:], columns):
-            buf[:, slot:slot + WIDTH] = text[:, column]
+        text = encode(values)
+        fields = [zeta_text.take(zi, axis=0), t_text.take(tj, axis=0),
+                  *(text[:, k] for k in columns)]
+        for slot, field in zip(slots, fields):
+            buf[:, slot:slot + WIDTH] = field
+        del text, fields, field  # freed before the next encode, which sets the peak RSS
         yield buf.tobytes().translate(None, b"\0")
-        buffer[0, :2] = record[:2]
-    yield b"\n]\n"
+        buffer[0, :skip] = record[:skip]
+    yield tail
 
 
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
@@ -197,10 +176,6 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
             os.remove(tmp)
 
 
-# The output formats: the --format choices, and the writer of each.
-WRITERS = {"csv": _csv_chunks, "json": _json_chunks}
-
-
 def emit_blocks(
     zeta: np.ndarray,
     t: np.ndarray,
@@ -219,10 +194,9 @@ def emit_blocks(
     temporary file is removed, or, for a target written in place, after the
     complete lines of the blocks before it.
     """
-    chunks = WRITERS.get(output_format)
-    if chunks is None:
+    if output_format not in WRITERS:
         raise ValueError(f"unknown output format {output_format!r}")
     names = ["zeta", "t", *columns]
     if include_disagreement:
         names.append("method_disagreement")
-    _write_atomic(path, chunks(names, zeta, t, blocks))
+    _write_atomic(path, _chunks(output_format, names, zeta, t, blocks))

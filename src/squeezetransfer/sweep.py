@@ -425,7 +425,8 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.output = args.output or f"sweep.{args.format}"
+    if args.output is None:
+        args.output = f"sweep.{args.format}"
     worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement so far, at (zeta, t)
 
     def tracked(blocks: Iterator[SweepResult]) -> Iterator[SweepResult]:
@@ -437,6 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             yield block
 
     try:
+        if not args.output:
+            raise ValueError("--output is empty; give a file path")
         config = config_from_args(args)
         both = config.method is Method.BOTH
         blocks = sweep_blocks(config)

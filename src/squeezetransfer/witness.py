@@ -39,7 +39,6 @@ from .hilbert import (
 )
 from .operators import QuadraturePair, SpinTriple
 
-VIOLATION_TOL = 1e-10
 MEAN_SPIN_FLOOR = 1e-8
 DENOMINATOR_FLOOR = 1e-12
 

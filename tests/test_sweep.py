@@ -511,9 +511,8 @@ def sub_block_rows(fmt, names):
     """Cells per writer sub-block of a file with these column names."""
     from squeezetransfer import output
 
-    if fmt == "csv":
-        return output._csv_block_rows(len(names))
-    return output._block_rows(output._json_record(list(names))[0].size)
+    record = output.WRITERS[fmt](list(names))[2]
+    return output._BLOCK_BYTES // len(record)
 
 
 # The text encoder of each writer.
@@ -717,10 +716,11 @@ class TestEmit:
         from squeezetransfer import output
 
         rng = np.random.default_rng(1)
+        names = ["zeta", "t", "a", "b"]
         if case == "signed_zero_t":
             zeta, t = np.array([-0.0, 0.5]), np.array([0.0, -0.0, 1.0, -0.0])
         elif case == "block_plus_one":
-            n = output._csv_block_rows(4) + 1
+            n = sub_block_rows("csv", names) + 1
             zeta, t = np.array([0.7]), np.linspace(0.0, 20.0, n)
         else:
             zeta, t = np.array([0.3]), np.array([-0.0])
@@ -729,13 +729,17 @@ class TestEmit:
         result = SweepResult(zeta, t, values)
         path = tmp_path / "out.csv"
         emit(result, ("a", "b"), "csv", str(path))
-        assert path.read_bytes() == reference_text(result, ("a", "b"), "csv").encode("utf-8")
+        expected = reference_text(result, ("a", "b"), "csv").encode("utf-8")
+        assert path.read_bytes() == expected
+        assert b"".join(output._chunks("csv", names, zeta, t, [result])) == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, "block", "block+1"])
-    def test_json_blocks_match_json_dumps(self, n, tmp_path):
+    def test_blocks_match_reference_formatter(self, n, fmt, tmp_path):
         from squeezetransfer import output
 
-        block = sub_block_rows("json", ("zeta", "t", "a", "b", "c"))
+        names = ["zeta", "t", "a", "b", "c"]
+        block = sub_block_rows(fmt, names)
         # one zeta row; rows filling one block; a block and one cell
         shape = {1: (1, 1), "block": (block, 1), "block+1": (1, block + 1)}[n]
         n = shape[0] * shape[1]
@@ -744,12 +748,15 @@ class TestEmit:
         values = {"a": rng.standard_normal(shape), "b": shared, "c": shared}
         result = SweepResult(np.linspace(0.0, 0.25, shape[0]), np.linspace(0.0, 20.0, shape[1]),
                              values)
-        path = tmp_path / "out.json"
-        emit(result, ("a", "b", "c"), "json", str(path))
-        assert path.read_bytes() == reference_text(result, ("a", "b", "c"), "json").encode()
-        chunks = list(output._json_chunks(["zeta", "t", "a", "b", "c"], result.zeta, result.t,
-                                          [result]))
-        assert len(chunks) == 2 + -(-n // block)  # "[", one per block of records, "]"
+        path = tmp_path / f"out.{fmt}"
+        emit(result, ("a", "b", "c"), fmt, str(path))
+        assert path.read_bytes() == reference_text(result, ("a", "b", "c"), fmt).encode()
+        chunks = list(output._chunks(fmt, names, result.zeta, result.t, [result]))
+        # the head, one chunk per sub-block of records, the tail
+        assert len(chunks) == 2 + -(-n // block)
+        head_tail = {"csv": (b"zeta,t,a,b,c\n", b""), "json": (b"[\n", b"\n]\n")}
+        assert (chunks[0], chunks[-1]) == head_tail[fmt]
+        assert b"".join(chunks) == path.read_bytes()
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
@@ -967,6 +974,15 @@ class TestCli:
             assert len(json.loads(text)) == 6
         else:
             assert text.startswith("zeta,t,") and len(text.splitlines()) == 7
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_main_rejects_empty_output(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--steps", "2", "3", "--format", fmt, "--output", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "--output" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_reports_model_error(self, tmp_path, capsys):
         # At zeta = 1e5 the round-off in H(zeta) alone leaks out of the manifold

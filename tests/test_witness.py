@@ -39,7 +39,6 @@ from squeezetransfer.operators import (
     quadratures,
 )
 from squeezetransfer.witness import (
-    VIOLATION_TOL,
     BranchMismatchError,
     _smallest_eigenvalue_2x2,
     _transverse_basis,
@@ -62,6 +61,9 @@ from squeezetransfer.sweep import GridSpec, Method, SweepConfig, run_sweep
 
 from _oracles import manifold_spin_moments, transverse_variance
 from conftest import random_separable_two_qubit
+
+# The slack below which a state counts as violating an inequality.
+VIOLATION_TOL = 1e-10
 
 
 def css_state(atom_space):
