@@ -196,6 +196,8 @@ def emit_blocks(
     """
     if output_format not in WRITERS:
         raise ValueError(f"unknown output format {output_format!r}")
+    if not path:
+        raise ValueError("empty output path ''")
     names = ["zeta", "t", *columns]
     if include_disagreement:
         names.append("method_disagreement")

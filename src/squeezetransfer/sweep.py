@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import (
-    CoefficientSet,
     InitialState,
     ManifoldState,
     SpectralPropagator,
@@ -62,13 +61,31 @@ _AAD_CELL_BYTES = 16 * np.dtype(complex).itemsize  # one cell's 4x4 a a^dag
 # The failures of a row's checks, which the sweep reports with the row's zeta.
 _ROW_ERRORS = (ValueError, NumericalConsistencyError)
 
-_OSSI_COLUMNS = tuple(
-    f"{side}_slack_{name}"
-    for side in ("atoms", "photons")
-    for name in ("a", "b", "c_x", "c_y", "c_z", "d_x", "d_y", "d_z")
-)
+_SPINS = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
 
-OBSERVABLES = ("ineq_a", "ineq_p", "ossi_full", "xi", "xi_e2", "var_x1", "var_x2")
+
+def _ossi(c, m, b):  # Toth et al., PRA 79, 042334 (2009)
+    return dict(zip(_TABLE["ossi_full"][0], [v for s in _SPINS for v in ossi_of(*m[s], 2).slacks]))
+
+
+_witnesses = lambda c, m, b: vars(branch_witnesses(c, b))
+_variance = lambda c, m, b: dict.fromkeys(
+    ("var_x1", "var_x2"), closed_form_quadrature_variance(c, b))
+# Each observable's column names in output order, the sides whose spin moments
+# it reads, and its function of (coefficients, {side: (mean, cov)}, branch),
+# which returns by name its columns and those of the observables sharing it.
+_TABLE = {
+    "ineq_a": (("ineq_a",), (), _witnesses),
+    "ineq_p": (("ineq_p",), (), _witnesses),
+    "ossi_full": (tuple(f"{side}_slack_{name}" for side in _SPINS for name in (
+        "a", "b", "c_x", "c_y", "c_z", "d_x", "d_y", "d_z")), tuple(_SPINS), _ossi),
+    "xi": (("xi",), ("atoms",), lambda c, m, b: {"xi": kitagawa_ueda_xi_of(*m["atoms"], 2)}),
+    "xi_e2": (("xi_e2",), ("atoms",),
+              lambda c, m, b: {"xi_e2": sorensen_xi_e2_of(*m["atoms"], 2)}),
+    "var_x1": (("var_x1",), (), _variance),
+    "var_x2": (("var_x2",), (), _variance),
+}
+OBSERVABLES = tuple(_TABLE)
 DEFAULT_OBSERVABLES = ("ineq_a", "ineq_p", "var_x1", "var_x2")
 
 
@@ -126,16 +143,14 @@ class SweepConfig:
             raise ValueError("zeta must be non-negative")
         if self.time_grid.start < 0:
             raise ValueError("time must be non-negative")
-        unknown = [o for o in self.observables if o not in OBSERVABLES]
-        if unknown:
+        if unknown := [o for o in self.observables if o not in _TABLE]:
             raise ValueError(f"unknown observables: {unknown}")
         if not self.observables or len(set(self.observables)) < len(self.observables):
             raise ValueError(f"need distinct observables, got {list(self.observables) or 'none'}")
 
     @property
     def columns(self) -> tuple[str, ...]:
-        expand = {"ossi_full": _OSSI_COLUMNS}
-        return tuple(c for obs in self.observables for c in expand.get(obs, (obs,)))
+        return tuple(c for obs in self.observables for c in _TABLE[obs][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,44 +175,17 @@ class SweepResult:
 
 
 def _moment_sides(observables: Sequence[str]) -> tuple[str, ...]:
-    """The sides whose spin moments the observables read; xi and xi_e2 read
-    only the atoms."""
-    obs = set(observables)
-    atoms = ("atoms",) if obs & {"ossi_full", "xi", "xi_e2"} else ()
-    return atoms + (("photons",) if "ossi_full" in obs else ())
+    """The sides whose spin moments the observables read, in _SPINS order."""
+    return tuple(s for s in _SPINS if any(s in _TABLE[obs][1] for obs in observables))
 
 
-def _row_columns(
-    coeffs: CoefficientSet, moments: dict[str, tuple[np.ndarray, np.ndarray]],
-    config: SweepConfig,
-) -> dict[str, np.ndarray]:
-    """Every requested column over a stack of rows (such as both routes' rows
-    of a block), from their coefficients and each side's (mean, cov) moments."""
-    obs = set(config.observables)
-    witnesses = variance = None
-    if obs & {"ineq_a", "ineq_p"}:
-        witnesses = branch_witnesses(coeffs, config.branch)
-    if obs & {"var_x1", "var_x2"}:
-        variance = closed_form_quadrature_variance(coeffs, config.branch)
-    values: dict[str, np.ndarray] = {}
-    for o in config.observables:
-        if o in ("ineq_a", "ineq_p"):
-            values[o] = getattr(witnesses, o)
-        elif o in ("var_x1", "var_x2"):
-            values[o] = variance
-        elif o == "xi":
-            values[o] = kitagawa_ueda_xi_of(*moments["atoms"], 2)
-        elif o == "xi_e2":
-            values[o] = sorensen_xi_e2_of(*moments["atoms"], 2)
-        elif o == "ossi_full":
-            for side, (mean, cov) in moments.items():
-                rep = ossi_of(mean, cov, 2)
-                values[f"{side}_slack_a"] = rep.slack_a
-                values[f"{side}_slack_b"] = rep.slack_b
-                for ax in ("x", "y", "z"):
-                    values[f"{side}_slack_c_{ax}"] = rep.slack_c[ax]
-                    values[f"{side}_slack_d_{ax}"] = rep.slack_d[ax]
-    return values
+def _row_columns(coeffs, moments, config: SweepConfig) -> dict[str, np.ndarray]:
+    """config.columns over a stack of rows (such as both routes' rows of a
+    block), from one call of each _TABLE function its observables read."""
+    values = {}
+    for function in dict.fromkeys(_TABLE[obs][2] for obs in config.observables):
+        values.update(function(coeffs, moments, config.branch))
+    return {c: values[c] for c in config.columns}
 
 
 def _max_disagreement(
@@ -270,13 +258,13 @@ def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
     n_routes = closed + oracle
     blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
-    spin_of = {"atoms": collective_atomic_spin, "photons": photonic_pseudospin}
     if closed:
-        matrices = {s: moment_matrix(moment_operators(spin_of[s](space)), blocks.basis)
+        matrices = {s: moment_matrix(moment_operators(_SPINS[s](space)), blocks.basis)
                     for s in sides}
     if oracle:
-        spins = {s: spin_of[s](reduced_spaces(space)[s]) for s in sides}
-        contractions = {s: contraction_matrix(moment_operators(spin)) for s, spin in spins.items()}
+        reduced = reduced_spaces(space)
+        contractions = {s: contraction_matrix(moment_operators(_SPINS[s](reduced[s])))
+                        for s in sides}
 
     def block_columns(rows: slice) -> dict[str, np.ndarray]:
         """Every column over the rows, as (n_routes, rows, nt) arrays: the
@@ -312,7 +300,7 @@ def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
         # the closed form's half first when it runs, the oracle's last
         first, last = ({k: views.setdefault(id(v), v[r]) for k, v in columns.items()}
                        for views, r in (({}, 0), ({}, -1)))
-        return SweepResult(zetas[rows], times, {c: first[c] for c in config.columns},
+        return SweepResult(zetas[rows], times, first,
                            _max_disagreement(first, last) if n_routes == 2 else None)
 
     step = _block_rows(config)
@@ -345,6 +333,8 @@ def emit(
         raise ValueError("no cells to emit")
     if include_disagreement and result.method_disagreement is None:
         raise ValueError("the result has no method disagreement to emit")
+    if missing := [c for c in columns if c not in result.values]:
+        raise ValueError(f"the result has no columns {missing} to emit")
     emit_blocks(result.zeta, result.t, [result], columns, output_format, path,
                 include_disagreement)
 
@@ -377,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--observables",
         default=",".join(DEFAULT_OBSERVABLES),
-        help=f"comma-separated subset of {','.join(OBSERVABLES)}",
+        help=f"comma-separated subset of {','.join(_TABLE)}",
     )
     parser.add_argument(
         "--method",

@@ -139,11 +139,13 @@ class OssiReport:
     slack_d: dict[str, float | np.ndarray]
 
     @property
+    def slacks(self) -> list:
+        """a, b, then c and d, each over the axes x, y, z."""
+        return [self.slack_a, self.slack_b, *self.slack_c.values(), *self.slack_d.values()]
+
+    @property
     def min_slack(self) -> float | np.ndarray:
-        return np.min(
-            [self.slack_a, self.slack_b, *self.slack_c.values(), *self.slack_d.values()],
-            axis=0,
-        )
+        return np.min(self.slacks, axis=0)
 
 
 def ossi_of(mean: np.ndarray, cov: np.ndarray, n_particles: int) -> OssiReport:

@@ -81,13 +81,19 @@ class TestGridSpec:
             GridSpec(start, stop, steps)
 
 
+# The ossi_full columns, written out rather than taken from the sweep's table.
+OSSI_COLUMNS = (
+    "atoms_slack_a", "atoms_slack_b", "atoms_slack_c_x", "atoms_slack_c_y", "atoms_slack_c_z",
+    "atoms_slack_d_x", "atoms_slack_d_y", "atoms_slack_d_z",
+    "photons_slack_a", "photons_slack_b", "photons_slack_c_x", "photons_slack_c_y",
+    "photons_slack_c_z", "photons_slack_d_x", "photons_slack_d_y", "photons_slack_d_z",
+)
+
+
 class TestSweepConfig:
     def test_columns_expand_ossi(self):
         cfg = small_config(observables=("ineq_a", "ossi_full"))
-        assert cfg.columns[0] == "ineq_a"
-        assert "atoms_slack_c_z" in cfg.columns
-        assert "photons_slack_d_y" in cfg.columns
-        assert len(cfg.columns) == 1 + 16
+        assert cfg.columns == ("ineq_a", *OSSI_COLUMNS)
 
     def test_rejects_unknown_observable(self):
         with pytest.raises(ValueError):
@@ -105,6 +111,97 @@ class TestSweepConfig:
         # the sweep sets zeta per row, so a params.zeta would be dropped
         with pytest.raises(ValueError, match="zeta_grid"):
             small_config(params=ModelParams(zeta=1.5))
+
+
+class TestObservableTable:
+    def test_observables_and_help_name_the_table_in_order(self):
+        names = ("ineq_a", "ineq_p", "ossi_full", "xi", "xi_e2", "var_x1", "var_x2")
+        assert OBSERVABLES == names
+        action = next(a for a in _build_parser()._actions if a.dest == "observables")
+        assert action.help == "comma-separated subset of " + ",".join(names)
+
+    # The argv of each benchmark workload, less its --steps and --params-file
+    # (the header depends on neither), and the default argv.
+    @pytest.mark.parametrize("argv, steps, header", [
+        pytest.param([], ["2", "3"], "zeta,t,ineq_a,ineq_p,var_x1,var_x2", id="default"),
+        pytest.param(
+            ["--branch", "entangled", "--zeta-range", "0.0", "2.0", "--time-range", "0.0", "20.0",
+             "--observables", "ineq_a,ineq_p,var_x1,var_x2", "--method", "closed_form",
+             "--format", "csv"],
+            ["2", "3"], "zeta,t,ineq_a,ineq_p,var_x1,var_x2", id="grid_closed_form"),
+        pytest.param(
+            ["--branch", "separable", "--zeta-range", "0.0", "2.0", "--time-range", "0.0", "20.0",
+             "--observables", "ineq_a,ineq_p,ossi_full,xi,var_x1,var_x2", "--method", "both",
+             "--format", "csv"],
+            ["2", "3"],
+            "zeta,t,ineq_a,ineq_p,atoms_slack_a,atoms_slack_b,atoms_slack_c_x,atoms_slack_c_y,"
+            "atoms_slack_c_z,atoms_slack_d_x,atoms_slack_d_y,atoms_slack_d_z,photons_slack_a,"
+            "photons_slack_b,photons_slack_c_x,photons_slack_c_y,photons_slack_c_z,"
+            "photons_slack_d_x,photons_slack_d_y,photons_slack_d_z,xi,var_x1,var_x2,"
+            "method_disagreement",
+            id="oracle_states"),
+        pytest.param(
+            ["--branch", "separable", "--zeta", "0.5", "--time-range", "0.0", "20.0",
+             "--observables", "xi_e2,xi", "--method", "closed_form", "--format", "json"],
+            ["1", "3"], "zeta,t,xi_e2,xi", id="sorensen_slice"),
+    ])
+    def test_literal_headers(self, argv, steps, header, tmp_path):
+        path = tmp_path / "out"
+        assert main([*argv, "--steps", *steps, "--output", str(path)]) == 0
+        text = path.read_text()
+        if "json" in argv:
+            assert ",".join(json.loads(text)[0]) == header
+        else:
+            assert text.splitlines()[0] == header
+
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.BOTH])
+    def test_shared_functions_run_once_per_block(self, method, monkeypatch):
+        """ineq_a and ineq_p share one branch_witnesses call per block, and
+        var_x1 and var_x2 one closed_form_quadrature_variance array."""
+        import squeezetransfer.sweep as sweep
+
+        calls = []
+        for name in ("branch_witnesses", "closed_form_quadrature_variance"):
+            monkeypatch.setattr(sweep, name, lambda *a, _name=name, _real=getattr(sweep, name):
+                                calls.append(_name) or _real(*a))
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 1)  # one zeta row per block
+        cfg = small_config(method=method, observables=("ineq_a", "var_x1", "ineq_p", "var_x2"))
+        blocks = list(sweep.sweep_blocks(cfg))
+        assert len(blocks) == cfg.zeta_grid.steps
+        assert calls == ["branch_witnesses", "closed_form_quadrature_variance"] * len(blocks)
+        for block in blocks:
+            assert list(block.values) == list(cfg.columns)
+            assert block.values["var_x1"] is block.values["var_x2"]
+
+    def test_a_test_local_observable_flows_through_the_sweep_and_both_writers(
+        self, monkeypatch, tmp_path
+    ):
+        import squeezetransfer.sweep as sweep
+
+        def photon_means(coeffs, moments, branch):
+            mean = moments["photons"][0]
+            return {"photons_mean_z": mean[..., 2], "photons_mean_x": mean[..., 0]}
+
+        monkeypatch.setitem(sweep._TABLE, "probe",
+                            (("photons_mean_x", "photons_mean_z"), ("photons",), photon_means))
+        argv = ["--branch", "separable", "--method", "both", "--steps", "3", "5",
+                "--observables", "xi,probe"]
+        cfg = config_from_args(_build_parser().parse_args(argv))
+        assert cfg.columns == ("xi", "photons_mean_x", "photons_mean_z")
+        assert sweep._moment_sides(("probe",)) == ("photons",)
+        result = run_sweep(cfg)
+        assert list(result.values) == list(cfg.columns)
+        # both photons start in cavity 1: <J_z> = (n_1 - n_2) / 2 = 1
+        np.testing.assert_allclose(result.values["photons_mean_z"][:, 0], 1.0, atol=1e-12)
+        # both routes read the photons' spin moments, and agree on them
+        assert result.method_disagreement.max() < 1e-8
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            emit(result, cfg.columns, fmt, str(path), include_disagreement=True)
+            assert path.read_bytes() == reference_text(result, cfg.columns, fmt).encode()
+            streamed = tmp_path / f"cli.{fmt}"
+            assert main([*argv, "--format", fmt, "--output", str(streamed)]) == 0
+            assert streamed.read_bytes() == path.read_bytes()
 
 
 class TestSweepResult:
@@ -571,6 +668,32 @@ class TestEmit:
         result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
         with pytest.raises(ValueError, match="no method disagreement"):
             emit(result, ("xi",), fmt, str(tmp_path / f"out.{fmt}"), include_disagreement=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejects_unknown_columns_before_writing(self, fmt, tmp_path):
+        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
+        with pytest.raises(ValueError, match=r"no columns \['nope', 'gone'\]"):
+            emit(result, ("nope", "xi", "gone"), fmt, str(tmp_path / f"out.{fmt}"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejects_empty_path_before_taking_a_block(self, fmt, tmp_path, monkeypatch):
+        from squeezetransfer.output import emit_blocks
+
+        monkeypatch.chdir(tmp_path)
+        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
+        with pytest.raises(ValueError, match="empty output path"):
+            emit(result, ("xi",), fmt, "")
+        taken = []
+
+        def blocks():
+            taken.append(result)
+            yield result
+
+        with pytest.raises(ValueError, match="empty output path"):
+            emit_blocks(result.zeta, result.t, blocks(), ("xi",), fmt, "")
+        assert taken == []
         assert list(tmp_path.iterdir()) == []
 
     def test_special_values_match_reference_formatter(self, tmp_path):
