@@ -7,6 +7,12 @@ is written as it is taken, in sub-blocks of cells, so memory grows neither
 with the grid nor with the file, and identical blocks give identical bytes.
 An array that a block holds under several column names is encoded once per
 sub-block, and its text copied into each of those columns.
+
+A file can also be written in parts: the records of each later part of its
+blocks go to an unlinked part file (open_part, write_part), whose bytes the
+file's writer appends after the first part's records, in zeta order
+(emit_blocks' `parts`).  A part holds records only, no head or tail, and
+under JSON its first record keeps its separator.
 """
 
 from __future__ import annotations
@@ -117,12 +123,13 @@ def _json(names: list[str]) -> tuple:
 WRITERS = {"csv": _csv, "json": _json}
 
 
-def _chunks(
+def _records(
     fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
-    blocks: Iterable[SweepResult],
+    blocks: Iterable[SweepResult], first: bool = True,
 ) -> Iterator[bytes]:
-    """The bytes of the file in format fmt: its head, one chunk per sub-block
-    of records, and its tail, so the whole file is never held at once.
+    """The records of the blocks in format fmt, one chunk per sub-block, so
+    the whole file is never held at once.  The file's first record (first)
+    drops its leading separator; the first record of a later part keeps it.
 
     Each axis is encoded once and its text gathered per sub-block; each
     distinct value array is encoded once per sub-block, and its text copied
@@ -131,13 +138,13 @@ def _chunks(
     constant bytes; every slot of a sub-block's records is written, and the
     zero bytes are dropped in one pass.
     """
-    encode, head, record, slots, skip, tail = WRITERS[fmt](names)
+    encode, _, record, slots, skip, _ = WRITERS[fmt](names)
+    skip = skip if first else 0
     record = np.frombuffer(record, np.uint8)
     buffer = np.empty((max(1, _BLOCK_BYTES // record.size), record.size), np.uint8)
     buffer[:] = record
     buffer[0, :skip] = 0
     zeta_text, t_text = encode(zeta), encode(t)
-    yield head
     for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, len(buffer)):
         buf = buffer[:zi.size]
         text = encode(values)
@@ -148,7 +155,28 @@ def _chunks(
         del text, fields, field  # freed before the next encode, which sets the peak RSS
         yield buf.tobytes().translate(None, b"\0")
         buffer[0, :skip] = record[:skip]
+
+
+def _chunks(
+    fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
+    blocks: Iterable[SweepResult], parts: Iterable[bytes] = (),
+) -> Iterator[bytes]:
+    """The bytes of the file in format fmt: its head, the records of the
+    blocks, the bytes of the later parts, and its tail."""
+    _, head, *_, tail = WRITERS[fmt](names)
+    yield head
+    yield from _records(fmt, names, zeta, t, blocks)
+    yield from parts
     yield tail
+
+
+def _target(path: str) -> str:
+    """path's real target, symlinks resolved; an IsADirectoryError that
+    names path if that is a directory."""
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    return target
 
 
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
@@ -159,9 +187,7 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     is not a regular file, such as a FIFO or a device, is written in place:
     replacing it would delete it.  A failure is an OSError that names `path`,
     not the target or the temporary file."""
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    target = _target(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else f"{target}.tmp{os.getpid()}"
     try:
@@ -176,6 +202,10 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
             os.remove(tmp)
 
 
+def _names(columns: Sequence[str], include_disagreement: bool) -> list[str]:
+    return ["zeta", "t", *columns] + ["method_disagreement"] * include_disagreement
+
+
 def emit_blocks(
     zeta: np.ndarray,
     t: np.ndarray,
@@ -184,21 +214,59 @@ def emit_blocks(
     output_format: str,
     path: str,
     include_disagreement: bool = False,
+    parts: Iterable[bytes] = (),
 ) -> None:
     """Write the columns of a stream of blocks over the axes zeta and t, such
     as sweep.sweep_blocks, to `path` atomically (see _write_atomic), each
-    block as it is taken.
+    block as it is taken; then `parts`, the bytes of the records of the
+    file's later parts (see write_part), before the file's tail.
 
     The format is checked, and the target checked and opened, before the
-    first block is taken.  An error from a block propagates after the
-    temporary file is removed, or, for a target written in place, after the
-    complete lines of the blocks before it.
+    first block is taken.  An error from a block or a part propagates after
+    the temporary file is removed, or, for a target written in place, after
+    the complete lines of the blocks and parts before it.
     """
     if output_format not in WRITERS:
         raise ValueError(f"unknown output format {output_format!r}")
     if not path:
         raise ValueError("empty output path ''")
-    names = ["zeta", "t", *columns]
-    if include_disagreement:
-        names.append("method_disagreement")
-    _write_atomic(path, _chunks(output_format, names, zeta, t, blocks))
+    names = _names(columns, include_disagreement)
+    _write_atomic(path, _chunks(output_format, names, zeta, t, blocks, parts))
+
+
+def open_part(path: str) -> int:
+    """A new unlinked file, open for reading and writing, in the directory of
+    `path`'s real target: it has no name, so it goes with its last
+    descriptor, whatever ends the process.  An OSError where the file system
+    cannot make one."""
+    return os.open(os.path.dirname(_target(path)), os.O_TMPFILE | os.O_RDWR, 0o600)
+
+
+def write_part(
+    fd: int,
+    zeta: np.ndarray,
+    t: np.ndarray,
+    blocks: Iterable[SweepResult],
+    columns: Sequence[str],
+    output_format: str,
+    path: str,
+    include_disagreement: bool = False,
+) -> None:
+    """Write to the part file fd the records of a stream of blocks that is a
+    later part of `path`'s file, as emit_blocks would write them there.  An
+    error from a block propagates after the complete lines of the blocks
+    before it; a failed write is an OSError that names `path`."""
+    names = _names(columns, include_disagreement)
+    try:
+        with open(fd, "wb", closefd=False) as fh:
+            fh.writelines(_records(output_format, names, zeta, t, blocks, first=False))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def read_part(fd: int) -> Iterator[bytes]:
+    """The bytes of the part file fd, from its start, in pieces of
+    _BLOCK_BYTES, so copying a part does not raise the peak RSS."""
+    os.lseek(fd, 0, os.SEEK_SET)
+    while piece := os.read(fd, _BLOCK_BYTES):
+        yield piece

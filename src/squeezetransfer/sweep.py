@@ -7,6 +7,14 @@ blocks of consecutive rows sized by _SWEEP_BLOCK_BYTES; a cell's bits do not
 depend on its block.  The CLI writes each block as it is computed, so a run
 holds one block, not the grid, and identical configurations give
 byte-identical files.
+
+The CLI cuts the blocks into one contiguous part per CPU that the process
+may run on (at most one per block).  It builds the model once, then forks a
+child for each later part, which writes that part's records to an unlinked
+file; it writes the first part itself and appends the children's bytes in
+zeta order.  The file, the messages and the exit status are those of one
+part: the first failing row in zeta order is the error, and the worst cell
+is the grid's first argmax.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ import argparse
 import enum
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -40,7 +50,7 @@ from .hamiltonian import (
 )
 from .hilbert import HermitianOperator, NumericalConsistencyError, standard_space
 from .operators import collective_atomic_spin, photonic_pseudospin
-from .output import WRITERS, emit_blocks
+from .output import WRITERS, emit_blocks, open_part, read_part, write_part
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
@@ -91,6 +101,10 @@ DEFAULT_OBSERVABLES = ("ineq_a", "ineq_p", "var_x1", "var_x2")
 
 class SweepError(RuntimeError):
     """A failed check on a zeta row, annotated with its zeta."""
+
+
+# The failures that the CLI reports as one error line and exit status 1.
+_CLI_ERRORS = (ValueError, SweepError, ModelInconsistencyError, NumericalConsistencyError, OSError)
 
 
 class Method(enum.Enum):
@@ -231,12 +245,20 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(zetas, times, values, disagreement)
 
 
-def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
-    """The sweep as a stream of SweepResults, one per block of _block_rows
-    consecutive zeta rows (zetas[rows] and the whole t axis), in zeta order.
-    The model and the moment matrices are built by this call, so their errors
-    come before any block; each block is computed when it is taken, and the
-    stream keeps none.
+def sweep_blocks(config: SweepConfig, rows: slice = slice(None)) -> Iterator[SweepResult]:
+    """The sweep of the zeta rows `rows` (all by default, a contiguous range)
+    as a stream of SweepResults, one per block of _block_rows consecutive
+    rows from its first row (zetas[block rows] and the whole t axis), in zeta
+    order; a cell's bits do not depend on its block, nor on the range.  The
+    model is built by this call (see _sweep), so its errors come before any
+    block; each block is computed when it is taken, and the stream keeps
+    none."""
+    return _sweep(config)(rows)
+
+
+def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
+    """Build and check the model and the moment matrices once; return the
+    function of a row range that gives its stream of blocks (sweep_blocks).
 
     Per block, the closed form propagates all rows at once and contracts the
     (rows, nt, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
@@ -304,7 +326,12 @@ def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
                            _max_disagreement(first, last) if n_routes == 2 else None)
 
     step = _block_rows(config)
-    return (block(slice(i, min(i + step, zetas.size))) for i in range(0, zetas.size, step))
+
+    def stream(rows: slice) -> Iterator[SweepResult]:
+        start, stop, _ = rows.indices(zetas.size)
+        return (block(slice(i, min(i + step, stop))) for i in range(start, stop, step))
+
+    return stream
 
 
 def _row_error(
@@ -413,31 +440,180 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
     )
 
 
+def _part_count(blocks: int) -> int:
+    """The parts of a CLI run of `blocks` sweep blocks: one per CPU this
+    process may run on, at most one per block.  One part where the process
+    cannot fork safely: without os.fork, os.sched_getaffinity or unlinked
+    files (os.O_TMPFILE), off the main thread, or with another Python thread
+    alive."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "O_TMPFILE")):
+        return 1
+    if threading.current_thread() is not threading.main_thread() or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _part_rows(config: SweepConfig) -> list[slice]:
+    """The zeta rows of each part of a CLI run, in zeta order: _part_count
+    contiguous runs of whole sweep blocks, as even as whole blocks allow.
+    The first part has no more blocks than any other, since its process
+    also copies the others' bytes."""
+    n, step = config.zeta_grid.steps, _block_rows(config)
+    blocks = -(-n // step)
+    parts = _part_count(blocks)
+    edges = [min(n, step * (k * blocks // parts)) for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _tracked(blocks: Iterator[SweepResult], worst: list) -> Iterator[SweepResult]:
+    """The blocks, keeping in worst the largest method disagreement so far
+    and its (zeta, t) cell; a tie keeps the earlier cell, as argmax does."""
+    for block in blocks:
+        grid = block.method_disagreement
+        i, j = np.unravel_index(np.argmax(grid), grid.shape)
+        if grid[i, j] > worst[0]:
+            worst[:] = grid[i, j], block.zeta[i], block.t[j]
+        yield block
+
+
+@dataclass
+class _Child:
+    """A forked process writing one part: its pid, 0 once it is reaped, and
+    the read end of the pipe it reports through."""
+
+    pid: int
+    report: int
+
+
+def _fork(run: Callable[..., list], *args) -> _Child:
+    """Fork a child that runs run(*args) and reports, as JSON through a
+    pipe, the worst cell that it returns or the error that ended it.  The
+    child prints nothing, and leaves only through os._exit, never into the
+    caller."""
+    report, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(report)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(report)
+            try:
+                result = {"worst": run(*args)}
+            except _CLI_ERRORS as exc:
+                result = {"error": str(exc)}
+            except Exception as exc:  # a defect, which the parent raises again
+                result = {"crash": f"{type(exc).__name__}: {exc}"}
+            with open(write, "w", encoding="utf-8") as fh:
+                json.dump(result, fh)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return _Child(pid, report)
+
+
+def _joined(children: list[_Child], files: list[int], worst: list) -> Iterator[bytes]:
+    """The children's parts in zeta order, each once its child has exited:
+    its bytes, then the error that ended it, if any; each worst cell is
+    merged into worst in that order."""
+    for child, fd in zip(children, files):
+        with open(child.report, "rb", closefd=False) as fh:
+            report = fh.read()  # to end of file: the child has exited
+        _, status = os.waitpid(child.pid, 0)
+        child.pid = 0
+        if not report:
+            raise RuntimeError(f"a sweep part's process ended without a report ({status=})")
+        report = json.loads(report)
+        yield from read_part(fd)
+        if "error" in report:
+            raise SweepError(report["error"])
+        if "crash" in report:
+            raise RuntimeError(f"a sweep part failed: {report['crash']}")
+        if report["worst"][0] > worst[0]:  # a tie keeps the earlier part's cell
+            worst[:] = report["worst"]
+
+
+def _reap(children: list[_Child]) -> None:
+    """Kill each child not yet reaped, then reap it; close every pipe."""
+    for child in children:
+        if child.pid:
+            from signal import SIGKILL  # only on a failure: the module is not loaded otherwise
+
+            os.kill(child.pid, SIGKILL)
+            os.waitpid(child.pid, 0)
+        os.close(child.report)
+
+
+def _part_files(path: str, count: int) -> list[int]:
+    """count part files beside path's target (output.open_part), or none if
+    one cannot be made there; the run then has one part."""
+    files = []
+    try:
+        for _ in range(count):
+            files.append(open_part(path))
+    except OSError:
+        for fd in files:
+            os.close(fd)
+        return []
+    return files
+
+
+def _write(
+    config: SweepConfig,
+    stream: Callable[[slice], Iterator[SweepResult]],
+    output_format: str,
+    path: str,
+    worst: list,
+) -> None:
+    """Write the sweep of stream (see _sweep) to path in the parts of
+    _part_rows, keeping in worst the worst cell of them all (_tracked).
+    Each later part is written by a forked child to an unlinked part file
+    and appended, in zeta order, after the first, which this process
+    writes: the file, and the first failing row in zeta order, are those of
+    one part.  Every child is reaped on every path out, killed first if it
+    still runs."""
+    zetas, times = config.zeta_grid.values(), config.time_grid.values()
+    both = config.method is Method.BOTH
+    rows = _part_rows(config)
+    files = _part_files(path, len(rows) - 1)
+    if not files:
+        rows = [slice(0, zetas.size)]
+
+    def blocks(part: slice, part_worst: list) -> Iterator[SweepResult]:
+        return _tracked(stream(part), part_worst) if both else stream(part)
+
+    def write_child_part(part: slice, fd: int) -> list:
+        part_worst = [-np.inf, 0.0, 0.0]
+        write_part(fd, zetas[part], times, blocks(part, part_worst), config.columns,
+                   output_format, path, both)
+        return part_worst
+
+    children = []
+    try:
+        for part, fd in zip(rows[1:], files):
+            children.append(_fork(write_child_part, part, fd))
+        emit_blocks(zetas[rows[0]], times, blocks(rows[0], worst), config.columns,
+                    output_format, path, both, _joined(children, files, worst))
+    finally:
+        _reap(children)
+        for fd in files:
+            os.close(fd)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.output is None:
         args.output = f"sweep.{args.format}"
-    worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement so far, at (zeta, t)
-
-    def tracked(blocks: Iterator[SweepResult]) -> Iterator[SweepResult]:
-        for block in blocks:
-            grid = block.method_disagreement
-            i, j = np.unravel_index(np.argmax(grid), grid.shape)
-            if grid[i, j] > worst[0]:  # a tie keeps the earlier cell, as argmax does
-                worst[:] = grid[i, j], block.zeta[i], block.t[j]
-            yield block
-
+    worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement, at (zeta, t)
     try:
         if not args.output:
             raise ValueError("--output is empty; give a file path")
         config = config_from_args(args)
         both = config.method is Method.BOTH
-        blocks = sweep_blocks(config)
-        emit_blocks(config.zeta_grid.values(), config.time_grid.values(),
-                    tracked(blocks) if both else blocks, config.columns, args.format,
-                    args.output, include_disagreement=both)
-    except (ValueError, SweepError, ModelInconsistencyError, NumericalConsistencyError,
-            OSError) as exc:
+        _write(config, _sweep(config), args.format, args.output, worst)
+    except _CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = f"wrote {config.zeta_grid.steps * config.time_grid.steps} cells to {args.output}"

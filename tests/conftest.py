@@ -1,9 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
 from squeezetransfer.hamiltonian import ModelParams, build_hamiltonian, extract_manifold_block
 from squeezetransfer.hilbert import CompositeSpace, atom, photon_mode, standard_space
 from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospin, quadratures
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_process_or_file(request):
+    """After every test: no child process of this one is left, reaped or
+    not, and the test's tmp_path, if it has one, holds no temporary file of
+    the atomic writer (the CLI's part files are unlinked, so never seen)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    tmp_path = request.node.funcargs.get("tmp_path")
+    if tmp_path is not None:
+        assert [p.name for p in tmp_path.rglob("*.tmp*")] == []
 
 
 @pytest.fixture(scope="session")

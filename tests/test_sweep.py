@@ -450,6 +450,36 @@ class TestRunSweep:
                 assert other.values[name].tobytes() == grid.tobytes(), name
             assert other.method_disagreement.tobytes() == first.method_disagreement.tobytes()
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_row_ranges_do_not_change_a_bit(self, branch, method, monkeypatch):
+        """sweep_blocks over a contiguous row range, in blocks of 2 rows from
+        its first row, gives those rows of run_sweep bit for bit, for ranges
+        that start on or inside a block of the whole grid: the invariance
+        that lets the CLI compute its parts apart."""
+        import squeezetransfer.sweep as sweep
+
+        cfg = small_config(branch=branch, method=method, observables=OBSERVABLES,
+                           params=ModelParams(mu=0.13, eta=-0.07),
+                           zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 31))
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 2 * 31 * sweep._AAD_CELL_BYTES)
+        assert sweep._block_rows(cfg) == 2
+
+        def grids(result):
+            return dict(result.values, method_disagreement=result.method_disagreement)
+
+        whole = grids(run_sweep(cfg))
+        for start, stop in [(0, 5), (1, 5), (1, 4), (2, 5), (3, 4), (4, 5)]:
+            blocks = [grids(b) for b in sweep.sweep_blocks(cfg, slice(start, stop))]
+            assert [len(b["ineq_a"]) for b in blocks] == [2] * ((stop - start) // 2) + [1] * (
+                (stop - start) % 2)
+            for name, want in whole.items():
+                got = [b[name] for b in blocks]
+                if want is None:  # one route: no disagreement
+                    assert got == [None] * len(blocks)
+                else:
+                    assert np.concatenate(got).tobytes() == want[start:stop].tobytes(), name
+
     def test_peak_memory_of_an_oracle_states_run(self):
         """run_sweep's traced peak on the benchmark's oracle_states shape: the
         (51, 201) output grids (1.9 MB) plus one block's working arrays.  The
@@ -1345,6 +1375,9 @@ class TestStream:
             return real(values)
 
         monkeypatch.setattr(output, ENCODERS[fmt], recording)
+        # one part: a forked part's encodings are not seen here (TestParts
+        # holds the bytes of two and three parts to these)
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
         side = "emit"
         emit(result, cfg.columns, fmt, str(tmp_path / side), include_disagreement=both)
         side = "cli"
@@ -1432,6 +1465,9 @@ class TestStream:
             return grid
 
         monkeypatch.setattr(sweep, "_max_disagreement", tied)
+        # one part: tied counts the blocks of this process only (TestParts
+        # ties cells across parts)
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
         assert worst_cell(argv) == (5, 5)  # the last row of block 2, not the row of block 3
         assert blocks == [(3, 301), (3, 301), (1, 301)] * 2
 
@@ -1453,6 +1489,208 @@ class TestStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5 * 2**20
+
+
+class TestParts:
+    """main splits the sweep blocks into one part per CPU, each later part
+    computed by a forked child; the file, stdout, stderr and exit status
+    are those of one part.  The CPUs are faked, at most 3."""
+
+    ARGS = TestStream.ARGS  # blocks of 4 and 3 rows on one route, 2, 2, 2 and 1 on both
+    ZETAS = TestStream.ZETAS
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list:
+        """The forks of this process (a child appends to its own copy)."""
+        forks, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        return forks
+
+    def run(self, argv, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_parts_write_the_bytes_of_one_part(self, method, fmt, cpus, tmp_path, capsys,
+                                               monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        argv = [*self.ARGS, "--method", method, "--format", fmt]
+        cfg = config_from_args(_build_parser().parse_args(argv))
+        self.cpus(monkeypatch, cpus)
+        parts = sweep._part_rows(cfg)
+        # parts of whole blocks; only 2 blocks on one route
+        assert len(parts) == (2 if method == "closed_form" else cpus)
+        assert parts[0].start == 0 and parts[-1].stop == 7
+        assert all(p.stop - p.start in (2, 3, 4) for p in parts)
+        forks = self.count_forks(monkeypatch)
+        many = self.run([*argv, "--output", str(tmp_path / "many")], capsys)
+        assert len(forks) == len(parts) - 1
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
+        one = self.run([*argv, "--output", str(tmp_path / "one")], capsys)
+        assert len(forks) == len(parts) - 1
+        assert many == (0, one[1].replace("one", "many"), "")
+        assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
+        if fmt == "json":
+            assert len(json.loads((tmp_path / "many").read_text())) == 7 * 1001
+
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_failing_row_in_a_child_part(self, method, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        TestStream.fail_row(monkeypatch, 4)  # the second part's first row, either way
+        argv = [*self.ARGS, "--method", method, "--output", str(tmp_path / "x.csv")]
+        self.cpus(monkeypatch, 2)
+        many = self.run(argv, capsys)
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
+        one = self.run(argv, capsys)
+        assert many == one == (1, "", f"error: row zeta={self.ZETAS[4]}: injected failure\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fifo_gets_the_parts_before_a_failing_block(self, fmt, tmp_path, capsys,
+                                                        monkeypatch):
+        """Blocks of one row in 2 parts of 3 and 4 rows; row 5 fails, so the
+        FIFO gets the first part and the child's first two rows.  The reader
+        is a descriptor, not a thread, which would keep the run to one part;
+        the file fits in the pipe's buffer."""
+        import squeezetransfer.sweep as sweep
+
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 1)
+        argv = ["--zeta-range", "0", "1.2", "--steps", "7", "11", "--format", fmt]
+        whole = tmp_path / "whole"
+        assert main([*argv, "--output", str(whole)]) == 0
+        capsys.readouterr()
+        TestStream.fail_row(monkeypatch, 5)
+        self.cpus(monkeypatch, 2)
+        assert sweep._part_rows(config_from_args(_build_parser().parse_args(argv))) == [
+            slice(0, 3), slice(3, 7)]
+        forks = self.count_forks(monkeypatch)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc = main([*argv, "--output", str(fifo)])
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert rc == 1 and forks == [1]
+        assert capsys.readouterr().err == f"error: row zeta={self.ZETAS[5]}: injected failure\n"
+        text = whole.read_bytes()
+        if fmt == "csv":  # the header and the lines of rows 0 to 4
+            assert received == b"".join(text.splitlines(keepends=True)[: 1 + 5 * 11])
+        else:  # "[", then the complete records of rows 0 to 4, each with its separator
+            records = text.split(b"\n  }")
+            assert received == b"\n  }".join(records[: 5 * 11]) + b"\n  }"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "whole"]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worst_cell_ties_keep_the_first_part(self, cpus, tmp_path, capsys, monkeypatch):
+        """Every cell ties: the grid's first cell, in the first part, is the
+        worst, not the first cell of a later part."""
+        import squeezetransfer.sweep as sweep
+
+        monkeypatch.setattr(sweep, "_max_disagreement",
+                            lambda first, last: np.full(np.shape(first["ineq_a"]), 1e-9))
+        self.cpus(monkeypatch, cpus)
+        forks = self.count_forks(monkeypatch)
+        rc, out, err = self.run([*self.ARGS, "--method", "both", "--output",
+                                 str(tmp_path / "x.csv")], capsys)
+        assert (rc, err, len(forks)) == (0, "", cpus - 1)
+        assert out.endswith("(max method disagreement 1.000e-09 at zeta=0, t=0)\n")
+
+    def test_one_part_for_one_block_one_cpu_or_another_thread(self, monkeypatch):
+        import threading
+
+        import squeezetransfer.sweep as sweep
+
+        many = config_from_args(_build_parser().parse_args(self.ARGS))
+        one_block = config_from_args(_build_parser().parse_args(["--zeta", "0.5"]))
+        self.cpus(monkeypatch, 3)
+        assert sweep._part_rows(many) == [slice(0, 4), slice(4, 7)]
+        assert sweep._part_rows(one_block) == [slice(0, 1)]
+        self.cpus(monkeypatch, 1)
+        assert sweep._part_rows(many) == [slice(0, 7)]
+        self.cpus(monkeypatch, 3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert sweep._part_count(2) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and sweep._part_count(2) == 2
+
+    @pytest.mark.parametrize("failure", [KeyboardInterrupt, NumericalConsistencyError])
+    def test_a_failing_first_part_kills_the_running_child(self, failure, tmp_path, capsys,
+                                                          monkeypatch):
+        """The child would sleep for a minute; the run ends at once, and the
+        autouse fixture finds no child left."""
+        import time
+
+        import squeezetransfer.sweep as sweep
+
+        parent = os.getpid()
+
+        def evolve(branch, blocks, times):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise failure("injected failure")
+
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
+        self.cpus(monkeypatch, 2)
+        forks = self.count_forks(monkeypatch)
+        start = time.perf_counter()
+        argv = [*self.ARGS, "--output", str(tmp_path / "x.csv")]
+        if failure is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            rc, out, err = self.run(argv, capsys)
+            assert (rc, out, err) == (1, "", "error: row zeta=0.0: injected failure\n")
+        assert time.perf_counter() - start < 30 and forks == [1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_defect_in_a_child_is_raised(self, tmp_path, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        parent, real = os.getpid(), sweep.evolve_closed_form_grid
+
+        def evolve(branch, blocks, times):
+            if os.getpid() != parent:
+                raise TypeError("injected defect")
+            return real(branch, blocks, times)
+
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^a sweep part failed: TypeError: injected defect$"):
+            main([*self.ARGS, "--output", str(tmp_path / "x.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_python_w_error_runs_parts_without_a_warning(self, tmp_path):
+        """A fresh process, where any warning (one about forking, say) is an
+        error, on a grid of two parts where the host has two CPUs."""
+        src = Path(squeezetransfer.__file__).resolve().parents[1]
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "squeezetransfer", *self.ARGS,
+             "--method", "both", "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"wrote 7007 cells to {out} (max method disagreement ")
+        assert len(out.read_text().splitlines()) == 1 + 7007
 
 
 def test_import_leaves_scipy_out():
