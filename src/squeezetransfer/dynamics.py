@@ -83,6 +83,18 @@ def _time_range(times: np.ndarray) -> str:
     return f"{float(np.min(times))!r}..{float(np.max(times))!r}"
 
 
+def _phases(evals: np.ndarray, times: np.ndarray, route: str) -> np.ndarray:
+    """exp(-i w t) for each eigenvalue w of evals (..., k) and time t: shape
+    (..., k, nt).  Phases that overflow raise a ValueError naming the route's
+    phases and the time range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = evals[..., :, None] * times
+    if not np.isfinite(angles).all():
+        raise ValueError(f"the {route} phases overflow over the time range "
+                         f"{_time_range(times)} (units of 1/lam)")
+    return np.exp(-1j * angles)
+
+
 def _block_propagate(
     evals: np.ndarray, evecs: np.ndarray, amp2: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
@@ -90,13 +102,7 @@ def _block_propagate(
     stack, with eigenvalues (..., 2) and eigenvectors (..., 2, 2): shape (..., 2, nt).
     Phases that overflow raise a ValueError naming the time range."""
     coeffs = evecs.conj().swapaxes(-1, -2) @ amp2
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = evals[..., :, None] * times
-    if not np.isfinite(angles).all():
-        raise ValueError(f"the closed form's phases overflow over the time range "
-                         f"{_time_range(times)} (units of 1/lam)")
-    phases = np.exp(-1j * angles)
-    return evecs @ (coeffs[..., :, None] * phases)
+    return evecs @ (coeffs[..., :, None] * _phases(evals, times, "closed form's"))
 
 
 def evolve_closed_form_grid(
@@ -186,13 +192,7 @@ class SpectralPropagator:
         that overflow raise a ValueError naming the time range."""
         times = np.asarray(times, dtype=float)
         coeffs = self._evecs.conj().T @ np.asarray(vec, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            angles = np.outer(self._evals, times)
-        if not np.isfinite(angles).all():
-            raise ValueError(f"the full-space phases overflow over the time range "
-                             f"{_time_range(times)} (units of 1/lam)")
-        phases = np.exp(-1j * angles)
-        return self._evecs @ (coeffs[:, None] * phases)
+        return self._evecs @ (coeffs[:, None] * _phases(self._evals, times, "full-space"))
 
 
 def evolve_numeric_oracle(

@@ -1,10 +1,13 @@
 """The dataset files: CSV or JSON bytes of a stream of sweep blocks, written
 atomically.
 
-A block is a SweepResult over consecutive zeta rows and the whole t axis;
-the blocks of one file come in zeta order and share that t axis.  Each block
-is written as it is taken, in sub-blocks of cells, so memory grows neither
-with the grid nor with the file, and identical blocks give identical bytes.
+A block is a SweepResult over consecutive zeta rows and the whole t axis,
+or over one row and a run of consecutive times; the blocks of one file come
+in cell order, zeta-major, over the file's axes.  Each block is written as
+it is taken, in sub-blocks of cells, and an axis's text is encoded a window
+at a time, so memory grows neither with the grid nor with the file, and
+along the t axis only by that axis's text, 32 bytes a time, when several
+rows read it again (see _axis_text).  Identical blocks give identical bytes.
 An array that a block holds under several column names is encoded once per
 sub-block, and its text copied into each of those columns.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +40,11 @@ _BLOCK_BYTES = 1 << 17
 # per block cost about 10% of a default CSV run's time.  The buffer is reused,
 # and adds about 0.1-0.2 MB to the peak RSS.
 _GATHER_BYTES = 1 << 17
+# Values of an axis encoded at once: the encoder's temporaries of a window
+# take about 0.6 MB, where a 16001-value axis encoded at once took 4.3 MiB.
+# A sub-block, of at most _BLOCK_BYTES // 66 = 1985 records (zeta and t
+# alone), spans fewer values of an axis than a window.
+_AXIS_WINDOW = 1 << 11
 
 
 def _cell_blocks(
@@ -123,6 +131,33 @@ def _json(names: list[str]) -> tuple:
 WRITERS = {"csv": _csv, "json": _json}
 
 
+def _axis_text(
+    encode: Callable, axis: np.ndarray, reread: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The function of indices that gives the text of those values of the
+    axis, encoded _AXIS_WINDOW values at a time.  An axis that the cells
+    read once, in ascending order (zeta, or the t axis of one row), is
+    encoded a window at a time as they reach it, from the first index that
+    the window lacks, so that no run holds a long axis's text.  An axis
+    that they read again (reread: the t axis of several rows) is held whole,
+    32 bytes a value, since encoding it again for each row would cost as
+    much as one more column."""
+    if reread:
+        text = np.empty((axis.size, WIDTH), np.uint8)
+        for i in range(0, axis.size, _AXIS_WINDOW):
+            text[i:i + _AXIS_WINDOW] = encode(axis[i:i + _AXIS_WINDOW])
+        return lambda index: text.take(index, axis=0)
+    window = [0, encode(axis[:_AXIS_WINDOW])]  # its first index and its text
+
+    def text_of(index: np.ndarray) -> np.ndarray:
+        first, last = index[0], index[-1]  # ascending
+        if not window[0] <= first <= last < window[0] + len(window[1]):
+            window[:] = first, encode(axis[first:first + _AXIS_WINDOW])
+        return window[1].take(index - window[0], axis=0)
+
+    return text_of
+
+
 def _records(
     fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
     blocks: Iterable[SweepResult], first: bool = True,
@@ -131,8 +166,8 @@ def _records(
     the whole file is never held at once.  The file's first record (first)
     drops its leading separator; the first record of a later part keeps it.
 
-    Each axis is encoded once and its text gathered per sub-block; each
-    distinct value array is encoded once per sub-block, and its text copied
+    Each axis is encoded a window at a time (see _axis_text) and its text
+    gathered per sub-block; each distinct value array is encoded once per sub-block, and its text copied
     into the slot of every column of that array.  The records are laid out in
     one reused (records, record bytes) buffer, filled once with the record's
     constant bytes; every slot of a sub-block's records is written, and the
@@ -144,12 +179,12 @@ def _records(
     buffer = np.empty((max(1, _BLOCK_BYTES // record.size), record.size), np.uint8)
     buffer[:] = record
     buffer[0, :skip] = 0
-    zeta_text, t_text = encode(zeta), encode(t)
+    zeta_text = _axis_text(encode, zeta, reread=False)
+    t_text = _axis_text(encode, t, reread=zeta.size > 1)
     for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, len(buffer)):
         buf = buffer[:zi.size]
         text = encode(values)
-        fields = [zeta_text.take(zi, axis=0), t_text.take(tj, axis=0),
-                  *(text[:, k] for k in columns)]
+        fields = [zeta_text(zi), t_text(tj), *(text[:, k] for k in columns)]
         for slot, field in zip(slots, fields):
             buf[:, slot:slot + WIDTH] = field
         del text, fields, field  # freed before the next encode, which sets the peak RSS

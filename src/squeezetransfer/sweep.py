@@ -2,17 +2,18 @@
 
 Every (zeta, t) cell is a pure function of the configuration.  The model
 operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
-four-state blocks are projected once, and the zeta rows are computed in
-blocks of consecutive rows sized by _SWEEP_BLOCK_BYTES; a cell's bits do not
-depend on its block.  The CLI writes each block as it is computed, so a run
-holds one block, not the grid, and identical configurations give
-byte-identical files.
+four-state blocks are projected once, and the grid is computed in blocks
+sized by _SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or,
+for a row too long for one block, that row's time chunks; a cell's bits do
+not depend on its block.  The CLI writes each block as it is computed, so a
+run holds one block, not the grid nor a whole row, and identical
+configurations give byte-identical files.
 
-The CLI cuts the blocks into one contiguous part per CPU that the process
-may run on (at most one per block).  It builds the model once, then forks a
-child for each later part, which writes that part's records to an unlinked
-file; it writes the first part itself and appends the children's bytes in
-zeta order.  The file, the messages and the exit status are those of one
+The CLI cuts the blocks' rows into one contiguous part per CPU that the
+process may run on (at most one per block of rows).  It builds the model
+once, then forks a child for each later part, which writes that part's
+records to an unlinked file; it writes the first part itself and appends
+the children's bytes in zeta order.  The file, the messages and the exit status are those of one
 part: the first failing row in zeta order is the error, and the worst cell
 is the grid's first argmax.
 """
@@ -21,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import math
 import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -115,9 +117,19 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """`steps` evenly spaced values from start to stop: the zeta axis, whose
+    errors name the CLI's options for it; a TimeGrid's name the time axis's."""
+
     start: float
     stop: float
     steps: int
+    # The errors for one step over a span, and for several over one value.
+    _DEGENERATE: ClassVar[tuple[str, str]] = (
+        "one step cannot span {0.start}..{0.stop}; give more steps, or a single value "
+        "(--zeta VALUE, or equal MIN and MAX)",
+        "{0.steps} steps over the single value {0.start} repeat it; give 1 step for a "
+        "single value (--zeta VALUE for a single hopping value)",
+    )
 
     def __post_init__(self):
         if self.steps < 1:
@@ -127,18 +139,23 @@ class GridSpec:
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop} < start {self.start}")
         if self.steps == 1 and self.start != self.stop:
-            raise ValueError(
-                f"one step cannot span {self.start}..{self.stop}; give more steps, or a "
-                "single value (--zeta VALUE, or equal MIN and MAX)"
-            )
+            raise ValueError(self._DEGENERATE[0].format(self))
         if self.steps > 1 and self.start == self.stop:
-            raise ValueError(
-                f"{self.steps} steps over the single value {self.start} repeat it; give "
-                "1 step for a single value (--zeta VALUE for a single hopping value)"
-            )
+            raise ValueError(self._DEGENERATE[1].format(self))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
+
+
+class TimeGrid(GridSpec):
+    """The time axis: a GridSpec whose errors name the CLI's time options."""
+
+    _DEGENERATE = (
+        "one time step cannot span {0.start}..{0.stop}; give more time steps (NTIME of "
+        "--steps), or a single time (equal MIN and MAX of --time-range)",
+        "{0.steps} time steps over the single time {0.start} repeat it; give 1 time step "
+        "for a single time (NTIME of --steps)",
+    )
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,7 @@ class SweepConfig:
     params: ModelParams = field(default_factory=ModelParams)
     branch: InitialState = InitialState.ENTANGLED_SYMMETRIC
     zeta_grid: GridSpec = GridSpec(0.0, 2.0, 201)
-    time_grid: GridSpec = GridSpec(0.0, 20.0, 401)
+    time_grid: GridSpec = TimeGrid(0.0, 20.0, 401)
     observables: tuple[str, ...] = DEFAULT_OBSERVABLES
     method: Method = Method.CLOSED_FORM
 
@@ -217,12 +234,20 @@ def _max_disagreement(
     return worst
 
 
-def _block_rows(config: SweepConfig) -> int:
-    """Zeta rows per block: as many as fit in _SWEEP_BLOCK_BYTES of its largest
-    array, a a^dag if spin moments are read, else every route's 4 amplitudes."""
+def _block_shape(config: SweepConfig) -> tuple[int, list[slice]]:
+    """A sweep block's zeta rows, and the time chunks of each row.  A cell takes
+    a a^dag's bytes if spin moments are read, else every route's 4 amplitudes.
+    Rows that fit in _SWEEP_BLOCK_BYTES go as many to a block as fit, over the
+    whole t axis; a longer row is a block of its own, cut into the fewest time
+    chunks that fit, as even as they can be, the longer ones first.  A chunk
+    has at least 2 times: numpy multiplies a one-column matrix through BLAS's
+    matrix-vector route, whose sums round differently."""
     routes = 1 + (config.method is Method.BOTH)
     cell = _AAD_CELL_BYTES if _moment_sides(config.observables) else routes * _AAD_CELL_BYTES // 4
-    return max(1, _SWEEP_BLOCK_BYTES // (config.time_grid.steps * cell))
+    fit, nt = max(1, _SWEEP_BLOCK_BYTES // cell), config.time_grid.steps
+    chunks = max(1, min(-(-nt // fit), nt // 2))
+    edges = [-(-k * nt // chunks) for k in range(chunks + 1)]
+    return max(1, fit // nt), [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -232,27 +257,29 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     values = {}
     disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
-    rows = slice(0, 0)
+    cell = 0
     for block in sweep_blocks(config):
-        rows = slice(rows.stop, rows.stop + block.zeta.size)
+        i, j = divmod(cell, times.size)  # the blocks come in cell order
+        region = slice(i, i + block.zeta.size), slice(j, j + block.t.size)
+        cell += len(block)
         made = {}
         for name, grid in block.values.items():
             if name not in values:
                 values[name] = made.setdefault(id(grid), np.empty((zetas.size, times.size)))
-            values[name][rows] = grid
+            values[name][region] = grid
         if disagreement is not None:
-            disagreement[rows] = block.method_disagreement
+            disagreement[region] = block.method_disagreement
     return SweepResult(zetas, times, values, disagreement)
 
 
 def sweep_blocks(config: SweepConfig, rows: slice = slice(None)) -> Iterator[SweepResult]:
     """The sweep of the zeta rows `rows` (all by default, a contiguous range)
-    as a stream of SweepResults, one per block of _block_rows consecutive
-    rows from its first row (zetas[block rows] and the whole t axis), in zeta
-    order; a cell's bits do not depend on its block, nor on the range.  The
-    model is built by this call (see _sweep), so its errors come before any
-    block; each block is computed when it is taken, and the stream keeps
-    none."""
+    as a stream of SweepResults, one per block of _block_shape from its first
+    row: consecutive rows over the whole t axis, or one time chunk of a row
+    too long for a block; in cell order, zeta-major.  A cell's bits do not
+    depend on its block, nor on the range.  The model is built by this call
+    (see _sweep), so its errors come before any block; each block is computed
+    when it is taken, and the stream keeps none."""
     return _sweep(config)(rows)
 
 
@@ -261,15 +288,16 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     function of a row range that gives its stream of blocks (sweep_blocks).
 
     Per block, the closed form propagates all rows at once and contracts the
-    (rows, nt, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
+    (rows, times, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
     matrices built once per sweep, one density_spin_moments per side.  The
-    oracle builds, diagonalizes and propagates each row's H(zeta) on its own,
-    and contracts the reduced states of its vectors (reduced_states) with
+    oracle builds and diagonalizes each row's H(zeta) on its own, once for
+    all of the row's time chunks, propagates it over the block's times, and
+    contracts the reduced states of its vectors (reduced_states) with
     contraction matrices of the reduced-space spins, also built once.  Both
     routes fill one buffer per block, so one ManifoldState and one
     _row_columns pass serve both; the oracle's coefficients are its vectors
-    projected onto the manifold.  A failing block is re-run row by row, so
-    that the error names the failing row's zeta.
+    projected onto the manifold.  A failing block is re-run row by row over
+    its times, so that the error names the failing row's zeta.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -288,60 +316,67 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
         contractions = {s: contraction_matrix(moment_operators(_SPINS[s](reduced[s])))
                         for s in sides}
 
-    def block_columns(rows: slice) -> dict[str, np.ndarray]:
-        """Every column over the rows, as (n_routes, rows, nt) arrays: the
-        closed form first when it runs, then the oracle."""
-        shape = (n_routes, rows.stop - rows.start, times.size)
+    @functools.lru_cache(maxsize=1)  # a row's time chunks come one after another
+    def propagator(i: int) -> SpectralPropagator:
+        # model_operators' last step is h += zeta * hop: the same float
+        # arithmetic as building H(zeta) directly.
+        h = HermitianOperator(space, h0.matrix + zetas[i] * hop.matrix)
+        return SpectralPropagator(h, config.params.lam)
+
+    def block_columns(rows: slice, t: slice) -> dict[str, np.ndarray]:
+        """Every column over the rows and the times t, as (n_routes, rows,
+        times) arrays: the closed form first when it runs, then the oracle."""
+        shape = (n_routes, rows.stop - rows.start, t.stop - t.start)
         amps = np.empty((4, *shape), dtype=complex)
         means = {s: np.empty(shape + (3,)) for s in sides}
         covs = {s: np.empty(shape + (3, 3)) for s in sides}
         if closed:
-            amps[:, 0] = evolve_closed_form_grid(config.branch, blocks[rows], times)
+            amps[:, 0] = evolve_closed_form_grid(config.branch, blocks[rows], times[t])
             a = np.moveaxis(amps[:, 0], 0, -1)
             rho = a[..., :, None] * a.conj()[..., None, :] if sides else None  # a a^dag
             for s, m in matrices.items():
                 means[s][0], covs[s][0] = density_spin_moments(rho, m)
         if oracle:
-            for i, zeta in enumerate(zetas[rows]):
-                # model_operators' last step is h += zeta * hop: the same
-                # float arithmetic as building H(zeta) directly.
-                h = HermitianOperator(space, h0.matrix + zeta * hop.matrix)
-                full = SpectralPropagator(h, config.params.lam).evolve_grid(psi0, times)
-                amps[:, -1, i] = project_amplitudes(full, blocks)
+            for k, i in enumerate(range(rows.start, rows.stop)):
+                full = propagator(i).evolve_grid(psi0, times[t])
+                amps[:, -1, k] = project_amplitudes(full, blocks)
                 rho = reduced_states(full, space) if sides else {}
                 for s, c in contractions.items():
-                    means[s][-1, i], covs[s][-1, i] = density_spin_moments(rho[s], c)
+                    means[s][-1, k], covs[s][-1, k] = density_spin_moments(rho[s], c)
         moments = {s: (means[s], covs[s]) for s in sides}
-        return _row_columns(coefficients(ManifoldState(amps, times)), moments, config)
+        return _row_columns(coefficients(ManifoldState(amps, times[t])), moments, config)
 
-    def block(rows: slice) -> SweepResult:
+    def block(rows: slice, t: slice) -> SweepResult:
         try:
-            columns = block_columns(rows)
+            columns = block_columns(rows, t)
         except _ROW_ERRORS as exc:
-            raise _row_error(block_columns, zetas, rows, exc) from exc
+            raise _row_error(block_columns, zetas, rows, t, exc) from exc
         # the closed form's half first when it runs, the oracle's last
         first, last = ({k: views.setdefault(id(v), v[r]) for k, v in columns.items()}
                        for views, r in (({}, 0), ({}, -1)))
-        return SweepResult(zetas[rows], times, first,
+        return SweepResult(zetas[rows], times[t], first,
                            _max_disagreement(first, last) if n_routes == 2 else None)
 
-    step = _block_rows(config)
+    step, chunks = _block_shape(config)
 
     def stream(rows: slice) -> Iterator[SweepResult]:
         start, stop, _ = rows.indices(zetas.size)
-        return (block(slice(i, min(i + step, stop))) for i in range(start, stop, step))
+        return (block(slice(i, min(i + step, stop)), t)
+                for i in range(start, stop, step) for t in chunks)
 
     return stream
 
 
 def _row_error(
-    block_columns: Callable[[slice], dict], zetas: np.ndarray, rows: slice, exc: Exception
+    block_columns: Callable[[slice, slice], dict], zetas: np.ndarray, rows: slice, t: slice,
+    exc: Exception,
 ) -> SweepError:
-    """The error of the first row of a failed block that fails on its own, with
-    its zeta; the rows are re-run one at a time on this error path only."""
+    """The error of the first row of a failed block that fails on its own over
+    the block's times t, with its zeta; the rows are re-run one at a time on
+    this error path only."""
     for i in range(rows.start, rows.stop):
         try:
-            block_columns(slice(i, i + 1))
+            block_columns(slice(i, i + 1), t)
         except _ROW_ERRORS as row_exc:
             return SweepError(f"row zeta={zetas[i]}: {row_exc}")
     return SweepError(f"rows zeta={zetas[rows.start]}..{zetas[rows.stop - 1]}: {exc}")
@@ -434,17 +469,18 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         params=params,
         branch=InitialState(args.branch),
         zeta_grid=zeta_grid,
-        time_grid=GridSpec(args.time_range[0], args.time_range[1], steps[1]),
+        time_grid=TimeGrid(args.time_range[0], args.time_range[1], steps[1]),
         observables=tuple(s.strip() for s in args.observables.split(",")),
         method=Method(args.method),
     )
 
 
 def _part_count(blocks: int) -> int:
-    """The parts of a CLI run of `blocks` sweep blocks: one per CPU this
-    process may run on, at most one per block.  One part where the process
-    cannot fork safely: without os.fork, os.sched_getaffinity or unlinked
-    files (os.O_TMPFILE), off the main thread, or with another Python thread
+    """The parts of a CLI run of `blocks` blocks of rows (_block_shape's
+    rows, whatever its time chunks): one per CPU this process may run on, at
+    most one per block of rows.  One part where the process cannot fork
+    safely: without os.fork, os.sched_getaffinity or unlinked files
+    (os.O_TMPFILE), off the main thread, or with another Python thread
     alive."""
     if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "O_TMPFILE")):
         return 1
@@ -455,10 +491,11 @@ def _part_count(blocks: int) -> int:
 
 def _part_rows(config: SweepConfig) -> list[slice]:
     """The zeta rows of each part of a CLI run, in zeta order: _part_count
-    contiguous runs of whole sweep blocks, as even as whole blocks allow.
-    The first part has no more blocks than any other, since its process
+    contiguous runs of whole blocks of rows, as even as they allow, so a
+    row's time chunks stay in one part and a one-row run has one part.  The
+    first part has no more blocks of rows than any other, since its process
     also copies the others' bytes."""
-    n, step = config.zeta_grid.steps, _block_rows(config)
+    n, step = config.zeta_grid.steps, _block_shape(config)[0]
     blocks = -(-n // step)
     parts = _part_count(blocks)
     edges = [min(n, step * (k * blocks // parts)) for k in range(parts + 1)]

@@ -22,6 +22,7 @@ from squeezetransfer.sweep import (
     SweepConfig,
     SweepError,
     SweepResult,
+    TimeGrid,
     config_from_args,
     emit,
     main,
@@ -43,6 +44,20 @@ def _forbid_checked_and_analytic_states(monkeypatch) -> list:
                          (witness, "spin_moments")):
         monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
     return calls
+
+
+def one_row_per_block(monkeypatch, cfg):
+    """Set the sweep's block budget to the bytes of one of cfg's zeta rows,
+    under the accounting of _block_shape: one row over the whole t axis per
+    block."""
+    import squeezetransfer.sweep as sweep
+
+    routes = 1 + (cfg.method is Method.BOTH)
+    cell = (sweep._AAD_CELL_BYTES if sweep._moment_sides(cfg.observables)
+            else routes * sweep._AAD_CELL_BYTES // 4)
+    nt = cfg.time_grid.steps
+    monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", nt * cell)
+    assert sweep._block_shape(cfg) == (1, [slice(0, nt)])
 
 
 def small_config(**kwargs):
@@ -79,6 +94,13 @@ class TestGridSpec:
         # one step would drop stop; several steps over one value repeat it
         with pytest.raises(ValueError, match="--zeta"):
             GridSpec(start, stop, steps)
+
+    @pytest.mark.parametrize("start, stop, steps", [(0.0, 2.0, 1), (0.0, 0.0, 3)])
+    def test_time_grid_errors_name_the_time_axis(self, start, stop, steps):
+        with pytest.raises(ValueError, match="time step") as info:
+            TimeGrid(start, stop, steps)
+        assert "--zeta" not in str(info.value)
+        assert TimeGrid(0.0, 2.0, 3).values().tolist() == [0.0, 1.0, 2.0]
 
 
 # The ossi_full columns, written out rather than taken from the sweep's table.
@@ -164,8 +186,8 @@ class TestObservableTable:
         for name in ("branch_witnesses", "closed_form_quadrature_variance"):
             monkeypatch.setattr(sweep, name, lambda *a, _name=name, _real=getattr(sweep, name):
                                 calls.append(_name) or _real(*a))
-        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 1)  # one zeta row per block
         cfg = small_config(method=method, observables=("ineq_a", "var_x1", "ineq_p", "var_x2"))
+        one_row_per_block(monkeypatch, cfg)
         blocks = list(sweep.sweep_blocks(cfg))
         assert len(blocks) == cfg.zeta_grid.steps
         assert calls == ["branch_witnesses", "closed_form_quadrature_variance"] * len(blocks)
@@ -382,7 +404,7 @@ class TestRunSweep:
         # blocks are sized by a a^dag when a side is read, else by both routes' amplitudes
         cell = sweep._AAD_CELL_BYTES if sides else sweep._AAD_CELL_BYTES // 2
         monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * nt * cell)
-        assert sweep._block_rows(cfg) == rows_per_block
+        assert sweep._block_shape(cfg) == (rows_per_block, [slice(0, nt)])
         run_sweep(cfg)
         # Once per sweep: one moment matrix per side for the closed form, and
         # one contraction matrix of the reduced-space spin per side for the
@@ -422,7 +444,7 @@ class TestRunSweep:
             run_sweep(cfg)
         # the small grid is one block: one (rows, nt, 4, 4) stack per side
         nt, rows = cfg.time_grid.steps, cfg.zeta_grid.steps
-        assert sweep._block_rows(cfg) >= rows
+        assert sweep._block_shape(cfg)[0] >= rows
         assert calls == []
         assert shapes == [(rows, nt, 4, 4)] * (2 * len(InitialState))
 
@@ -441,7 +463,7 @@ class TestRunSweep:
         results = []
         for rows_per_block in (1, 2, 5):
             monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", rows_per_block * 31 * cell)
-            assert sweep._block_rows(cfg) == rows_per_block
+            assert sweep._block_shape(cfg) == (rows_per_block, [slice(0, 31)])
             results.append(run_sweep(cfg))
         first = results[0]
         for other in results[1:]:
@@ -449,6 +471,64 @@ class TestRunSweep:
             for name, grid in first.values.items():
                 assert other.values[name].tobytes() == grid.tobytes(), name
             assert other.method_disagreement.tobytes() == first.method_disagreement.tobytes()
+
+    @pytest.mark.parametrize("observables", [OBSERVABLES, DEFAULT_OBSERVABLES])
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_time_chunks_do_not_change_a_bit(self, branch, method, observables, monkeypatch):
+        """Rows too long for a block, cut into time chunks of 2 and 3 times
+        (the fewest times a chunk takes), of 8, 8, 8 and 7, and of 16 and 15,
+        give the bits of whole-row blocks in every column and in
+        method_disagreement; the oracle diagonalizes each row's H(zeta) once,
+        whatever its chunks.  The bits hold because the eigenvectors of both
+        routes are real: BLAS rounds a window of a product's columns unlike
+        the whole product, which with real eigenvectors changes only the
+        sign of exact zeros, so that is asserted too."""
+        import squeezetransfer.sweep as sweep
+
+        cfg = small_config(branch=branch, method=method, observables=observables,
+                           params=ModelParams(mu=0.13, eta=-0.07),
+                           zeta_grid=GridSpec(0.0, 2.0, 3), time_grid=GridSpec(0.0, 20.0, 31))
+        routes = 1 + (method is Method.BOTH)
+        cell = sweep._AAD_CELL_BYTES
+        if "xi" not in observables:
+            cell = routes * sweep._AAD_CELL_BYTES // 4
+        whole = run_sweep(cfg)  # one block
+        rows, chunks = sweep._block_shape(cfg)
+        assert rows >= 3 and chunks == [slice(0, 31)]
+        diagonalized = []
+
+        class Counting(sweep.SpectralPropagator):
+            def __init__(self, h, lam):
+                diagonalized.append(h.matrix.copy())
+                super().__init__(h, lam)
+                assert np.isreal(self._evecs).all()
+
+        def real_closed_form(branch, blocks, times):
+            assert np.isreal(blocks.vecs_sym).all() and np.isreal(blocks.vecs_anti).all()
+            return evolve(branch, blocks, times)
+
+        evolve = sweep.evolve_closed_form_grid
+        monkeypatch.setattr(sweep, "SpectralPropagator", Counting)
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", real_closed_form)
+        for fit, sizes in ((1, [3] + [2] * 14), (8, [8, 8, 8, 7]), (16, [16, 15])):
+            monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", fit * cell)
+            rows, chunks = sweep._block_shape(cfg)
+            assert rows == 1 and [c.stop - c.start for c in chunks] == sizes
+            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+            diagonalized.clear()
+            blocks = list(sweep.sweep_blocks(cfg))
+            assert [(b.zeta.size, b.t.size) for b in blocks] == [(1, n) for n in sizes] * 3
+            result = run_sweep(cfg)
+            assert len(diagonalized) == 2 * 3 * (method is not Method.CLOSED_FORM)
+            assert list(result.values) == list(whole.values) == list(cfg.columns)
+            for name, grid in whole.values.items():
+                assert result.values[name].tobytes() == grid.tobytes(), name
+            if method is Method.BOTH:
+                assert (result.method_disagreement.tobytes()
+                        == whole.method_disagreement.tobytes())
+            else:
+                assert result.method_disagreement is None
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("branch", list(InitialState))
@@ -463,7 +543,7 @@ class TestRunSweep:
                            params=ModelParams(mu=0.13, eta=-0.07),
                            zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 31))
         monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 2 * 31 * sweep._AAD_CELL_BYTES)
-        assert sweep._block_rows(cfg) == 2
+        assert sweep._block_shape(cfg) == (2, [slice(0, 31)])
 
         def grids(result):
             return dict(result.values, method_disagreement=result.method_disagreement)
@@ -818,6 +898,37 @@ class TestEmit:
         return calls
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_axes_are_encoded_a_window_at_a_time(self, fmt, tmp_path, monkeypatch):
+        """No axis longer than a window is encoded at once, and the file holds
+        the reference bytes: a zeta axis 3 values longer than a window over 2
+        times, and a time axis longer than two windows over 1 row, are each
+        encoded about once, a window at a time as the cells reach it; a time
+        axis 3 values longer than a window over 3 rows, whose sub-blocks wrap
+        from one row to the next, is encoded exactly once, not once per row."""
+        from squeezetransfer import output
+
+        calls = self._count_encodings(monkeypatch, fmt)
+        window = output._AXIS_WINDOW
+        rng = np.random.default_rng(3)
+        for n_zeta, n_t in ((window + 3, 2), (1, 2 * window + 5), (3, window + 3)):
+            calls.clear()
+            zeta, t = np.linspace(0.0, 2.0, n_zeta), np.linspace(100.0, 120.0, n_t)
+            result = SweepResult(zeta, t, {"v": rng.standard_normal((n_zeta, n_t))})
+            path = tmp_path / f"out.{fmt}"
+            emit(result, ("v",), fmt, str(path))
+            assert path.read_bytes() == reference_text(result, ("v",), fmt).encode("ascii")
+            axis_calls = [c for c in calls if c.ndim == 1]  # values come as (rows, 1)
+            assert max(c.size for c in axis_calls) <= window
+            t_calls = [c.size for c in axis_calls if c.min() >= 100.0]
+            zeta_calls = [c.size for c in axis_calls if c.max() <= 2.0]
+            assert len(t_calls) + len(zeta_calls) == len(axis_calls)
+            assert n_zeta <= sum(zeta_calls) < n_zeta + window
+            if n_zeta == 1:
+                assert n_t <= sum(t_calls) < n_t + window
+            else:
+                assert sum(t_calls) == n_t
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, 7, "block+3"])
     def test_each_column_converted_once_per_block(self, n, fmt, tmp_path, monkeypatch):
         columns = ("v1", "a", "v2", "b")
@@ -1091,21 +1202,34 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    ZETA_SPAN = ("one step cannot span 0.0..2.0; give more steps, or a single value "
+                 "(--zeta VALUE, or equal MIN and MAX)")
+    ZETA_REPEAT = ("{} steps over the single value 0.5 repeat it; give 1 step for a single "
+                   "value (--zeta VALUE for a single hopping value)")
+    TIME_SPAN = ("one time step cannot span 0.0..20.0; give more time steps (NTIME of "
+                 "--steps), or a single time (equal MIN and MAX of --time-range)")
+    TIME_REPEAT = ("{} time steps over the single time {} repeat it; give 1 time step for a "
+                   "single time (NTIME of --steps)")
+
     @pytest.mark.parametrize(
-        "grid",
+        "grid, message",
         [
-            ["--zeta-range", "0", "2", "--steps", "1", "3"],  # would drop MAX
-            ["--time-range", "0", "0", "--steps", "2", "3"],  # would repeat every cell
-            ["--zeta", "0.5", "--steps", "7", "3"],  # as --zeta-range 0.5 0.5 would
-            ["--zeta", "0.5", "--steps", "201", "3"],  # the default NZETA, given
+            (["--zeta-range", "0", "2", "--steps", "1", "3"], ZETA_SPAN),  # would drop MAX
+            # as --zeta-range 0.5 0.5 would; then with the default NZETA, given
+            (["--zeta", "0.5", "--steps", "7", "3"], ZETA_REPEAT.format(7)),
+            (["--zeta", "0.5", "--steps", "201", "3"], ZETA_REPEAT.format(201)),
+            (["--steps", "5", "1"], TIME_SPAN),  # would drop the default MAX time
+            # would repeat every cell
+            (["--time-range", "0", "0", "--steps", "2", "3"], TIME_REPEAT.format(3, 0.0)),
+            (["--time-range", "3", "3", "--steps", "5", "4"], TIME_REPEAT.format(4, 3.0)),
         ],
     )
-    def test_main_rejects_degenerate_grid(self, grid, tmp_path, capsys):
+    def test_main_rejects_degenerate_grid(self, grid, message, tmp_path, capsys):
+        """The error names the degenerate axis, and only that axis's options."""
         out = tmp_path / "x.csv"
         rc = main([*grid, "--output", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--zeta" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("steps, n_t", [([], 401), (["--steps", "1", "3"], 3)])
@@ -1218,10 +1342,34 @@ class TestCli:
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_second_row)
         out = tmp_path / "x.csv"
         argv = ["--zeta-range", "0", "1", "--steps", "3", "2", "--observables", "ineq_a"]
-        assert sweep._block_rows(config_from_args(_build_parser().parse_args(argv))) == (
-            rows_per_block)
+        assert sweep._block_shape(config_from_args(_build_parser().parse_args(argv))) == (
+            rows_per_block, [slice(0, 2)])
         rc = main([*argv, "--output", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err == "error: row zeta=0.5: injected failure\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_main_names_the_row_of_a_failing_time_chunk(self, method, tmp_path, capsys,
+                                                         monkeypatch):
+        """The second time chunk of the only row fails: the error names the
+        row, and no file is left."""
+        import squeezetransfer.sweep as sweep
+
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 4 * sweep._AAD_CELL_BYTES)
+        real_evolve = sweep.evolve_closed_form_grid
+
+        def failing_after_the_first_chunk(branch, blocks, times):
+            if times[0] > 0:
+                raise NumericalConsistencyError("injected failure")
+            return real_evolve(branch, blocks, times)
+
+        monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_after_the_first_chunk)
+        out = tmp_path / "x.csv"
+        argv = ["--zeta", "0.5", "--steps", "1", "8", "--observables", "xi", "--method", method]
+        assert sweep._block_shape(config_from_args(_build_parser().parse_args(argv))) == (
+            1, [slice(0, 4), slice(4, 8)])
+        assert main([*argv, "--output", str(out)]) == 1
         assert capsys.readouterr().err == "error: row zeta=0.5: injected failure\n"
         assert not out.exists()
 
@@ -1362,9 +1510,10 @@ class TestStream:
         cfg = config_from_args(_build_parser().parse_args(argv))
         names = ("zeta", "t", *cfg.columns) + (("method_disagreement",) if both else ())
         sub = sub_block_rows(fmt, names)
-        rows = sweep._block_rows(cfg)
+        rows, chunks = sweep._block_shape(cfg)
         # writer sub-blocks start inside zeta rows, and the sweep blocks that
         # the CLI computes end inside writer sub-blocks
+        assert chunks == [slice(0, 1001)]
         assert rows == (2 if both else 4) and sub % 1001 and rows * 1001 % sub
         result = run_sweep(cfg)
         encoded = {"emit": [], "cli": []}
@@ -1491,6 +1640,30 @@ class TestStream:
         assert peaks[1] - peaks[0] < 0.5 * 2**20
 
 
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_peak_memory_does_not_grow_with_the_time_axis(self, method, tmp_path):
+        """The traced peak of a 1x16001 run is within 0.5 MiB of a 1x2001 one:
+        a row longer than a block is computed in time chunks, and the time
+        axis's text is encoded a window of output._AXIS_WINDOW (2048) values
+        at a time.  Holding whole rows and the whole axis's text, it grew by
+        12.6 MiB in the closed form and 83.5 MiB with both routes."""
+        import tracemalloc
+
+        args = ["--branch", "separable", "--zeta", "0.5", "--method", method,
+                "--observables", "ineq_a,ineq_p,ossi_full,xi,var_x1,var_x2",
+                "--output", str(tmp_path / "x.csv")]
+        assert main(["--steps", "1", "3", *args]) == 0  # builds cached tables
+        peaks = []
+        for n_t in (2001, 16001):
+            tracemalloc.start()
+            try:
+                assert main(["--steps", "1", str(n_t), *args]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20
+
+
 class TestParts:
     """main splits the sweep blocks into one part per CPU, each later part
     computed by a forked child; the file, stdout, stderr and exit status
@@ -1563,8 +1736,8 @@ class TestParts:
         the file fits in the pipe's buffer."""
         import squeezetransfer.sweep as sweep
 
-        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 1)
         argv = ["--zeta-range", "0", "1.2", "--steps", "7", "11", "--format", fmt]
+        one_row_per_block(monkeypatch, config_from_args(_build_parser().parse_args(argv)))
         whole = tmp_path / "whole"
         assert main([*argv, "--output", str(whole)]) == 0
         capsys.readouterr()
@@ -1628,6 +1801,42 @@ class TestParts:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive() and sweep._part_count(2) == 2
+
+    @staticmethod
+    def benchmark_workloads(monkeypatch):
+        """perfbench/workloads.py, loaded from its file."""
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name, blocks, parts", [
+        ("grid_closed_form", [(10, 401)] * 20 + [(1, 401)], [slice(0, 100), slice(100, 201)]),
+        ("oracle_states", [(5, 201)] * 10 + [(1, 201)], [slice(0, 25), slice(25, 51)]),
+        ("sorensen_slice", [(1, 601), (1, 600)], [slice(0, 1)]),
+    ])
+    def test_benchmark_runs_are_blocked_as_pinned(self, name, blocks, parts, tmp_path,
+                                                  monkeypatch):
+        """The benchmark's argvs, read from its workloads: their blocks, as
+        (zeta rows, times), and their parts on 2 CPUs, of whole rows.  A
+        change to the block budget fails here before it moves the
+        benchmark."""
+        import squeezetransfer.sweep as sweep
+
+        workloads = self.benchmark_workloads(monkeypatch)
+        workload = workloads.WORKLOADS[name]
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(workloads.make_inputs(workload, 1).params))
+        cfg = config_from_args(_build_parser().parse_args(
+            workload.argv(str(params), str(tmp_path / "out"))))
+        got = [(b.zeta.size, b.t.size) for b in sweep.sweep_blocks(cfg)]
+        assert got == blocks
+        self.cpus(monkeypatch, 2)
+        assert sweep._part_rows(cfg) == parts
 
     @pytest.mark.parametrize("failure", [KeyboardInterrupt, NumericalConsistencyError])
     def test_a_failing_first_part_kills_the_running_child(self, failure, tmp_path, capsys,
