@@ -6,6 +6,14 @@ Hamiltonian through a dense Hermitian eigendecomposition (numeric oracle).
 Time is measured in units of 1/lam throughout, matching the eigenfrequencies
 returned in units of lam.
 
+The grid functions of both routes take any window of at least 2 times and
+give that window of a longer grid; BLAS may round a window of a product's
+columns unlike the whole product, which with real eigenvectors (the model's)
+changes only the sign of exact zeros.  So a caller can cut the time axis to
+bound its arrays: the sweep cuts long rows into chunks, and the oracle's
+rows into cache-sized sub-chunks.  Phases are multiplied in place, and
+evolve_closed_form_grid writes into the caller's buffer if given one.
+
 Amplitude letters follow the coefficient naming used by the witness module:
 A and B are the amplitudes over phi1 and phi3 (symmetric sector), C and D
 the amplitudes over phi2 and phi4 (antisymmetric sector).
@@ -102,22 +110,30 @@ def _block_propagate(
     stack, with eigenvalues (..., 2) and eigenvectors (..., 2, 2): shape (..., 2, nt).
     Phases that overflow raise a ValueError naming the time range."""
     coeffs = evecs.conj().swapaxes(-1, -2) @ amp2
-    return evecs @ (coeffs[..., :, None] * _phases(evals, times, "closed form's"))
+    phases = _phases(evals, times, "closed form's")
+    phases *= coeffs[..., :, None]
+    return evecs @ phases
 
 
 def evolve_closed_form_grid(
-    initial: InitialState, block: ManifoldBlock, times: np.ndarray
+    initial: InitialState, block: ManifoldBlock, times: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Amplitudes over (phi1, phi2, phi3, phi4) for every time: shape (4, nt)
-    for one block, and (4, n, nt) for a stack of n blocks, one row each."""
+    for one block, and (4, n, nt) for a stack of n blocks, one row each;
+    written into out, a complex array of that shape, if given."""
     times = np.asarray(times, dtype=float)
     amp0 = initial_amplitudes(initial)
-    out = np.zeros((4, *block.omegas.shape[:-1], times.size), dtype=complex)
+    if out is None:
+        out = np.empty((4, *block.omegas.shape[:-1], times.size), dtype=complex)
     sym = _block_propagate(block.omegas[..., :2], block.vecs_sym, amp0[[0, 2]], times)
     out[0], out[2] = sym[..., 0, :], sym[..., 1, :]
+    del sym
     if initial is InitialState.SEPARABLE_ONE_CAVITY:
         anti = _block_propagate(block.omegas[..., 2:], block.vecs_anti, amp0[[1, 3]], times)
         out[1], out[3] = anti[..., 0, :], anti[..., 1, :]
+    else:
+        out[1] = out[3] = 0
     return out
 
 
@@ -192,7 +208,9 @@ class SpectralPropagator:
         that overflow raise a ValueError naming the time range."""
         times = np.asarray(times, dtype=float)
         coeffs = self._evecs.conj().T @ np.asarray(vec, dtype=complex)
-        return self._evecs @ (coeffs[:, None] * _phases(self._evals, times, "full-space"))
+        phases = _phases(self._evals, times, "full-space")
+        phases *= coeffs[:, None]
+        return self._evecs @ phases
 
 
 def evolve_numeric_oracle(
@@ -230,7 +248,8 @@ def reduced_states(states: np.ndarray, space: CompositeSpace) -> dict[str, np.nd
     with its factor axes reordered atoms first is a (d_atoms, d_photons) matrix
     M, and rho_atoms = M M^dag, rho_photons = M^T M^*.  A Gram matrix is positive
     semidefinite by construction, so only the trace (TRACE_TOL) and Hermiticity
-    (HERMITICITY_TOL) are checked, raising NumericalConsistencyError."""
+    (HERMITICITY_TOL) are checked, raising NumericalConsistencyError; M and
+    its conjugate are let go before the checks."""
     psi = np.asarray(states, dtype=complex)
     if psi.shape[:1] != (space.total_dim,) or psi.ndim > 2:
         raise DimensionMismatchError(f"states of shape {psi.shape} do not fit {space.dims}")
@@ -240,6 +259,7 @@ def reduced_states(states: np.ndarray, space: CompositeSpace) -> dict[str, np.nd
     m = m.reshape(lead + sides)
     mc = m.conj()
     rhos = {"atoms": m @ mc.swapaxes(-1, -2), "photons": m.swapaxes(-1, -2) @ mc}
+    del m, mc
     for side, rho in rhos.items():
         tr_dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
         dev = hermiticity_deviation(rho)

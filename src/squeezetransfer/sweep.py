@@ -4,10 +4,12 @@ Every (zeta, t) cell is a pure function of the configuration.  The model
 operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
 four-state blocks are projected once, and the grid is computed in blocks
 sized by _SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or,
-for a row too long for one block, that row's time chunks; a cell's bits do
-not depend on its block.  The CLI writes each block as it is computed, so a
-run holds one block, not the grid nor a whole row, and identical
-configurations give byte-identical files.
+for a row too long for one block, that row's time chunks; the full-space
+oracle takes each of its rows of a block in time sub-chunks of at most
+_ORACLE_CHUNK_TIMES times.  A cell's bits depend neither on its block nor
+on its sub-chunk.  The CLI writes each block as it is computed, so a run
+holds one block, not the grid nor a whole row, and identical configurations
+give byte-identical files.
 
 The CLI cuts the blocks' rows into one contiguous part per CPU that the
 process may run on (at most one per block of rows).  It builds the model
@@ -70,6 +72,11 @@ DISAGREEMENT_TOL = 1e-8
 # overhead and more peak RSS.
 _SWEEP_BLOCK_BYTES = 1 << 18
 _AAD_CELL_BYTES = 16 * np.dtype(complex).itemsize  # one cell's 4x4 a a^dag
+# Times in a sub-chunk of an oracle row, chosen by timing a 40001-time row:
+# sub-chunks of 73 to 220 times ran no slower than whole chunks, within the
+# spread of runs, and 293 times raised the peak RSS.  The row's arrays take
+# about 4 KB a time at their peak (reduced_states), so about 0.5 MiB here.
+_ORACLE_CHUNK_TIMES = 133
 # The failures of a row's checks, which the sweep reports with the row's zeta.
 _ROW_ERRORS = (ValueError, NumericalConsistencyError)
 
@@ -245,9 +252,16 @@ def _block_shape(config: SweepConfig) -> tuple[int, list[slice]]:
     routes = 1 + (config.method is Method.BOTH)
     cell = _AAD_CELL_BYTES if _moment_sides(config.observables) else routes * _AAD_CELL_BYTES // 4
     fit, nt = max(1, _SWEEP_BLOCK_BYTES // cell), config.time_grid.steps
+    return max(1, fit // nt), _time_chunks(nt, fit)
+
+
+def _time_chunks(nt: int, fit: int) -> list[slice]:
+    """nt times cut into the fewest chunks of at most fit times, as even as
+    they can be, the longer ones first, each of at least 2 times (or one
+    chunk of nt < 2)."""
     chunks = max(1, min(-(-nt // fit), nt // 2))
     edges = [-(-k * nt // chunks) for k in range(chunks + 1)]
-    return max(1, fit // nt), [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -289,15 +303,21 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
 
     Per block, the closed form propagates all rows at once and contracts the
     (rows, times, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
-    matrices built once per sweep, one density_spin_moments per side.  The
-    oracle builds and diagonalizes each row's H(zeta) on its own, once for
-    all of the row's time chunks, propagates it over the block's times, and
-    contracts the reduced states of its vectors (reduced_states) with
-    contraction matrices of the reduced-space spins, also built once.  Both
-    routes fill one buffer per block, so one ManifoldState and one
-    _row_columns pass serve both; the oracle's coefficients are its vectors
-    projected onto the manifold.  A failing block is re-run row by row over
-    its times, so that the error names the failing row's zeta.
+    matrices built once per sweep, one density_spin_moments per side, and
+    lets go of that stack before the oracle runs.  The oracle builds and
+    diagonalizes each row's H(zeta) on its own, once for all of the row's
+    time chunks, propagates it, and contracts the reduced states of its
+    vectors (reduced_states) with contraction matrices of the reduced-space
+    spins, also built once.  It takes each row's share of a block in time
+    sub-chunks (_time_chunks) of at most _ORACLE_CHUNK_TIMES times, so its
+    row arrays stay cache-sized whatever the block; an oracle row that
+    fails is re-run over all of the block's times, so that its error's
+    figures (a time range, a largest deviation) are those of the block, not
+    of a sub-chunk.  Both routes fill one buffer per block, the closed form
+    in place, so one ManifoldState and one _row_columns pass serve both;
+    the oracle's coefficients are its vectors projected onto the manifold.
+    A failing block is re-run row by row over its times, so that the error
+    names the failing row's zeta.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -330,19 +350,32 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
         amps = np.empty((4, *shape), dtype=complex)
         means = {s: np.empty(shape + (3,)) for s in sides}
         covs = {s: np.empty(shape + (3, 3)) for s in sides}
+
+        def oracle_cells(k: int, u: slice) -> None:
+            """The oracle's cells of the block's row k over the times u of t."""
+            full = propagator(rows.start + k).evolve_grid(psi0, times[t][u])
+            amps[:, -1, k, u] = project_amplitudes(full, blocks)
+            rho = reduced_states(full, space) if sides else {}
+            del full
+            for s, c in contractions.items():
+                means[s][-1, k, u], covs[s][-1, k, u] = density_spin_moments(rho[s], c)
+
         if closed:
-            amps[:, 0] = evolve_closed_form_grid(config.branch, blocks[rows], times[t])
-            a = np.moveaxis(amps[:, 0], 0, -1)
-            rho = a[..., :, None] * a.conj()[..., None, :] if sides else None  # a a^dag
-            for s, m in matrices.items():
-                means[s][0], covs[s][0] = density_spin_moments(rho, m)
+            evolve_closed_form_grid(config.branch, blocks[rows], times[t], amps[:, 0])
+            if sides:
+                a = np.moveaxis(amps[:, 0], 0, -1)
+                rho = a[..., :, None] * a.conj()[..., None, :]  # a a^dag
+                for s, m in matrices.items():
+                    means[s][0], covs[s][0] = density_spin_moments(rho, m)
+                del rho  # before the oracle's rows
         if oracle:
-            for k, i in enumerate(range(rows.start, rows.stop)):
-                full = propagator(i).evolve_grid(psi0, times[t])
-                amps[:, -1, k] = project_amplitudes(full, blocks)
-                rho = reduced_states(full, space) if sides else {}
-                for s, c in contractions.items():
-                    means[s][-1, k], covs[s][-1, k] = density_spin_moments(rho[s], c)
+            for k in range(shape[1]):
+                try:
+                    for u in _time_chunks(shape[2], _ORACLE_CHUNK_TIMES):
+                        oracle_cells(k, u)
+                except _ROW_ERRORS:
+                    oracle_cells(k, slice(None))  # the error's figures over all of t
+                    raise
         moments = {s: (means[s], covs[s]) for s in sides}
         return _row_columns(coefficients(ManifoldState(amps, times[t])), moments, config)
 

@@ -93,6 +93,21 @@ class TestClosedFormEvolution:
             assert np.allclose(grid[:, k], state.amplitudes, atol=1e-13)
 
     @pytest.mark.parametrize("branch", BRANCHES)
+    def test_grid_into_a_buffer_is_the_returned_grid_bit_for_bit(self, branch, space):
+        """out, a strided view of a larger buffer filled with nan, gets the
+        bits of the returned grid, the antisymmetric zeros of the entangled
+        branch included, and is returned."""
+        params = ModelParams(mu=0.13, eta=-0.07, lam=1.3)
+        stack = manifold_blocks(*model_operators(params, space), [0.0, 0.4, 2.0], params.lam)
+        times = np.linspace(0.0, 20.0, 33)
+        grid = evolve_closed_form_grid(branch, stack, times)
+        buffer = np.full((4, 2, 3, times.size), np.nan, dtype=complex)
+        out = buffer[:, 0]
+        assert evolve_closed_form_grid(branch, stack, times, out) is out
+        assert out.tobytes() == grid.tobytes()
+        assert np.isnan(buffer[:, 1]).all()
+
+    @pytest.mark.parametrize("branch", BRANCHES)
     def test_stack_rows_are_the_single_blocks_bit_for_bit(self, branch, space):
         params = ModelParams(mu=0.13, eta=-0.07, lam=1.3)
         stack = manifold_blocks(*model_operators(params, space), [0.0, 0.4, 2.0], params.lam)

@@ -473,11 +473,13 @@ class TestRunSweep:
             assert other.method_disagreement.tobytes() == first.method_disagreement.tobytes()
 
     @pytest.mark.parametrize("observables", [OBSERVABLES, DEFAULT_OBSERVABLES])
-    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("method, cut", [(m, "block") for m in Method] + [
+        (m, "oracle") for m in Method if m is not Method.CLOSED_FORM])
     @pytest.mark.parametrize("branch", list(InitialState))
-    def test_time_chunks_do_not_change_a_bit(self, branch, method, observables, monkeypatch):
+    def test_time_chunks_do_not_change_a_bit(self, branch, method, observables, cut, monkeypatch):
         """Rows too long for a block, cut into time chunks of 2 and 3 times
         (the fewest times a chunk takes), of 8, 8, 8 and 7, and of 16 and 15,
+        or whole rows whose oracle runs in time sub-chunks of those sizes,
         give the bits of whole-row blocks in every column and in
         method_disagreement; the oracle diagonalizes each row's H(zeta) once,
         whatever its chunks.  The bits hold because the eigenvectors of both
@@ -493,10 +495,14 @@ class TestRunSweep:
         cell = sweep._AAD_CELL_BYTES
         if "xi" not in observables:
             cell = routes * sweep._AAD_CELL_BYTES // 4
-        whole = run_sweep(cfg)  # one block
+        budget, unit = {"block": ("_SWEEP_BLOCK_BYTES", cell),
+                        "oracle": ("_ORACLE_CHUNK_TIMES", 1)}[cut]
+        whole = run_sweep(cfg)  # one block, one oracle sub-chunk a row
         rows, chunks = sweep._block_shape(cfg)
         assert rows >= 3 and chunks == [slice(0, 31)]
-        diagonalized = []
+        assert sweep._ORACLE_CHUNK_TIMES > 31
+        diagonalized, evolved = [], []
+        oracle = method is not Method.CLOSED_FORM
 
         class Counting(sweep.SpectralPropagator):
             def __init__(self, h, lam):
@@ -504,23 +510,30 @@ class TestRunSweep:
                 super().__init__(h, lam)
                 assert np.isreal(self._evecs).all()
 
-        def real_closed_form(branch, blocks, times):
+            def evolve_grid(self, vec, times):
+                evolved.append(len(times))
+                return super().evolve_grid(vec, times)
+
+        def real_closed_form(branch, blocks, times, out=None):
             assert np.isreal(blocks.vecs_sym).all() and np.isreal(blocks.vecs_anti).all()
-            return evolve(branch, blocks, times)
+            return evolve(branch, blocks, times, out)
 
         evolve = sweep.evolve_closed_form_grid
         monkeypatch.setattr(sweep, "SpectralPropagator", Counting)
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", real_closed_form)
         for fit, sizes in ((1, [3] + [2] * 14), (8, [8, 8, 8, 7]), (16, [16, 15])):
-            monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", fit * cell)
+            monkeypatch.setattr(sweep, budget, fit * unit)
             rows, chunks = sweep._block_shape(cfg)
-            assert rows == 1 and [c.stop - c.start for c in chunks] == sizes
-            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
-            diagonalized.clear()
+            if cut == "block":
+                assert rows == 1 and [c.stop - c.start for c in chunks] == sizes
+                assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
             blocks = list(sweep.sweep_blocks(cfg))
-            assert [(b.zeta.size, b.t.size) for b in blocks] == [(1, n) for n in sizes] * 3
+            assert [(b.zeta.size, b.t.size) for b in blocks] == (
+                [(1, n) for n in sizes] * 3 if cut == "block" else [(3, 31)])
+            diagonalized.clear()
+            evolved.clear()
             result = run_sweep(cfg)
-            assert len(diagonalized) == 2 * 3 * (method is not Method.CLOSED_FORM)
+            assert len(diagonalized) == 3 * oracle and evolved == sizes * 3 * oracle
             assert list(result.values) == list(whole.values) == list(cfg.columns)
             for name, grid in whole.values.items():
                 assert result.values[name].tobytes() == grid.tobytes(), name
@@ -563,8 +576,10 @@ class TestRunSweep:
     def test_peak_memory_of_an_oracle_states_run(self):
         """run_sweep's traced peak on the benchmark's oracle_states shape: the
         (51, 201) output grids (1.9 MB) plus one block's working arrays.  The
-        bound is the 3.9 MB measured at the current _SWEEP_BLOCK_BYTES plus
-        0.5 MB; twice the budget peaks at 5.4 MB."""
+        bound, 3.7 MiB, is the 3.35 MiB measured at the current
+        _SWEEP_BLOCK_BYTES and _ORACLE_CHUNK_TIMES plus 0.35 MiB; oracle rows
+        not cut into sub-chunks, with their earlier temporaries, peaked at
+        3.93 MiB, and twice that block budget at 5.4 MB."""
         import tracemalloc
 
         cfg = SweepConfig(
@@ -581,7 +596,7 @@ class TestRunSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.4 * 2**20
+        assert peak < 3.7 * 2**20
 
     @pytest.mark.parametrize("branch", list(InitialState))
     def test_closed_form_moments_are_the_amplitude_formula_bit_for_bit(self, branch):
@@ -643,6 +658,28 @@ class TestRunSweep:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: row zeta=0.0: reduced state")
         assert not out.exists()
+
+    def test_a_failing_oracle_row_reports_the_figures_of_its_block(self, monkeypatch):
+        """An oracle row whose first failing sub-chunk is not its worst reports
+        the largest deviation over all of the block's times, as whole rows
+        do: the row is re-run over those times on the error path."""
+        import squeezetransfer.sweep as sweep
+        from squeezetransfer import dynamics
+
+        real = dynamics.SpectralPropagator.evolve_grid
+
+        def growing(self, vec, times):
+            # the norm grows by 2e-10 after t = 5 and by 3.2e-9 after t = 15
+            return real(self, vec, times) * np.sqrt(1 + 2e-10 * (times > 5) + 3e-9 * (times > 15))
+
+        monkeypatch.setattr(dynamics.SpectralPropagator, "evolve_grid", growing)
+        monkeypatch.setattr(sweep, "_ORACLE_CHUNK_TIMES", 8)
+        cfg = small_config(method=Method.NUMERIC_ORACLE, observables=("xi",),
+                           time_grid=GridSpec(0.0, 20.0, 41))
+        assert sweep._block_shape(cfg)[1] == [slice(0, 41)]
+        with pytest.raises(SweepError, match=r"^row zeta=0\.0: reduced state of the atoms: "
+                                             r"trace deviates from 1 by 3\.200e-09, "):
+            run_sweep(cfg)
 
     def test_separable_moment_routes_agree(self, tmp_path, capsys):
         cfg = small_config(
@@ -1173,16 +1210,28 @@ class TestCli:
         assert received[0].startswith(b"zeta,t,") and received[0].count(b"\n") == 3
         assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    @pytest.mark.parametrize("n_t", [3, 2001])
     @pytest.mark.parametrize("method", ["closed_form", "numeric_oracle", "both"])
-    def test_main_reports_overflowing_phases(self, method, tmp_path, capsys, recwarn):
-        # The phases w * t overflow a float at t = 1e308, though every time is finite.
+    def test_main_reports_overflowing_phases(self, method, n_t, tmp_path, capsys, recwarn):
+        """The phases w * t overflow a float at t = 1e308, though every time is
+        finite.  The message names the block's time range: a row of 2001
+        times is one block, whose oracle runs in sub-chunks, the first ones
+        finite."""
+        import squeezetransfer.sweep as sweep
+
         out = tmp_path / "x.csv"
-        rc = main(["--zeta", "1", "--steps", "1", "3", "--time-range", "0", "1e308",
-                   "--observables", "ineq_a", "--method", method, "--output", str(out)])
+        argv = ["--zeta", "1", "--steps", "1", str(n_t), "--time-range", "0", "1e308",
+                "--observables", "ineq_a", "--method", method]
+        config = config_from_args(_build_parser().parse_args(argv))
+        assert sweep._block_shape(config)[1] == [slice(0, n_t)]
+        if n_t > 3:
+            assert n_t > 2 * sweep._ORACLE_CHUNK_TIMES
+        rc = main([*argv, "--output", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: row zeta=1.0: ") and err.count("\n") == 1
-        assert "phases overflow over the time range 0.0..1e+308" in err
+        route = "full-space" if method == "numeric_oracle" else "closed form's"
+        assert capsys.readouterr().err == (
+            f"error: row zeta=1.0: the {route} phases overflow over the time range "
+            "0.0..1e+308 (units of 1/lam)\n")
         assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
@@ -1333,10 +1382,10 @@ class TestCli:
             made[:] = [real_blocks(*args)]
             return made[0]
 
-        def failing_on_second_row(branch, blocks, times):
+        def failing_on_second_row(branch, blocks, times, out=None):
             if made[0].omegas[1, 0] in blocks.omegas[:, 0]:
                 raise NumericalConsistencyError("injected failure")
-            return real_evolve(branch, blocks, times)
+            return real_evolve(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_second_row)
@@ -1359,10 +1408,10 @@ class TestCli:
         monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 4 * sweep._AAD_CELL_BYTES)
         real_evolve = sweep.evolve_closed_form_grid
 
-        def failing_after_the_first_chunk(branch, blocks, times):
+        def failing_after_the_first_chunk(branch, blocks, times, out=None):
             if times[0] > 0:
                 raise NumericalConsistencyError("injected failure")
-            return real_evolve(branch, blocks, times)
+            return real_evolve(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_after_the_first_chunk)
         out = tmp_path / "x.csv"
@@ -1378,10 +1427,10 @@ class TestCli:
 
         real_evolve = sweep.evolve_closed_form_grid
 
-        def failing_on_blocks(branch, blocks, times):
+        def failing_on_blocks(branch, blocks, times, out=None):
             if blocks.omegas.shape[0] > 1:
                 raise NumericalConsistencyError("injected failure")
-            return real_evolve(branch, blocks, times)
+            return real_evolve(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing_on_blocks)
         with pytest.raises(SweepError, match=r"^rows zeta=0.0..1.0: injected failure$"):
@@ -1491,10 +1540,10 @@ class TestStream:
             made[:] = [real_blocks(*args)]
             return made[0]
 
-        def failing(branch, blocks, times):
+        def failing(branch, blocks, times, out=None):
             if made[0].omegas[index, 0] in blocks.omegas[:, 0]:
                 raise NumericalConsistencyError("injected failure")
-            return real_evolve(branch, blocks, times)
+            return real_evolve(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", failing)
@@ -1655,6 +1704,25 @@ class TestStream:
         assert main(["--steps", "1", "3", *args]) == 0  # builds cached tables
         peaks = []
         for n_t in (2001, 16001):
+            tracemalloc.start()
+            try:
+                assert main(["--steps", "1", str(n_t), *args]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20
+
+    def test_peak_memory_of_a_long_oracle_row(self, tmp_path):
+        """The traced peak of a 1x4001 numeric_oracle row is within 0.5 MiB of
+        a 1x501 one: the oracle takes its rows in time sub-chunks.  In whole
+        block chunks (1024 times here) it grew by about 5.6 KB a time."""
+        import tracemalloc
+
+        args = ["--branch", "separable", "--zeta", "0.5", "--method", "numeric_oracle",
+                "--observables", "xi", "--output", str(tmp_path / "x.csv")]
+        assert main(["--steps", "1", "3", *args]) == 0  # builds cached tables
+        peaks = []
+        for n_t in (501, 4001):
             tracemalloc.start()
             try:
                 assert main(["--steps", "1", str(n_t), *args]) == 0
@@ -1849,7 +1917,7 @@ class TestParts:
 
         parent = os.getpid()
 
-        def evolve(branch, blocks, times):
+        def evolve(branch, blocks, times, out=None):
             if os.getpid() != parent:
                 time.sleep(60)
             raise failure("injected failure")
@@ -1873,10 +1941,10 @@ class TestParts:
 
         parent, real = os.getpid(), sweep.evolve_closed_form_grid
 
-        def evolve(branch, blocks, times):
+        def evolve(branch, blocks, times, out=None):
             if os.getpid() != parent:
                 raise TypeError("injected defect")
-            return real(branch, blocks, times)
+            return real(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
         self.cpus(monkeypatch, 2)
