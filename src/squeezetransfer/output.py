@@ -3,13 +3,15 @@ atomically.
 
 A block is a SweepResult over consecutive zeta rows and the whole t axis,
 or over one row and a run of consecutive times; the blocks of one file come
-in cell order, zeta-major, over the file's axes.  Each block is written as
-it is taken, in sub-blocks of cells, and an axis's text is encoded a window
-at a time, so memory grows neither with the grid nor with the file, and
-along the t axis only by that axis's text, 32 bytes a time, when several
-rows read it again (see _axis_text).  Identical blocks give identical bytes.
-An array that a block holds under several column names is encoded once per
-sub-block, and its text copied into each of those columns.
+in cell order, zeta-major, over the file's axes.  A file's columns are zeta,
+t and the columns its caller names, each read from the blocks' values.
+Each block is written as it is taken, in sub-blocks of cells, and an axis's
+text is encoded a window at a time, so memory grows neither with the grid
+nor with the file, and along the t axis only by that axis's text, 32 bytes
+a time, when several rows read it again (see _axis_text).  Identical
+blocks give identical bytes.  An array that a block holds under several
+column names is encoded once per sub-block, and its text copied into each
+of those columns.
 
 A file can also be written in parts: the records of each later part of its
 blocks go to an unlinked part file (open_part, write_part), whose bytes the
@@ -67,7 +69,7 @@ def _cell_blocks(
     error = None
     try:
         for block in blocks:
-            grids = dict(block.values, method_disagreement=block.method_disagreement)
+            grids = block.values
             arrays = {id(grids[name]): grids[name] for name in names[2:]}
             position = {key: k for k, key in enumerate(arrays)}
             index = [position[id(grids[name])] for name in names[2:]]
@@ -237,10 +239,6 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
             os.remove(tmp)
 
 
-def _names(columns: Sequence[str], include_disagreement: bool) -> list[str]:
-    return ["zeta", "t", *columns] + ["method_disagreement"] * include_disagreement
-
-
 def emit_blocks(
     zeta: np.ndarray,
     t: np.ndarray,
@@ -248,7 +246,6 @@ def emit_blocks(
     columns: Sequence[str],
     output_format: str,
     path: str,
-    include_disagreement: bool = False,
     parts: Iterable[bytes] = (),
 ) -> None:
     """Write the columns of a stream of blocks over the axes zeta and t, such
@@ -265,7 +262,7 @@ def emit_blocks(
         raise ValueError(f"unknown output format {output_format!r}")
     if not path:
         raise ValueError("empty output path ''")
-    names = _names(columns, include_disagreement)
+    names = ["zeta", "t", *columns]
     _write_atomic(path, _chunks(output_format, names, zeta, t, blocks, parts))
 
 
@@ -285,13 +282,12 @@ def write_part(
     columns: Sequence[str],
     output_format: str,
     path: str,
-    include_disagreement: bool = False,
 ) -> None:
     """Write to the part file fd the records of a stream of blocks that is a
     later part of `path`'s file, as emit_blocks would write them there.  An
     error from a block propagates after the complete lines of the blocks
     before it; a failed write is an OSError that names `path`."""
-    names = _names(columns, include_disagreement)
+    names = ["zeta", "t", *columns]
     try:
         with open(fd, "wb", closefd=False) as fh:
             fh.writelines(_records(output_format, names, zeta, t, blocks, first=False))

@@ -7,7 +7,9 @@ sized by _SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or,
 for a row too long for one block, that row's time chunks; the full-space
 oracle takes each of its rows of a block in time sub-chunks of at most
 _ORACLE_CHUNK_TIMES times.  A cell's bits depend neither on its block nor
-on its sub-chunk.  The CLI writes each block as it is computed, so a run
+on its sub-chunk.  Under Method.BOTH the last column, method_disagreement,
+is each cell's largest difference between the two routes' columns, held
+like any other.  The CLI writes each block as it is computed, so a run
 holds one block, not the grid nor a whole row, and identical configurations
 give byte-identical files.
 
@@ -15,9 +17,9 @@ The CLI cuts the blocks' rows into one contiguous part per CPU that the
 process may run on (at most one per block of rows).  It builds the model
 once, then forks a child for each later part, which writes that part's
 records to an unlinked file; it writes the first part itself and appends
-the children's bytes in zeta order.  The file, the messages and the exit status are those of one
-part: the first failing row in zeta order is the error, and the worst cell
-is the grid's first argmax.
+the children's bytes in zeta order.  The file, the messages and the exit
+status are those of one part: the first failing row in zeta order is the
+error, and the worst cell is the grid's first argmax.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ class SweepConfig:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        return tuple(c for obs in self.observables for c in _TABLE[obs][0])
+        """The observables' columns, then method_disagreement under Method.BOTH."""
+        both = ("method_disagreement",) * (self.method is Method.BOTH)
+        return tuple(c for obs in self.observables for c in _TABLE[obs][0]) + both
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +202,13 @@ class SweepResult:
     zeta: np.ndarray
     t: np.ndarray
     values: dict[str, np.ndarray]
-    method_disagreement: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.ndim(self.zeta) != 1 or np.ndim(self.t) != 1:
             raise ValueError(f"axes must be 1-D, got {np.shape(self.zeta)}, {np.shape(self.t)}")
         shape = (self.zeta.size, self.t.size)
-        for name, grid in dict(self.values, method_disagreement=self.method_disagreement).items():
-            if grid is not None and np.shape(grid) != shape:
+        for name, grid in self.values.items():
+            if np.shape(grid) != shape:
                 raise ValueError(f"{name} has shape {np.shape(grid)}, not the grid's {shape}")
 
     def __len__(self) -> int:
@@ -218,12 +221,12 @@ def _moment_sides(observables: Sequence[str]) -> tuple[str, ...]:
 
 
 def _row_columns(coeffs, moments, config: SweepConfig) -> dict[str, np.ndarray]:
-    """config.columns over a stack of rows (such as both routes' rows of a
-    block), from one call of each _TABLE function its observables read."""
+    """The observables' columns over a stack of rows (such as both routes'
+    rows of a block), from one call of each _TABLE function they read."""
     values = {}
     for function in dict.fromkeys(_TABLE[obs][2] for obs in config.observables):
         values.update(function(coeffs, moments, config.branch))
-    return {c: values[c] for c in config.columns}
+    return {c: values[c] for obs in config.observables for c in _TABLE[obs][0]}
 
 
 def _max_disagreement(
@@ -270,7 +273,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     stays one."""
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     values = {}
-    disagreement = np.empty((zetas.size, times.size)) if config.method is Method.BOTH else None
     cell = 0
     for block in sweep_blocks(config):
         i, j = divmod(cell, times.size)  # the blocks come in cell order
@@ -281,25 +283,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             if name not in values:
                 values[name] = made.setdefault(id(grid), np.empty((zetas.size, times.size)))
             values[name][region] = grid
-        if disagreement is not None:
-            disagreement[region] = block.method_disagreement
-    return SweepResult(zetas, times, values, disagreement)
+    return SweepResult(zetas, times, values)
 
 
-def sweep_blocks(config: SweepConfig, rows: slice = slice(None)) -> Iterator[SweepResult]:
-    """The sweep of the zeta rows `rows` (all by default, a contiguous range)
-    as a stream of SweepResults, one per block of _block_shape from its first
-    row: consecutive rows over the whole t axis, or one time chunk of a row
+def sweep_blocks(config: SweepConfig) -> Iterator[SweepResult]:
+    """The sweep as a stream of SweepResults, one per block of _block_shape:
+    consecutive zeta rows over the whole t axis, or one time chunk of a row
     too long for a block; in cell order, zeta-major.  A cell's bits do not
-    depend on its block, nor on the range.  The model is built by this call
-    (see _sweep), so its errors come before any block; each block is computed
-    when it is taken, and the stream keeps none."""
-    return _sweep(config)(rows)
+    depend on its block.  The model is built by this call (see _sweep), so
+    its errors come before any block; each block is computed when it is
+    taken, and the stream keeps none."""
+    return _sweep(config)(slice(None))
 
 
 def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     """Build and check the model and the moment matrices once; return the
-    function of a row range that gives its stream of blocks (sweep_blocks).
+    function of a contiguous zeta row range that gives its stream of blocks
+    (sweep_blocks), one per block of _block_shape from its first row; a
+    cell's bits do not depend on the range.
 
     Per block, the closed form propagates all rows at once and contracts the
     (rows, times, 4, 4) stack a a^dag of its amplitudes with (16, 9) moment
@@ -316,8 +317,9 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     of a sub-chunk.  Both routes fill one buffer per block, the closed form
     in place, so one ManifoldState and one _row_columns pass serve both;
     the oracle's coefficients are its vectors projected onto the manifold.
-    A failing block is re-run row by row over its times, so that the error
-    names the failing row's zeta.
+    Under Method.BOTH the block's last column is method_disagreement, over
+    the closed form's columns and the oracle's.  A failing block is re-run
+    row by row over its times, so that the error names the failing row's zeta.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -387,8 +389,9 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
         # the closed form's half first when it runs, the oracle's last
         first, last = ({k: views.setdefault(id(v), v[r]) for k, v in columns.items()}
                        for views, r in (({}, 0), ({}, -1)))
-        return SweepResult(zetas[rows], times[t], first,
-                           _max_disagreement(first, last) if n_routes == 2 else None)
+        if n_routes == 2:
+            first["method_disagreement"] = _max_disagreement(first, last)
+        return SweepResult(zetas[rows], times[t], first)
 
     step, chunks = _block_shape(config)
 
@@ -420,18 +423,14 @@ def emit(
     columns: Sequence[str],
     output_format: str,
     path: str,
-    include_disagreement: bool = False,
 ) -> None:
     """Write the result's columns to disk atomically, byte-stable for
     identical inputs: output.emit_blocks of the result as its one block."""
     if not len(result):
         raise ValueError("no cells to emit")
-    if include_disagreement and result.method_disagreement is None:
-        raise ValueError("the result has no method disagreement to emit")
     if missing := [c for c in columns if c not in result.values]:
         raise ValueError(f"the result has no columns {missing} to emit")
-    emit_blocks(result.zeta, result.t, [result], columns, output_format, path,
-                include_disagreement)
+    emit_blocks(result.zeta, result.t, [result], columns, output_format, path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -489,8 +488,9 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
                     "zeta is not a --params-file key; give it with --zeta or --zeta-range"
                 )
             params = ModelParams.from_mapping(mapping)
-        except ValueError as exc:
-            raise ValueError(f"{args.params_file}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # OSError: a file that cannot be read
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"{args.params_file}: {reason}") from exc
     steps = args.steps or (201 if args.zeta is None else 1, 401)
     if args.zeta is None:
         zeta_grid = GridSpec(*(args.zeta_range or (0.0, 2.0)), steps[0])
@@ -539,7 +539,7 @@ def _tracked(blocks: Iterator[SweepResult], worst: list) -> Iterator[SweepResult
     """The blocks, keeping in worst the largest method disagreement so far
     and its (zeta, t) cell; a tie keeps the earlier cell, as argmax does."""
     for block in blocks:
-        grid = block.method_disagreement
+        grid = block.values["method_disagreement"]
         i, j = np.unravel_index(np.argmax(grid), grid.shape)
         if grid[i, j] > worst[0]:
             worst[:] = grid[i, j], block.zeta[i], block.t[j]
@@ -584,10 +584,10 @@ def _fork(run: Callable[..., list], *args) -> _Child:
     return _Child(pid, report)
 
 
-def _joined(children: list[_Child], files: list[int], worst: list) -> Iterator[bytes]:
+def _joined(children: list[_Child], files: list[int], worsts: list) -> Iterator[bytes]:
     """The children's parts in zeta order, each once its child has exited:
     its bytes, then the error that ended it, if any; each worst cell is
-    merged into worst in that order."""
+    appended to worsts in that order."""
     for child, fd in zip(children, files):
         with open(child.report, "rb", closefd=False) as fh:
             report = fh.read()  # to end of file: the child has exited
@@ -601,8 +601,7 @@ def _joined(children: list[_Child], files: list[int], worst: list) -> Iterator[b
             raise SweepError(report["error"])
         if "crash" in report:
             raise RuntimeError(f"a sweep part failed: {report['crash']}")
-        if report["worst"][0] > worst[0]:  # a tie keeps the earlier part's cell
-            worst[:] = report["worst"]
+        worsts.append(report["worst"])
 
 
 def _reap(children: list[_Child]) -> None:
@@ -635,15 +634,14 @@ def _write(
     stream: Callable[[slice], Iterator[SweepResult]],
     output_format: str,
     path: str,
-    worst: list,
-) -> None:
+) -> list:
     """Write the sweep of stream (see _sweep) to path in the parts of
-    _part_rows, keeping in worst the worst cell of them all (_tracked).
-    Each later part is written by a forked child to an unlinked part file
-    and appended, in zeta order, after the first, which this process
-    writes: the file, and the first failing row in zeta order, are those of
-    one part.  Every child is reaped on every path out, killed first if it
-    still runs."""
+    _part_rows; return the worst cell of them all (_tracked), the first in
+    zeta order of a tie, or -inf under one route.  Each later part is
+    written by a forked child to an unlinked part file and appended, in zeta
+    order, after the first, which this process writes: the file, and the
+    first failing row in zeta order, are those of one part.  Every child is
+    reaped on every path out, killed first if it still runs."""
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     both = config.method is Method.BOTH
     rows = _part_rows(config)
@@ -651,43 +649,43 @@ def _write(
     if not files:
         rows = [slice(0, zetas.size)]
 
-    def blocks(part: slice, part_worst: list) -> Iterator[SweepResult]:
-        return _tracked(stream(part), part_worst) if both else stream(part)
+    def blocks(part: slice, worst: list) -> Iterator[SweepResult]:
+        return _tracked(stream(part), worst) if both else stream(part)
 
     def write_child_part(part: slice, fd: int) -> list:
-        part_worst = [-np.inf, 0.0, 0.0]
-        write_part(fd, zetas[part], times, blocks(part, part_worst), config.columns,
-                   output_format, path, both)
-        return part_worst
+        worst = [-np.inf, 0.0, 0.0]
+        write_part(fd, zetas[part], times, blocks(part, worst), config.columns,
+                   output_format, path)
+        return worst
 
-    children = []
+    children, worsts = [], [[-np.inf, 0.0, 0.0]]
     try:
         for part, fd in zip(rows[1:], files):
             children.append(_fork(write_child_part, part, fd))
-        emit_blocks(zetas[rows[0]], times, blocks(rows[0], worst), config.columns,
-                    output_format, path, both, _joined(children, files, worst))
+        emit_blocks(zetas[rows[0]], times, blocks(rows[0], worsts[0]), config.columns,
+                    output_format, path, _joined(children, files, worsts))
     finally:
         _reap(children)
         for fd in files:
             os.close(fd)
+    return max(worsts, key=lambda worst: worst[0])  # a tie keeps the earlier part's cell
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.output is None:
         args.output = f"sweep.{args.format}"
-    worst = [-np.inf, 0.0, 0.0]  # the largest method disagreement, at (zeta, t)
     try:
         if not args.output:
             raise ValueError("--output is empty; give a file path")
         config = config_from_args(args)
-        both = config.method is Method.BOTH
-        _write(config, _sweep(config), args.format, args.output, worst)
+        # the largest method disagreement, at (zeta, t)
+        worst = _write(config, _sweep(config), args.format, args.output)
     except _CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = f"wrote {config.zeta_grid.steps * config.time_grid.steps} cells to {args.output}"
-    if not both:
+    if config.method is not Method.BOTH:
         print(summary)
         return 0
     disagreement, zeta, t = worst

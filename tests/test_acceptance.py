@@ -289,7 +289,7 @@ def test_criterion_8_deterministic_output(tmp_path):
     digests = []
     for name in ("run1.csv", "run2.csv"):
         path = tmp_path / name
-        emit(run_sweep(cfg), cfg.columns, "csv", str(path), include_disagreement=True)
+        emit(run_sweep(cfg), cfg.columns, "csv", str(path))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     ok = digests[0] == digests[1]
     assert _report(8, "byte-identical CSV across repeated runs", ok, f"sha256 {digests[0][:12]}")

@@ -176,6 +176,34 @@ class TestOracleAgreement:
         amps = project_amplitudes(psi, default_block)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_both_routes_solve_the_rabi_problem_at_zeta_0(self, branch, space):
+        """At zeta = 0 each cavity is the two-level problem |g,2> <-> |e,0>
+        with coupling sqrt(2) lam and detuning mu - eta, a solution that
+        shares no code with the model: atom 1 is excited with probability
+        (8 / W^2) sin^2(W t / 2), W = sqrt(((mu - eta) / lam)^2 + 8), t in
+        units of 1/lam, on the separable branch and half that on the
+        entangled one; on 20 seeded draws of the parameters."""
+        rng = np.random.default_rng(10)
+        times = np.linspace(0.0, 20.0, 41)
+        psi0 = initial_vector(branch, space)
+        for _ in range(20):
+            mu, eta, e_g, e_e = rng.uniform(-1.0, 1.0, 4)
+            lam = rng.uniform(0.5, 2.0)
+            h = build_hamiltonian(ModelParams(mu=mu, eta=eta, lam=lam, e_g=e_g, e_e=e_e), space)
+            block = extract_manifold_block(h, lam)
+            routes = {
+                "closed form": block.basis @ evolve_closed_form_grid(branch, block, times),
+                "oracle": SpectralPropagator(h, lam).evolve_grid(psi0, times),
+            }
+            w = np.sqrt(((mu - eta) / lam) ** 2 + 8)
+            want = 8 / w**2 * np.sin(w * times / 2) ** 2
+            if branch is InitialState.ENTANGLED_SYMMETRIC:
+                want /= 2
+            for route, vecs in routes.items():
+                got = reduced_states(vecs, space)["atoms"][:, 2, 2]  # |e g><e g|
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=route)
+
 
 class TestCoefficients:
     def test_sum_to_one_enforced(self):

@@ -209,41 +209,81 @@ class TestObservableTable:
         argv = ["--branch", "separable", "--method", "both", "--steps", "3", "5",
                 "--observables", "xi,probe"]
         cfg = config_from_args(_build_parser().parse_args(argv))
-        assert cfg.columns == ("xi", "photons_mean_x", "photons_mean_z")
+        assert cfg.columns == ("xi", "photons_mean_x", "photons_mean_z", "method_disagreement")
         assert sweep._moment_sides(("probe",)) == ("photons",)
         result = run_sweep(cfg)
         assert list(result.values) == list(cfg.columns)
         # both photons start in cavity 1: <J_z> = (n_1 - n_2) / 2 = 1
         np.testing.assert_allclose(result.values["photons_mean_z"][:, 0], 1.0, atol=1e-12)
         # both routes read the photons' spin moments, and agree on them
-        assert result.method_disagreement.max() < 1e-8
+        assert result.values["method_disagreement"].max() < 1e-8
         for fmt in ("csv", "json"):
             path = tmp_path / f"out.{fmt}"
-            emit(result, cfg.columns, fmt, str(path), include_disagreement=True)
+            emit(result, cfg.columns, fmt, str(path))
             assert path.read_bytes() == reference_text(result, cfg.columns, fmt).encode()
             streamed = tmp_path / f"cli.{fmt}"
             assert main([*argv, "--format", fmt, "--output", str(streamed)]) == 0
             assert streamed.read_bytes() == path.read_bytes()
 
+    def test_spin_functions_match_the_generic_witnesses_on_random_states(self):
+        """The ossi_full, xi and xi_e2 functions, on the manifold moments of
+        random amplitudes (the closed form's contraction of a a^dag), give
+        ossi, kitagawa_ueda_xi and sorensen_xi_e2 of the density matrices of
+        the same full-space states, NaN in the same cells.  The four basis
+        states are among them: phi3 and phi4 leave the atoms no mean spin."""
+        import squeezetransfer.sweep as sweep
+        from squeezetransfer.dynamics import ManifoldState, density_matrices, reduced_spaces
+        from squeezetransfer.hamiltonian import manifold_basis
+        from squeezetransfer.hilbert import standard_space
+        from squeezetransfer.witness import (
+            density_spin_moments, kitagawa_ueda_xi, moment_matrix, moment_operators, ossi,
+            sorensen_xi_e2,
+        )
+
+        rng = np.random.default_rng(16)
+        amps = rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40))
+        amps = np.concatenate([np.eye(4), amps / np.linalg.norm(amps, axis=0)], axis=1)
+        space = standard_space()
+        basis = manifold_basis(space)
+        a = amps.T
+        aad = a[:, :, None] * a.conj()[:, None, :]
+        moments = {s: density_spin_moments(aad, moment_matrix(moment_operators(spin(space)), basis))
+                   for s, spin in sweep._SPINS.items()}
+        coeffs = coefficients(ManifoldState(amps, np.zeros(amps.shape[1])))
+        spins = {s: spin(sub) for (s, spin), sub in zip(sweep._SPINS.items(),
+                                                        reduced_spaces(space).values())}
+        want = {c: [] for obs in ("ossi_full", "xi", "xi_e2") for c in sweep._TABLE[obs][0]}
+        for k in range(amps.shape[1]):
+            _, *rhos = density_matrices(basis @ amps[:, k], space)
+            rho = dict(zip(sweep._SPINS, rhos))
+            slacks = [v for s in sweep._SPINS for v in ossi(rho[s], spins[s], 2).slacks]
+            for c, v in zip(OSSI_COLUMNS, slacks):
+                want[c].append(v)
+            want["xi"].append(kitagawa_ueda_xi(rho["atoms"], spins["atoms"], 2))
+            want["xi_e2"].append(sorensen_xi_e2(rho["atoms"], spins["atoms"], 2))
+        got = {}
+        for obs in ("ossi_full", "xi", "xi_e2"):
+            got.update(sweep._TABLE[obs][2](coeffs, moments, InitialState.SEPARABLE_ONE_CAVITY))
+        assert list(got) == list(want)
+        assert np.isnan(want["xi"]).sum() == 2
+        for c, values in want.items():
+            np.testing.assert_allclose(got[c], values, rtol=0, atol=1e-12, err_msg=c)
+
 
 class TestSweepResult:
     @pytest.mark.parametrize(
-        "zeta, t, values, disagreement",
+        "zeta, t, values",
         [
-            pytest.param(np.zeros((3, 1)), np.zeros(5), {"a": np.zeros((3, 5))}, None,
-                         id="2d_axis"),
-            pytest.param(np.zeros(3), np.float64(0.0), {"a": np.zeros((3, 1))}, None,
-                         id="0d_axis"),
-            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros((5, 3))}, None,
+            pytest.param(np.zeros((3, 1)), np.zeros(5), {"a": np.zeros((3, 5))}, id="2d_axis"),
+            pytest.param(np.zeros(3), np.float64(0.0), {"a": np.zeros((3, 1))}, id="0d_axis"),
+            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros((5, 3))},
                          id="transposed_grid"),
-            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros(15)}, None, id="flat_column"),
-            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros((3, 5))}, np.zeros(15),
-                         id="flat_disagreement"),
+            pytest.param(np.zeros(3), np.zeros(5), {"a": np.zeros(15)}, id="flat_column"),
         ],
     )
-    def test_rejects_wrong_shape(self, zeta, t, values, disagreement):
+    def test_rejects_wrong_shape(self, zeta, t, values):
         with pytest.raises(ValueError, match="1-D|shape"):
-            SweepResult(zeta, t, values, disagreement)
+            SweepResult(zeta, t, values)
 
 
 class TestRunSweep:
@@ -259,7 +299,7 @@ class TestRunSweep:
         np.testing.assert_array_equal(result.zeta, cfg.zeta_grid.values())
         np.testing.assert_array_equal(result.t, cfg.time_grid.values())
         assert list(result.values) == list(cfg.columns)
-        for grid in [*result.values.values(), result.method_disagreement]:
+        for grid in result.values.values():
             assert grid.shape == (3, 5)
         for (i, zeta), (j, t) in itertools.product(enumerate(result.zeta), enumerate(result.t)):
             cell = run_sweep(small_config(
@@ -267,8 +307,11 @@ class TestRunSweep:
                 zeta_grid=GridSpec(zeta, zeta, 1), time_grid=GridSpec(t, t, 1),
             ))
             # the row and the single cell may differ in the last ulp (xi_e2 is
-            # about 80 here), so the 1e-14 bound is relative as well as absolute
-            for name, grid in result.values.items():
+            # about 80 here), so the 1e-14 bound is relative as well as absolute;
+            # the last column, method_disagreement, is a difference of such
+            # values: its own last ulps are not compared
+            for name in cfg.columns[:-1]:
+                grid = result.values[name]
                 np.testing.assert_allclose(cell.values[name], grid[i:i + 1, j:j + 1],
                                            rtol=1e-14, atol=1e-14, err_msg=name)
 
@@ -322,7 +365,7 @@ class TestRunSweep:
     )
     def test_methods_agree(self, branch, observables):
         cfg = small_config(branch=branch, method=Method.BOTH, observables=observables)
-        worst = run_sweep(cfg).method_disagreement.max()
+        worst = run_sweep(cfg).values["method_disagreement"].max()
         assert worst < 1e-8
 
     def test_builds_hamiltonian_once(self, monkeypatch):
@@ -470,7 +513,6 @@ class TestRunSweep:
             assert list(other.values) == list(first.values) == list(cfg.columns)
             for name, grid in first.values.items():
                 assert other.values[name].tobytes() == grid.tobytes(), name
-            assert other.method_disagreement.tobytes() == first.method_disagreement.tobytes()
 
     @pytest.mark.parametrize("observables", [OBSERVABLES, DEFAULT_OBSERVABLES])
     @pytest.mark.parametrize("method, cut", [(m, "block") for m in Method] + [
@@ -537,19 +579,14 @@ class TestRunSweep:
             assert list(result.values) == list(whole.values) == list(cfg.columns)
             for name, grid in whole.values.items():
                 assert result.values[name].tobytes() == grid.tobytes(), name
-            if method is Method.BOTH:
-                assert (result.method_disagreement.tobytes()
-                        == whole.method_disagreement.tobytes())
-            else:
-                assert result.method_disagreement is None
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("branch", list(InitialState))
     def test_row_ranges_do_not_change_a_bit(self, branch, method, monkeypatch):
-        """sweep_blocks over a contiguous row range, in blocks of 2 rows from
-        its first row, gives those rows of run_sweep bit for bit, for ranges
-        that start on or inside a block of the whole grid: the invariance
-        that lets the CLI compute its parts apart."""
+        """The sweep's stream of a contiguous row range (_sweep), in blocks of
+        2 rows from its first row, gives those rows of run_sweep bit for bit,
+        for ranges that start on or inside a block of the whole grid: the
+        invariance that lets the CLI compute its parts apart."""
         import squeezetransfer.sweep as sweep
 
         cfg = small_config(branch=branch, method=method, observables=OBSERVABLES,
@@ -558,20 +595,14 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 2 * 31 * sweep._AAD_CELL_BYTES)
         assert sweep._block_shape(cfg) == (2, [slice(0, 31)])
 
-        def grids(result):
-            return dict(result.values, method_disagreement=result.method_disagreement)
-
-        whole = grids(run_sweep(cfg))
+        whole = run_sweep(cfg).values
         for start, stop in [(0, 5), (1, 5), (1, 4), (2, 5), (3, 4), (4, 5)]:
-            blocks = [grids(b) for b in sweep.sweep_blocks(cfg, slice(start, stop))]
+            blocks = [b.values for b in sweep._sweep(cfg)(slice(start, stop))]
             assert [len(b["ineq_a"]) for b in blocks] == [2] * ((stop - start) // 2) + [1] * (
                 (stop - start) % 2)
             for name, want in whole.items():
                 got = [b[name] for b in blocks]
-                if want is None:  # one route: no disagreement
-                    assert got == [None] * len(blocks)
-                else:
-                    assert np.concatenate(got).tobytes() == want[start:stop].tobytes(), name
+                assert np.concatenate(got).tobytes() == want[start:stop].tobytes(), name
 
     def test_peak_memory_of_an_oracle_states_run(self):
         """run_sweep's traced peak on the benchmark's oracle_states shape: the
@@ -686,7 +717,7 @@ class TestRunSweep:
             branch=InitialState.SEPARABLE_ONE_CAVITY, method=Method.BOTH,
             observables=("ossi_full", "xi"), time_grid=GridSpec(0.0, 20.0, 41),
         )
-        assert run_sweep(cfg).method_disagreement.max() <= 1e-12
+        assert run_sweep(cfg).values["method_disagreement"].max() <= 1e-12
         argv = ["--branch", "separable", "--zeta-range", "0", "1", "--time-range", "0", "20",
                 "--steps", "3", "41", "--observables", "ossi_full,xi", "--method", "both",
                 "--output", str(tmp_path / "out.csv")]
@@ -732,11 +763,7 @@ def reference_text(result, columns, fmt):
     """The expected file text, one f"{v:.17g}" (or JSON number) per value, one
     line or record per (zeta, t) cell of the axes, zeta-major."""
     names = ("zeta", "t", *columns)
-    grids = [result.values[c] for c in columns]
-    if result.method_disagreement is not None:
-        names += ("method_disagreement",)
-        grids.append(result.method_disagreement)
-    grids = [g.tolist() for g in grids]
+    grids = [result.values[c].tolist() for c in columns]
     cells = [
         (zeta, t, *(g[i][j] for g in grids))
         for (i, zeta), (j, t) in itertools.product(enumerate(result.zeta.tolist()),
@@ -781,7 +808,7 @@ class TestEmit:
         for name in ("a.csv", "b.csv"):
             result = run_sweep(cfg)
             path = tmp_path / name
-            emit(result, cfg.columns, "csv", str(path), include_disagreement=True)
+            emit(result, cfg.columns, "csv", str(path))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
@@ -810,18 +837,15 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(empty, ("ineq_a",), "csv", str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize("columns, missing", [
+        (("nope", "xi", "gone"), r"\['nope', 'gone'\]"),
+        (("xi", "method_disagreement"), r"\['method_disagreement'\]"),
+    ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rejects_missing_disagreement_before_writing(self, fmt, tmp_path):
+    def test_rejects_unknown_columns_before_writing(self, fmt, columns, missing, tmp_path):
         result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
-        with pytest.raises(ValueError, match="no method disagreement"):
-            emit(result, ("xi",), fmt, str(tmp_path / f"out.{fmt}"), include_disagreement=True)
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rejects_unknown_columns_before_writing(self, fmt, tmp_path):
-        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
-        with pytest.raises(ValueError, match=r"no columns \['nope', 'gone'\]"):
-            emit(result, ("nope", "xi", "gone"), fmt, str(tmp_path / f"out.{fmt}"))
+        with pytest.raises(ValueError, match=f"no columns {missing}"):
+            emit(result, columns, fmt, str(tmp_path / f"out.{fmt}"))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -853,13 +877,14 @@ class TestEmit:
             values={
                 "a": np.resize(special, shape),
                 "b": rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
+                "method_disagreement": np.resize([0.0, np.nan, 1e-15, 0.5], shape),
             },
-            method_disagreement=np.resize([0.0, np.nan, 1e-15, 0.5], shape),
         )
+        columns = ("a", "b", "method_disagreement")
         for fmt in ("csv", "json"):
             path = tmp_path / f"out.{fmt}"
-            emit(result, ("a", "b"), fmt, str(path), include_disagreement=True)
-            assert path.read_bytes() == reference_text(result, ("a", "b"), fmt).encode("utf-8")
+            emit(result, columns, fmt, str(path))
+            assert path.read_bytes() == reference_text(result, columns, fmt).encode("utf-8")
 
     @pytest.mark.parametrize("sharing", [(True, False), (False, True)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1517,6 +1542,16 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {pfile}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                              ("", "Is a directory")])
+    def test_main_names_an_unreadable_params_file(self, name, reason, tmp_path, capsys):
+        pfile = str(tmp_path / name)
+        out = tmp_path / "x.csv"
+        rc = main(["--params-file", pfile, "--steps", "2", "3", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {pfile}: {reason}\n"
+        assert not out.exists()
+
 
 class TestStream:
     """main writes each sweep block as it is computed, through the writer
@@ -1557,7 +1592,7 @@ class TestStream:
         both = method is Method.BOTH
         argv = [*self.ARGS, "--method", method.value, "--format", fmt]
         cfg = config_from_args(_build_parser().parse_args(argv))
-        names = ("zeta", "t", *cfg.columns) + (("method_disagreement",) if both else ())
+        names = ("zeta", "t", *cfg.columns)
         sub = sub_block_rows(fmt, names)
         rows, chunks = sweep._block_shape(cfg)
         # writer sub-blocks start inside zeta rows, and the sweep blocks that
@@ -1577,7 +1612,7 @@ class TestStream:
         # holds the bytes of two and three parts to these)
         monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
         side = "emit"
-        emit(result, cfg.columns, fmt, str(tmp_path / side), include_disagreement=both)
+        emit(result, cfg.columns, fmt, str(tmp_path / side))
         side = "cli"
         assert main([*argv, "--output", str(tmp_path / side)]) == 0
         assert (tmp_path / "cli").read_bytes() == (tmp_path / "emit").read_bytes()
@@ -1644,7 +1679,7 @@ class TestStream:
             assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 0
             line = capsys.readouterr().out
             grid = run_sweep(config_from_args(_build_parser().parse_args(argv)))
-            d = grid.method_disagreement
+            d = grid.values["method_disagreement"]
             i, j = np.unravel_index(np.argmax(d), d.shape)
             cell = f"zeta={grid.zeta[i]:g}, t={grid.t[j]:g}"
             assert line.endswith(f"(max method disagreement {d[i, j]:.3e} at {cell})\n")
@@ -1905,6 +1940,18 @@ class TestParts:
         assert got == blocks
         self.cpus(monkeypatch, 2)
         assert sweep._part_rows(cfg) == parts
+
+    def test_benchmark_columns_are_the_sweeps(self, tmp_path, monkeypatch):
+        """Each workload's documented columns, after zeta and t, are those of
+        the configuration that its argv makes.  Tier-1 does not collect
+        perfbench/, so a drift would otherwise surface only as failed
+        benchmark runs."""
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        for workload in self.benchmark_workloads(monkeypatch).WORKLOADS.values():
+            cfg = config_from_args(_build_parser().parse_args(
+                workload.argv(str(params), str(tmp_path / "out"))))
+            assert cfg.columns == workload.columns[2:], workload.name
 
     @pytest.mark.parametrize("failure", [KeyboardInterrupt, NumericalConsistencyError])
     def test_a_failing_first_part_kills_the_running_child(self, failure, tmp_path, capsys,

@@ -441,7 +441,7 @@ class TestBranchWitnesses:
                           observables=("ineq_a", "ineq_p", "ossi_full"), method=method)
         result = run_sweep(cfg)
         if method is Method.BOTH:
-            assert result.method_disagreement.max() <= 1e-8
+            assert result.values["method_disagreement"].max() <= 1e-8
         for gap in self.identity_gaps(result.values, branch):
             assert gap.max() < 1e-13
 
