@@ -69,7 +69,9 @@ class ManifoldState:
     """Four complex amplitudes over (phi1, phi2, phi3, phi4) at a given time.
 
     Amplitudes of shape (4, nt) with nt times hold one state per column, and
-    of shape (4, ..., nt) a stack of such rows.
+    of shape (4, ..., nt) a stack of such rows.  The state keeps a read-only
+    view of a complex input, so it shares the caller's array: the caller must
+    not write to it afterwards.
     """
 
     amplitudes: np.ndarray
@@ -82,7 +84,7 @@ class ManifoldState:
         norm_dev = np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0))
         if not norm_dev < NORM_TOL:
             raise ValueError(f"manifold state norm deviates from 1 by {norm_dev}")
-        amp = amp.copy()
+        amp = amp.view()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 

@@ -7,9 +7,10 @@ sized by _SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or,
 for a row too long for one block, that row's time chunks; the full-space
 oracle takes each of its rows of a block in time sub-chunks of at most
 _ORACLE_CHUNK_TIMES times.  A cell's bits depend neither on its block nor
-on its sub-chunk.  Under Method.BOTH the last column, method_disagreement,
-is each cell's largest difference between the two routes' columns, held
-like any other.  The CLI writes each block as it is computed, so a run
+on its sub-chunk, and a failing block is re-run a row at a time so that its
+error names a zeta row.  Under Method.BOTH the last column,
+method_disagreement, is each cell's largest difference between the two
+routes' columns, held like any other.  The CLI writes each block as it is computed, so a run
 holds one block, not the grid nor a whole row, and identical configurations
 give byte-identical files.
 
@@ -311,15 +312,15 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     vectors (reduced_states) with contraction matrices of the reduced-space
     spins, also built once.  It takes each row's share of a block in time
     sub-chunks (_time_chunks) of at most _ORACLE_CHUNK_TIMES times, so its
-    row arrays stay cache-sized whatever the block; an oracle row that
-    fails is re-run over all of the block's times, so that its error's
-    figures (a time range, a largest deviation) are those of the block, not
-    of a sub-chunk.  Both routes fill one buffer per block, the closed form
-    in place, so one ManifoldState and one _row_columns pass serve both;
-    the oracle's coefficients are its vectors projected onto the manifold.
-    Under Method.BOTH the block's last column is method_disagreement, over
-    the closed form's columns and the oracle's.  A failing block is re-run
-    row by row over its times, so that the error names the failing row's zeta.
+    row arrays stay cache-sized whatever the block.  Both routes fill one
+    buffer per block, the closed form in place, so one ManifoldState and one
+    _row_columns pass serve both; the oracle's coefficients are its vectors
+    projected onto the manifold.  Under Method.BOTH the block's last column
+    is method_disagreement, over the closed form's columns and the oracle's.
+    A failing block is re-run a row at a time over its times, each oracle
+    row in one piece, so that the error names the first row that fails alone,
+    with the figures (a time range, a largest deviation) of the block's
+    times: a row's largest deviation passes just when each sub-chunk's does.
     """
     space = standard_space()
     h0, hop = model_operators(config.params, space)
@@ -345,23 +346,16 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
         h = HermitianOperator(space, h0.matrix + zetas[i] * hop.matrix)
         return SpectralPropagator(h, config.params.lam)
 
-    def block_columns(rows: slice, t: slice) -> dict[str, np.ndarray]:
+    def block_columns(
+        rows: slice, t: slice, chunk: int = _ORACLE_CHUNK_TIMES
+    ) -> dict[str, np.ndarray]:
         """Every column over the rows and the times t, as (n_routes, rows,
-        times) arrays: the closed form first when it runs, then the oracle."""
+        times) arrays: the closed form first when it runs, then the oracle,
+        whose rows run in time sub-chunks of at most chunk times."""
         shape = (n_routes, rows.stop - rows.start, t.stop - t.start)
         amps = np.empty((4, *shape), dtype=complex)
         means = {s: np.empty(shape + (3,)) for s in sides}
         covs = {s: np.empty(shape + (3, 3)) for s in sides}
-
-        def oracle_cells(k: int, u: slice) -> None:
-            """The oracle's cells of the block's row k over the times u of t."""
-            full = propagator(rows.start + k).evolve_grid(psi0, times[t][u])
-            amps[:, -1, k, u] = project_amplitudes(full, blocks)
-            rho = reduced_states(full, space) if sides else {}
-            del full
-            for s, c in contractions.items():
-                means[s][-1, k, u], covs[s][-1, k, u] = density_spin_moments(rho[s], c)
-
         if closed:
             evolve_closed_form_grid(config.branch, blocks[rows], times[t], amps[:, 0])
             if sides:
@@ -372,12 +366,14 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
                 del rho  # before the oracle's rows
         if oracle:
             for k in range(shape[1]):
-                try:
-                    for u in _time_chunks(shape[2], _ORACLE_CHUNK_TIMES):
-                        oracle_cells(k, u)
-                except _ROW_ERRORS:
-                    oracle_cells(k, slice(None))  # the error's figures over all of t
-                    raise
+                for u in _time_chunks(shape[2], chunk):
+                    full = propagator(rows.start + k).evolve_grid(psi0, times[t][u])
+                    amps[:, -1, k, u] = project_amplitudes(full, blocks)
+                    rho = reduced_states(full, space) if sides else {}
+                    del full
+                    for s, c in contractions.items():
+                        means[s][-1, k, u], covs[s][-1, k, u] = density_spin_moments(rho[s], c)
+                    del rho  # before the next sub-chunk's state
         moments = {s: (means[s], covs[s]) for s in sides}
         return _row_columns(coefficients(ManifoldState(amps, times[t])), moments, config)
 
@@ -385,7 +381,13 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
         try:
             columns = block_columns(rows, t)
         except _ROW_ERRORS as exc:
-            raise _row_error(block_columns, zetas, rows, t, exc) from exc
+            for i in range(rows.start, rows.stop):  # the first row that fails alone
+                try:
+                    block_columns(slice(i, i + 1), t, chunk=t.stop - t.start)
+                except _ROW_ERRORS as row_exc:
+                    raise SweepError(f"row zeta={zetas[i]}: {row_exc}") from exc
+            raise SweepError(
+                f"rows zeta={zetas[rows.start]}..{zetas[rows.stop - 1]}: {exc}") from exc
         # the closed form's half first when it runs, the oracle's last
         first, last = ({k: views.setdefault(id(v), v[r]) for k, v in columns.items()}
                        for views, r in (({}, 0), ({}, -1)))
@@ -401,21 +403,6 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
                 for i in range(start, stop, step) for t in chunks)
 
     return stream
-
-
-def _row_error(
-    block_columns: Callable[[slice, slice], dict], zetas: np.ndarray, rows: slice, t: slice,
-    exc: Exception,
-) -> SweepError:
-    """The error of the first row of a failed block that fails on its own over
-    the block's times t, with its zeta; the rows are re-run one at a time on
-    this error path only."""
-    for i in range(rows.start, rows.stop):
-        try:
-            block_columns(slice(i, i + 1), t)
-        except _ROW_ERRORS as row_exc:
-            return SweepError(f"row zeta={zetas[i]}: {row_exc}")
-    return SweepError(f"rows zeta={zetas[rows.start]}..{zetas[rows.stop - 1]}: {exc}")
 
 
 def emit(

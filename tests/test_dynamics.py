@@ -71,6 +71,14 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             ManifoldState(amps, np.arange(3.0))
 
+    def test_manifold_state_shares_a_read_only_view(self):
+        amps = np.zeros((4, 3), dtype=complex)
+        amps[0] = 1.0
+        state = ManifoldState(amps, np.arange(3.0))
+        assert np.shares_memory(state.amplitudes, amps)
+        assert not state.amplitudes.flags.writeable
+        assert amps.flags.writeable
+
 
 class TestClosedFormEvolution:
     @pytest.mark.parametrize("branch", BRANCHES)

@@ -690,25 +690,38 @@ class TestRunSweep:
         assert capsys.readouterr().err.startswith("error: row zeta=0.0: reduced state")
         assert not out.exists()
 
-    def test_a_failing_oracle_row_reports_the_figures_of_its_block(self, monkeypatch):
-        """An oracle row whose first failing sub-chunk is not its worst reports
-        the largest deviation over all of the block's times, as whole rows
-        do: the row is re-run over those times on the error path."""
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_failing_oracle_row_reports_the_figures_of_its_block(self, row, monkeypatch):
+        """One oracle row of a 3-row block, the first or the second, fails
+        on its own in a sub-chunk that is not its worst: the error names that
+        row's zeta and the largest deviation over all of the block's times,
+        as whole rows do."""
         import squeezetransfer.sweep as sweep
-        from squeezetransfer import dynamics
+        from squeezetransfer.hamiltonian import model_operators
+        from squeezetransfer.hilbert import standard_space
 
-        real = dynamics.SpectralPropagator.evolve_grid
-
-        def growing(self, vec, times):
-            # the norm grows by 2e-10 after t = 5 and by 3.2e-9 after t = 15
-            return real(self, vec, times) * np.sqrt(1 + 2e-10 * (times > 5) + 3e-9 * (times > 15))
-
-        monkeypatch.setattr(dynamics.SpectralPropagator, "evolve_grid", growing)
-        monkeypatch.setattr(sweep, "_ORACLE_CHUNK_TIMES", 8)
         cfg = small_config(method=Method.NUMERIC_ORACLE, observables=("xi",),
                            time_grid=GridSpec(0.0, 20.0, 41))
-        assert sweep._block_shape(cfg)[1] == [slice(0, 41)]
-        with pytest.raises(SweepError, match=r"^row zeta=0\.0: reduced state of the atoms: "
+        zeta = cfg.zeta_grid.values()[row]
+        h0, hop = model_operators(cfg.params, standard_space())
+        failing = h0.matrix + zeta * hop.matrix
+
+        class Growing(sweep.SpectralPropagator):
+            def __init__(self, h, lam):
+                super().__init__(h, lam)
+                self.grows = np.array_equal(h.matrix, failing)
+
+            def evolve_grid(self, vec, times):
+                # the failing row's norm grows by 2e-10 after t = 5 and by
+                # 3.2e-9 after t = 15
+                out = super().evolve_grid(vec, times)
+                return out * np.sqrt(1 + self.grows * (2e-10 * (times > 5) + 3e-9 * (times > 15)))
+
+        monkeypatch.setattr(sweep, "SpectralPropagator", Growing)
+        monkeypatch.setattr(sweep, "_SWEEP_BLOCK_BYTES", 3 * 41 * sweep._AAD_CELL_BYTES)
+        monkeypatch.setattr(sweep, "_ORACLE_CHUNK_TIMES", 8)
+        assert sweep._block_shape(cfg) == (3, [slice(0, 41)])
+        with pytest.raises(SweepError, match=rf"^row zeta={zeta}: reduced state of the atoms: "
                                              r"trace deviates from 1 by 3\.200e-09, "):
             run_sweep(cfg)
 
