@@ -5,19 +5,20 @@ A block is a SweepResult over consecutive zeta rows and the whole t axis,
 or over one row and a run of consecutive times; the blocks of one file come
 in cell order, zeta-major, over the file's axes.  A file's columns are zeta,
 t and the columns its caller names, each read from the blocks' values.
-Each block is written as it is taken, in sub-blocks of cells, and an axis's
-text is encoded a window at a time, so memory grows neither with the grid
+One generator, _records, takes the blocks as they come and writes them in
+sub-blocks of cells, and an axis's text is encoded a window at a time, all
+sized by one budget, _BLOCK_BYTES; so memory grows neither with the grid
 nor with the file, and along the t axis only by that axis's text, 32 bytes
 a time, when several rows read it again (see _axis_text).  Identical
 blocks give identical bytes.  An array that a block holds under several
 column names is encoded once per sub-block, and its text copied into each
-of those columns.
+of those columns.  Every record carries its leading separator, and the
+file drops its first one.
 
 A file can also be written in parts: the records of each later part of its
 blocks go to an unlinked part file (open_part, write_part), whose bytes the
 file's writer appends after the first part's records, in zeta order
-(emit_blocks' `parts`).  A part holds records only, no head or tail, and
-under JSON its first record keeps its separator.
+(emit_blocks' `parts`).  A part file is just its records.
 """
 
 from __future__ import annotations
@@ -33,76 +34,11 @@ from .csvtext import WIDTH, g17_text, json_text
 if TYPE_CHECKING:
     from .sweep import SweepResult
 
-# Bytes of record buffer per sub-block; a sub-block's encoder arrays and text
-# set the run's peak RSS, and fewer, larger ones pay less numpy call overhead.
+# Bytes of record buffer per sub-block, which also size the gathered cell
+# values and an axis's text window (see _records and _axis_text).  A
+# sub-block's encoder arrays and text set the run's peak RSS, and fewer,
+# larger ones pay less numpy call overhead.
 _BLOCK_BYTES = 1 << 17
-# Bytes of cell values gathered from the blocks before any of them is
-# written.  Computing a block and writing text each evict the other's cache
-# contents, so the writer takes several blocks' cells at a time: alternating
-# per block cost about 10% of a default CSV run's time.  The buffer is reused,
-# and adds about 0.1-0.2 MB to the peak RSS.
-_GATHER_BYTES = 1 << 17
-# Values of an axis encoded at once: the encoder's temporaries of a window
-# take about 0.6 MB, where a 16001-value axis encoded at once took 4.3 MiB.
-# A sub-block, of at most _BLOCK_BYTES // 66 = 1985 records (zeta and t
-# alone), spans fewer values of an axis than a window.
-_AXIS_WINDOW = 1 << 11
-
-
-def _cell_blocks(
-    blocks: Iterable[SweepResult], n_t: int, names: list[str], rows: int
-) -> Iterator[tuple]:
-    """Zeta-major sub-blocks of `rows` cells of the stream, the last one
-    shorter: their zeta and t indices, the values of each distinct array of
-    the columns names[2:], and for each column the index of its array there.
-
-    A column whose array is another column's, such as one array under two
-    names, is gathered once.  The cells are gathered across block boundaries
-    into one buffer of whole sub-blocks, about _GATHER_BYTES of values, whose
-    sub-blocks are then handed out in turn; so the sub-blocks do not depend on
-    the blocks, unless a block shares its arrays among the columns unlike the
-    block before it, which ends the sub-block there.  Each sub-block's values
-    are a view of that buffer, valid until the next sub-block is taken.  If a
-    block fails, the cells of the blocks before it come first, then its error.
-    """
-    columns, values, filled, start = None, np.empty((0, 0)), 0, 0
-    error = None
-    try:
-        for block in blocks:
-            grids = block.values
-            arrays = {id(grids[name]): grids[name] for name in names[2:]}
-            position = {key: k for k, key in enumerate(arrays)}
-            index = [position[id(grids[name])] for name in names[2:]]
-            if index != columns:
-                yield from _sub_blocks(values[:filled], start, n_t, rows, columns)
-                filled, start, columns = 0, start + filled, index
-                size = rows * max(1, _GATHER_BYTES // (rows * 8 * max(1, len(arrays))))
-                values = np.empty((size, len(arrays)))
-            flat = [np.ravel(grid) for grid in arrays.values()]
-            i = 0
-            while i < len(block):
-                n = min(len(values) - filled, len(block) - i)
-                for k, col in enumerate(flat):
-                    values[filled : filled + n, k] = col[i : i + n]
-                filled, i = filled + n, i + n
-                if filled == len(values):
-                    yield from _sub_blocks(values, start, n_t, rows, columns)
-                    filled, start = 0, start + filled
-    except Exception as exc:  # from a block: it is raised once the cells before it are out
-        error = exc
-    yield from _sub_blocks(values[:filled], start, n_t, rows, columns)
-    if error is not None:
-        raise error
-
-
-def _sub_blocks(
-    values: np.ndarray, start: int, n_t: int, rows: int, columns: list[int]
-) -> Iterator[tuple]:
-    """The sub-blocks of `rows` cells of gathered values whose first cell is
-    `start`: their zeta and t indices, values and column indices."""
-    for i in range(0, len(values), rows):
-        cells = np.arange(start + i, start + min(i + rows, len(values)))
-        yield (*np.divmod(cells, n_t), values[i : i + rows], columns)
 
 
 def _csv(names: list[str]) -> tuple:
@@ -114,8 +50,8 @@ def _csv(names: list[str]) -> tuple:
 
 def _json(names: list[str]) -> tuple:
     """JSON: json.dumps(records, indent=2) + "\n", one record per cell.  A
-    record starts with its separator from the record before it, which the
-    file's first record drops; the keys are json.dumps of the names, which
+    record starts with its separator from the record before it, and the
+    file drops its first one; the keys are json.dumps of the names, which
     is ASCII and holds no zero byte."""
     parts, slots = [b",\n  {\n"], []
     for k, name in enumerate(names):
@@ -129,7 +65,7 @@ def _json(names: list[str]) -> tuple:
 # The output formats: the --format choices, and the function of the column
 # names that gives each format's text encoder, head, record bytes with WIDTH
 # zero bytes for each value, the offsets of those slots, the count of leading
-# bytes that the first record drops, and tail.
+# bytes that the file drops from its first record, and tail.
 WRITERS = {"csv": _csv, "json": _json}
 
 
@@ -137,24 +73,26 @@ def _axis_text(
     encode: Callable, axis: np.ndarray, reread: bool
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The function of indices that gives the text of those values of the
-    axis, encoded _AXIS_WINDOW values at a time.  An axis that the cells
-    read once, in ascending order (zeta, or the t axis of one row), is
-    encoded a window at a time as they reach it, from the first index that
-    the window lacks, so that no run holds a long axis's text.  An axis
-    that they read again (reread: the t axis of several rows) is held whole,
-    32 bytes a value, since encoding it again for each row would cost as
-    much as one more column."""
+    axis, encoded a window of _BLOCK_BYTES // 64 values at a time, which is
+    longer than any sub-block, of at most _BLOCK_BYTES // 66 records (zeta
+    and t alone).  An axis that the cells read once, in ascending order
+    (zeta, or the t axis of one row), is encoded a window at a time as they
+    reach it, from the first index that the window lacks, so that no run
+    holds a long axis's text.  An axis that they read again (reread: the t axis of
+    several rows) is held whole, 32 bytes a value, since encoding it again
+    for each row would cost as much as one more column."""
+    size = _BLOCK_BYTES // 64
     if reread:
         text = np.empty((axis.size, WIDTH), np.uint8)
-        for i in range(0, axis.size, _AXIS_WINDOW):
-            text[i:i + _AXIS_WINDOW] = encode(axis[i:i + _AXIS_WINDOW])
+        for i in range(0, axis.size, size):
+            text[i:i + size] = encode(axis[i:i + size])
         return lambda index: text.take(index, axis=0)
-    window = [0, encode(axis[:_AXIS_WINDOW])]  # its first index and its text
+    window = [0, encode(axis[:size])]  # its first index and its text
 
     def text_of(index: np.ndarray) -> np.ndarray:
         first, last = index[0], index[-1]  # ascending
         if not window[0] <= first <= last < window[0] + len(window[1]):
-            window[:] = first, encode(axis[first:first + _AXIS_WINDOW])
+            window[:] = first, encode(axis[first:first + size])
         return window[1].take(index - window[0], axis=0)
 
     return text_of
@@ -162,36 +100,73 @@ def _axis_text(
 
 def _records(
     fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
-    blocks: Iterable[SweepResult], first: bool = True,
+    blocks: Iterable[SweepResult],
 ) -> Iterator[bytes]:
-    """The records of the blocks in format fmt, one chunk per sub-block, so
-    the whole file is never held at once.  The file's first record (first)
-    drops its leading separator; the first record of a later part keeps it.
+    """The records of the blocks in format fmt, each with its leading
+    separator, one chunk per zeta-major sub-block of cells, so the whole file
+    is never held at once.  If a block fails, the records of the blocks
+    before it come first, then its error.
 
-    Each axis is encoded a window at a time (see _axis_text) and its text
-    gathered per sub-block; each distinct value array is encoded once per sub-block, and its text copied
-    into the slot of every column of that array.  The records are laid out in
-    one reused (records, record bytes) buffer, filled once with the record's
-    constant bytes; every slot of a sub-block's records is written, and the
-    zero bytes are dropped in one pass.
+    The cells are gathered across block boundaries into one buffer of whole
+    sub-blocks, about _BLOCK_BYTES of values, with one column for each
+    distinct array of the columns names[2:] (one array under two names is
+    gathered once).  Computing a block and writing text each evict the
+    other's cache contents, so the buffer is written out only when it is
+    full, at the end, or at a block that shares its arrays among the columns
+    unlike the block before it; alternating per block cost about 10% of a
+    default CSV run's time.  Each sub-block's values are encoded at once, and
+    each array's text copied into the slot of every column of that array;
+    each axis is encoded a window at a time (see _axis_text).  The records
+    are laid out in one reused (records, record bytes) buffer, filled once
+    with the record's constant bytes; every slot of a sub-block's records is
+    written, and the zero bytes are dropped in one pass.
     """
-    encode, _, record, slots, skip, _ = WRITERS[fmt](names)
-    skip = skip if first else 0
+    encode, _, record, slots, *_ = WRITERS[fmt](names)
     record = np.frombuffer(record, np.uint8)
     buffer = np.empty((max(1, _BLOCK_BYTES // record.size), record.size), np.uint8)
     buffer[:] = record
-    buffer[0, :skip] = 0
+    rows = len(buffer)
     zeta_text = _axis_text(encode, zeta, reread=False)
     t_text = _axis_text(encode, t, reread=zeta.size > 1)
-    for zi, tj, values, columns in _cell_blocks(blocks, t.size, names, len(buffer)):
-        buf = buffer[:zi.size]
-        text = encode(values)
-        fields = [zeta_text(zi), t_text(tj), *(text[:, k] for k in columns)]
-        for slot, field in zip(slots, fields):
-            buf[:, slot:slot + WIDTH] = field
-        del text, fields, field  # freed before the next encode, which sets the peak RSS
-        yield buf.tobytes().translate(None, b"\0")
-        buffer[0, :skip] = record[:skip]
+    blocks, block, i, error = iter(blocks), None, 0, None  # the block taken, its next cell
+    index, columns = None, None  # the array of each column in the block, and in values
+    values, filled, start = np.empty((0, 0)), 0, 0  # the gathered cells, their count, the first's
+    while True:
+        if block is None or i == len(block):
+            try:
+                block, i = next(blocks, None), 0
+            except Exception as exc:  # from a block: raised once the records before it are out
+                block, error = None, exc
+            if block is not None:
+                grids = block.values
+                arrays = {id(grids[name]): grids[name] for name in names[2:]}
+                position = {key: k for k, key in enumerate(arrays)}
+                index = [position[id(grids[name])] for name in names[2:]]
+                flat = [np.ravel(grid) for grid in arrays.values()]
+        if block is not None and index == columns and filled < len(values):
+            n = min(len(values) - filled, len(block) - i)
+            for k, col in enumerate(flat):
+                values[filled:filled + n, k] = col[i:i + n]
+            filled, i = filled + n, i + n
+            continue
+        for j in range(0, filled, rows):
+            zi, tj = np.divmod(np.arange(start + j, start + min(j + rows, filled)), t.size)
+            buf = buffer[:zi.size]
+            text = encode(values[j:j + zi.size])
+            fields = [zeta_text(zi), t_text(tj), *(text[:, k] for k in columns)]
+            for slot, field in zip(slots, fields):
+                buf[:, slot:slot + WIDTH] = field
+            del text, fields, field  # freed before the next encode, which sets the peak RSS
+            yield buf.tobytes().translate(None, b"\0")
+        if block is None:
+            break
+        start, filled = start + filled, 0
+        if index != columns:
+            columns = index
+            size = rows * max(1, _BLOCK_BYTES // (rows * 8 * max(1, len(flat))))
+            values = np.empty((size, len(flat)))
+    if error is not None:
+        raise error
 
 
 def _chunks(
@@ -199,10 +174,13 @@ def _chunks(
     blocks: Iterable[SweepResult], parts: Iterable[bytes] = (),
 ) -> Iterator[bytes]:
     """The bytes of the file in format fmt: its head, the records of the
-    blocks, the bytes of the later parts, and its tail."""
-    _, head, *_, tail = WRITERS[fmt](names)
+    blocks, less the first record's leading separator, the bytes of the
+    later parts, and its tail."""
+    _, head, *_, skip, tail = WRITERS[fmt](names)
+    records = _records(fmt, names, zeta, t, blocks)
     yield head
-    yield from _records(fmt, names, zeta, t, blocks)
+    yield next(records, b"")[skip:]
+    yield from records
     yield from parts
     yield tail
 
@@ -221,12 +199,13 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     so a link survives) through a temporary file beside it that then replaces
     it, never over a directory.  The file is binary: the chunks are its
     bytes, with no text layer to encode them again.  An existing target that
-    is not a regular file, such as a FIFO or a device, is written in place:
-    replacing it would delete it.  A failure is an OSError that names `path`,
-    not the target or the temporary file."""
+    is not a regular file, such as a FIFO, a pipe or a device, is written in
+    place, through `path` itself: replacing it would delete it, and a pipe's
+    /dev/fd link resolves to no path.  A failure is an OSError that names
+    `path`, not the target or the temporary file."""
     target = _target(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if in_place else f"{target}.tmp{os.getpid()}"
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{target}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
@@ -290,7 +269,7 @@ def write_part(
     names = ["zeta", "t", *columns]
     try:
         with open(fd, "wb", closefd=False) as fh:
-            fh.writelines(_records(output_format, names, zeta, t, blocks, first=False))
+            fh.writelines(_records(output_format, names, zeta, t, blocks))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -983,7 +983,7 @@ class TestEmit:
         from squeezetransfer import output
 
         calls = self._count_encodings(monkeypatch, fmt)
-        window = output._AXIS_WINDOW
+        window = output._BLOCK_BYTES // 64
         rng = np.random.default_rng(3)
         for n_zeta, n_t in ((window + 3, 2), (1, 2 * window + 5), (3, window + 3)):
             calls.clear()
@@ -1002,6 +1002,20 @@ class TestEmit:
                 assert n_t <= sum(t_calls) < n_t + window
             else:
                 assert sum(t_calls) == n_t
+
+    def test_a_larger_writer_budget_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """Sub-blocks of twice the records, over a one-row t axis longer than
+        their axis window, give the bytes of the usual budget."""
+        from squeezetransfer import output
+
+        argv = ["--zeta", "0.5", "--steps", "1", "5001", "--observables", "xi"]
+        for fmt in ("csv", "json"):
+            usual, larger = tmp_path / f"usual.{fmt}", tmp_path / f"larger.{fmt}"
+            assert main([*argv, "--format", fmt, "--output", str(usual)]) == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(output, "_BLOCK_BYTES", 1 << 18)
+                assert main([*argv, "--format", fmt, "--output", str(larger)]) == 0
+            assert larger.read_bytes() == usual.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, 7, "block+3"])
@@ -1683,6 +1697,36 @@ class TestStream:
         lines = whole.read_bytes().splitlines(keepends=True)
         assert received == [b"".join(lines[: 1 + 4 * 1001])]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pipe_gets_the_bytes_of_a_file(self, fmt, tmp_path, capsys):
+        """--output /dev/fd/N, N a pipe's write end, which resolves to no
+        path, is written in place; the summary line still goes to stdout."""
+        import threading
+
+        argv = [*self.ARGS, "--format", fmt]
+        whole = tmp_path / "whole"
+        assert main([*argv, "--output", str(whole)]) == 0
+        summary = capsys.readouterr().out
+        read, write = os.pipe()
+        received = []
+
+        def drain():
+            with open(read, "rb") as fh:  # to EOF: once the test closes the write end
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            rc = main([*argv, "--output", f"/dev/fd/{write}"])
+        finally:
+            os.close(write)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert (rc, *capsys.readouterr()) == (
+            0, summary.replace(str(whole), f"/dev/fd/{write}"), "")
+        assert received == [whole.read_bytes()]
+        assert [p.name for p in tmp_path.iterdir()] == ["whole"]
+
     def test_worst_cell_is_the_grids_first_argmax(self, tmp_path, capsys, monkeypatch):
         """On a real both-route run, then on disagreements tied between the
         second and the third block."""
@@ -1741,9 +1785,9 @@ class TestStream:
     def test_peak_memory_does_not_grow_with_the_time_axis(self, method, tmp_path):
         """The traced peak of a 1x16001 run is within 0.5 MiB of a 1x2001 one:
         a row longer than a block is computed in time chunks, and the time
-        axis's text is encoded a window of output._AXIS_WINDOW (2048) values
-        at a time.  Holding whole rows and the whole axis's text, it grew by
-        12.6 MiB in the closed form and 83.5 MiB with both routes."""
+        axis's text is encoded a window of output._BLOCK_BYTES // 64 (2048)
+        values at a time.  Holding whole rows and the whole axis's text, it
+        grew by 12.6 MiB in the closed form and 83.5 MiB with both routes."""
         import tracemalloc
 
         args = ["--branch", "separable", "--zeta", "0.5", "--method", method,

@@ -11,8 +11,10 @@ difference.
 The list: the benchmark's argvs with the params of `perfbench/workloads`'
 `make_inputs` seeds 1-3; the default run, `--method both`, `--format json`
 and a `numeric_oracle` grid; a 1x40001 separable row under the three
-methods; the separable all-seven `--method both` run (exit 1); and phases
-that overflow, in a short and in a long row (exit 1).
+methods; the separable all-seven `--method both` run (exit 1); phases
+that overflow, in a short and in a long row (exit 1); and the default run
+as CSV and as JSON into a FIFO (an output path ending in `.fifo`), whose
+bytes are read to EOF as the run writes them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,20 +64,57 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
     ):
         out = "out.json" if "json" in argv else "out.csv"
         runs.append((label, argv + ["--output", out], None))
+    for fmt in ("csv", "json"):
+        runs.append((f"default {fmt} into a FIFO",
+                     ["--format", fmt, "--output", f"out.{fmt}.fifo"], None))
     return runs
 
 
+def read_fifo(fifo: Path, start):
+    """(the bytes written into the FIFO while start() runs, start()'s result).
+    The read end opens without waiting for a writer, and this process holds a
+    write end until start() returns, so the reader sees EOF only then, even
+    if the run never opens the FIFO."""
+    read = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    hold = os.open(fifo, os.O_WRONLY)
+    os.set_blocking(read, True)
+    pieces = []
+
+    def drain():
+        while piece := os.read(read, 1 << 16):
+            pieces.append(piece)
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        result = start()
+    finally:
+        os.close(hold)
+        reader.join()
+        os.close(read)
+    return b"".join(pieces), result
+
+
 def run(tree: Path, argv: list[str], params: dict | None) -> tuple:
-    """(output bytes or None, stdout, stderr, exit status) of one CLI run."""
+    """(output bytes or None, stdout, stderr, exit status) of one CLI run;
+    for a FIFO output, the bytes read from it."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="samebytes-") as work:
         if params is not None:
             Path(work, "params.json").write_text(json.dumps(params))
-        proc = subprocess.run([sys.executable, "-m", "squeezetransfer", *argv], cwd=work,
-                              env=env, capture_output=True, timeout=600)
         out = Path(work, argv[argv.index("--output") + 1])
-        data = out.read_bytes() if out.exists() else None
+
+        def start():
+            return subprocess.run([sys.executable, "-m", "squeezetransfer", *argv], cwd=work,
+                                  env=env, capture_output=True, timeout=600)
+
+        if out.suffix == ".fifo":
+            os.mkfifo(out)
+            data, proc = read_fifo(out, start)
+        else:
+            proc = start()
+            data = out.read_bytes() if out.exists() else None
     return data, proc.stdout, proc.stderr, proc.returncode
 
 
