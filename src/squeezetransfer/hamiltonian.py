@@ -2,11 +2,13 @@
 
 Per cavity the interaction-picture Hamiltonian is
 
-    mu |e><e| + eta |g><g| + lam (|e><g| a^2 + |g><e| a^dag^2) - (e_g + e_e)/2,
+    (mu - eta) |e><e| + lam (|e><g| a^2 + |g><e| a^dag^2)
 
 (hbar = 1) and the cavities are coupled by the two-photon hopping term
-zeta (a1^dag^2 a2^2 + a2^dag^2 a1^2).  The carrier frequency omega cancels
-in the interaction picture and never enters the dynamics.
+zeta (a1^dag^2 a2^2 + a2^dag^2 a1^2).  The paper's per-cavity terms
+mu |e><e| + eta |g><g| - (e_g + e_e)/2 are this plus a scalar, and the
+carrier frequency omega cancels in the interaction picture: both set only a
+global phase, so H leaves them out and its rounding does not grow with them.
 
 The four states
 
@@ -46,7 +48,8 @@ class ModelInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters; lam is the energy unit, zeta is quoted in units of lam."""
+    """Model parameters in one energy unit.  The dynamics read mu - eta, lam and
+    zeta; omega, e_g and e_e are checked but set only a global phase."""
 
     omega: float = 0.0
     mu: float = 0.0
@@ -116,22 +119,17 @@ def model_operators(
     them, without numpy's floating-point warnings."""
     _require_canonical(space)
     ladders = [ladder_matrices(space, m) for m in space.factor_indices(Kind.PHOTON_MODE)]
-    d = space.total_dim
-    h = np.zeros((d, d), dtype=complex)
+    h = np.zeros((space.total_dim,) * 2, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for cavity, (a, ad) in zip((1, 2), ladders):
-            # |e><e|, |g><g|, |e><g| and |g><e|
-            see, sgg, seg, sge = transition_matrices(
-                space, cavity, [("e", "e"), ("g", "g"), ("g", "e"), ("e", "g")]
-            )
-            h += params.mu * see + params.eta * sgg
+            see, seg, sge = transition_matrices(  # |e><e|, |e><g| and |g><e|
+                space, cavity, [("e", "e"), ("g", "e"), ("e", "g")])
+            h += (params.mu - params.eta) * see
             h += params.lam * (seg @ a @ a + sge @ ad @ ad)
-            h -= 0.5 * (params.e_g + params.e_e) * np.eye(d)
         hop = hopping_matrix(ladders)
         h += params.zeta * hop
     if not np.isfinite(h).all():
-        names = ", ".join(f"{k}={getattr(params, k)!r}"
-                          for k in ("mu", "eta", "lam", "zeta", "e_g", "e_e"))
+        names = ", ".join(f"{k}={getattr(params, k)!r}" for k in ("mu", "eta", "lam", "zeta"))
         raise ValueError(f"the Hamiltonian overflows for {names}: it has non-finite entries")
     return HermitianOperator(space, h), HermitianOperator(space, hop)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -194,20 +195,31 @@ def _target(path: str) -> str:
     return target
 
 
+def _descriptor(path: str) -> int | None:
+    """The open descriptor that path names (/dev/stdout, /dev/stderr,
+    /dev/fd/N or /proc/self/fd/N), or None."""
+    path = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}.get(path, path)
+    named = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]+)", path)
+    return int(named[1]) if named else None
+
+
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     """Write the bytes of `chunks` to `path`'s real target (symlinks resolved,
     so a link survives) through a temporary file beside it that then replaces
     it, never over a directory.  The file is binary: the chunks are its
-    bytes, with no text layer to encode them again.  An existing target that
-    is not a regular file, such as a FIFO, a pipe or a device, is written in
-    place, through `path` itself: replacing it would delete it, and a pipe's
-    /dev/fd link resolves to no path.  A failure is an OSError that names
-    `path`, not the target or the temporary file."""
-    target = _target(path)
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    bytes, with no text layer to encode them again.  A target named through
+    an open descriptor (_descriptor) is written through that descriptor, at
+    its offset and in its mode: replacing the file it resolves to would leave
+    the descriptor, such as a shell's `> f` or `>> f`, on the old file.  Any
+    other existing target that is not a regular file, such as a FIFO or a
+    device, is written in place, through `path`: replacing it would delete
+    it.  A failure is an OSError that names `path`, not the target or the
+    temporary file."""
+    target, fd = _target(path), _descriptor(path)
+    in_place = fd is not None or os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{target}.tmp{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp if fd is None else fd, "wb", closefd=fd is None) as fh:
             fh.writelines(chunks)
         if not in_place:
             os.replace(tmp, target)

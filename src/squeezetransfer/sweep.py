@@ -1,10 +1,11 @@
 """Grid sweeps over hopping strength and time, with a CSV/JSON-emitting CLI.
 
-Every (zeta, t) cell is a pure function of the configuration.  The model
-operators are built once per sweep, H(zeta) = H(0) + zeta * Hop, their
-four-state blocks are projected once, and the grid is computed in blocks
-sized by _SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or,
-for a row too long for one block, that row's time chunks; the full-space
+Every (zeta, t) cell is a pure function of the configuration, with zeta in
+units of lam and t in units of 1/lam.  The model operators are built once
+per sweep, H(zeta) = H(0) + zeta * lam * Hop, their four-state blocks are
+projected once, and the grid is computed in blocks sized by
+_SWEEP_BLOCK_BYTES: consecutive zeta rows over the whole t axis, or, for a
+row too long for one block, that row's time chunks; the full-space
 oracle takes each of its rows of a block in time sub-chunks of at most
 _ORACLE_CHUNK_TIMES times.  A cell's bits depend neither on its block nor
 on its sub-chunk, and a failing block is re-run a row at a time so that its
@@ -330,7 +331,8 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     closed = config.method in (Method.CLOSED_FORM, Method.BOTH)
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
     n_routes = closed + oracle
-    blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
+    hoppings = zetas * config.params.lam  # zeta is in units of lam
+    blocks = manifold_blocks(h0, hop, hoppings, config.params.lam)
     if closed:
         matrices = {s: moment_matrix(moment_operators(_SPINS[s](space)), blocks.basis)
                     for s in sides}
@@ -343,7 +345,7 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     def propagator(i: int) -> SpectralPropagator:
         # model_operators' last step is h += zeta * hop: the same float
         # arithmetic as building H(zeta) directly.
-        h = HermitianOperator(space, h0.matrix + zetas[i] * hop.matrix)
+        h = HermitianOperator(space, h0.matrix + hoppings[i] * hop.matrix)
         return SpectralPropagator(h, config.params.lam)
 
     def block_columns(
@@ -459,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="default: sweep.FORMAT")
     parser.add_argument(
         "--params-file",
-        help="JSON file with flat keys among: omega, mu, eta, lambda (alias lam), e_g, e_e",
+        help="JSON file with flat keys among: omega, mu, eta, lambda (alias lam), e_g, e_e, "
+        "in one energy unit; omega, e_g and e_e set only a global phase",
     )
     return parser
 

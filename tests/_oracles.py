@@ -162,6 +162,39 @@ def coefficient_formulas(
     }
 
 
+def rabi_amplitudes(
+    branch: InitialState, mu: float, eta: float, lam: float, zeta: float, times: np.ndarray
+) -> np.ndarray:
+    """The exact amplitudes over (phi1, phi2, phi3, phi4) at the times (units
+    of 1/lam), shape (4, nt), written from the paper's two Rabi problems and
+    sharing no arithmetic with the model's H.
+
+    Up to a scalar (a global phase), in units of lam, the block on (phi1, phi3)
+    is [[2 zeta', sqrt(2)], [sqrt(2), mu' - eta']] and the block on (phi2, phi4)
+    the same with -2 zeta', primes meaning divided by lam.  So each is a
+    two-level problem with detuning d = (eta - mu +- 2 zeta) / lam, coupling
+    sqrt(2), Rabi frequency W = sqrt(d^2 + 8) and mean energy
+    m = (mu - eta +- 2 zeta) / (2 lam).  From weight x on its photonic state,
+    its photonic and atomic amplitudes are
+
+        x exp(-i m t) (cos(W t / 2) - i (d / W) sin(W t / 2)),
+        x exp(-i m t) (-i (2 sqrt(2) / W) sin(W t / 2)).
+
+    The entangled branch puts weight 1 on phi1, and the separable branch
+    1/sqrt(2) on phi1 and on phi2.
+    """
+    t = np.asarray(times, dtype=float)
+    weights = (1.0, 0.0) if branch is InitialState.ENTANGLED_SYMMETRIC else (0.5**0.5,) * 2
+    amps = np.empty((4, t.size), dtype=complex)
+    for sign, x, (photonic, atomic) in zip((1, -1), weights, ((0, 2), (1, 3))):
+        d = (eta - mu + sign * 2 * zeta) / lam
+        w = math.sqrt(d * d + 8)
+        phase = x * np.exp(-0.5j * (mu - eta + sign * 2 * zeta) / lam * t)
+        amps[photonic] = phase * (np.cos(w * t / 2) - 1j * d / w * np.sin(w * t / 2))
+        amps[atomic] = phase * (-2j * math.sqrt(2) / w * np.sin(w * t / 2))
+    return amps
+
+
 def layout(kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (X mask, Y mask, constants) rows of one csvtext kind, slot by slot."""
     width, digit = csvtext.WIDTH, csvtext._DIGIT

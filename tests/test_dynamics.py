@@ -32,7 +32,13 @@ from squeezetransfer.hilbert import (
     standard_space,
 )
 
-from _oracles import brute_force_reduced_state, coefficient_formulas, embed, sector_constants
+from _oracles import (
+    brute_force_reduced_state,
+    coefficient_formulas,
+    embed,
+    rabi_amplitudes,
+    sector_constants,
+)
 
 TIMES = [0.0, 0.37, 1.0, 2.9, 7.3, 13.1]
 BRANCHES = [InitialState.ENTANGLED_SYMMETRIC, InitialState.SEPARABLE_ONE_CAVITY]
@@ -191,14 +197,19 @@ class TestOracleAgreement:
         shares no code with the model: atom 1 is excited with probability
         (8 / W^2) sin^2(W t / 2), W = sqrt(((mu - eta) / lam)^2 + 8), t in
         units of 1/lam, on the separable branch and half that on the
-        entangled one; on 20 seeded draws of the parameters."""
+        entangled one; on 20 seeded draws of the parameters.  At any zeta the
+        parity blocks are two such problems (_oracles.rabi_amplitudes): on
+        those 20 draws and 20 more with zeta in [0, 2], both routes' phase-free
+        quantities |A|^2..|D|^2, ac and bd are theirs."""
         rng = np.random.default_rng(10)
         times = np.linspace(0.0, 20.0, 41)
         psi0 = initial_vector(branch, space)
-        for _ in range(20):
+        for draw in range(40):
             mu, eta, e_g, e_e = rng.uniform(-1.0, 1.0, 4)
             lam = rng.uniform(0.5, 2.0)
-            h = build_hamiltonian(ModelParams(mu=mu, eta=eta, lam=lam, e_g=e_g, e_e=e_e), space)
+            zeta = 0.0 if draw < 20 else rng.uniform(0.0, 2.0)
+            params = ModelParams(mu=mu, eta=eta, lam=lam, zeta=zeta, e_g=e_g, e_e=e_e)
+            h = build_hamiltonian(params, space)
             block = extract_manifold_block(h, lam)
             routes = {
                 "closed form": block.basis @ evolve_closed_form_grid(branch, block, times),
@@ -208,9 +219,16 @@ class TestOracleAgreement:
             want = 8 / w**2 * np.sin(w * times / 2) ** 2
             if branch is InitialState.ENTANGLED_SYMMETRIC:
                 want /= 2
+            exact = coefficients(ManifoldState(
+                rabi_amplitudes(branch, mu, eta, lam, zeta, times), times))
             for route, vecs in routes.items():
-                got = reduced_states(vecs, space)["atoms"][:, 2, 2]  # |e g><e g|
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=route)
+                if zeta == 0:
+                    got = reduced_states(vecs, space)["atoms"][:, 2, 2]  # |e g><e g|
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=route)
+                got = coefficients(ManifoldState(project_amplitudes(vecs, block), times))
+                for name in ("abs_a2", "abs_b2", "abs_c2", "abs_d2", "ac", "bd"):
+                    np.testing.assert_allclose(getattr(got, name), getattr(exact, name), rtol=0,
+                                               atol=1e-12, err_msg=f"{route}: {name}")
 
 
 class TestCoefficients:

@@ -83,12 +83,13 @@ class TestBuildHamiltonian:
         assert h[i, j] == pytest.approx(np.sqrt(2) * default_params.lam, abs=1e-14)
 
     def test_diagonal_energies(self, space):
-        p = ModelParams(mu=0.7, eta=0.2, zeta=0.5)
+        # each atom carries the detuning mu - eta on |e>; H has no scalar term
+        p = ModelParams(mu=0.7, eta=0.2, zeta=0.5, e_g=0.3, e_e=-0.1)
         h = build_hamiltonian(p, space).matrix
         i = space.basis_index(("e", 0, "e", 0))
-        assert h[i, i] == pytest.approx(2 * p.mu, abs=1e-14)
+        assert h[i, i] == pytest.approx(2 * (p.mu - p.eta), abs=1e-14)
         j = space.basis_index(("g", 0, "g", 0))
-        assert h[j, j] == pytest.approx(2 * p.eta, abs=1e-14)
+        assert h[j, j] == 0
 
     def test_linearity_in_zeta(self, space):
         h0 = build_hamiltonian(ModelParams(zeta=0.0), space).matrix
@@ -136,15 +137,14 @@ class TestManifoldBlock:
     def test_block_entries(self, space):
         p = ModelParams(mu=0.3, eta=0.1, zeta=0.5)
         block = extract_manifold_block(build_hamiltonian(p, space))
-        two_eta = 2 * p.eta
         assert np.allclose(
             block.h_sym,
-            [[two_eta + 2 * p.zeta, np.sqrt(2) * p.lam], [np.sqrt(2) * p.lam, p.mu + p.eta]],
+            [[2 * p.zeta, np.sqrt(2) * p.lam], [np.sqrt(2) * p.lam, p.mu - p.eta]],
             atol=1e-13,
         )
         assert np.allclose(
             block.h_anti,
-            [[two_eta - 2 * p.zeta, np.sqrt(2) * p.lam], [np.sqrt(2) * p.lam, p.mu + p.eta]],
+            [[-2 * p.zeta, np.sqrt(2) * p.lam], [np.sqrt(2) * p.lam, p.mu - p.eta]],
             atol=1e-13,
         )
 

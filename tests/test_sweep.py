@@ -368,6 +368,43 @@ class TestRunSweep:
         worst = run_sweep(cfg).values["method_disagreement"].max()
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("branch", list(InitialState))
+    def test_a_common_shift_of_mu_and_eta_changes_no_bit(self, branch):
+        # H reads mu - eta alone, so shifts that leave that difference exact in
+        # floats leave every output bit as it is
+        mu, eta = 0.15625, -0.09375
+
+        def bits(shift):
+            cfg = small_config(branch=branch, method=Method.BOTH, observables=OBSERVABLES,
+                               params=ModelParams(mu=mu + shift, eta=eta + shift))
+            return {name: grid.tobytes() for name, grid in run_sweep(cfg).values.items()}
+
+        zero = bits(0.0)
+        for shift in (-0.75, 3.0, 1e4, 2.0**40):
+            assert (mu + shift) - (eta + shift) == mu - eta
+            assert bits(shift) == zero
+
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.NUMERIC_ORACLE])
+    def test_zeta_is_in_units_of_lam(self, method):
+        # every energy and lam scaled by s is the same model in units of lam,
+        # bit for bit at s = 2, whose scaling is exact, and to 1e-12 at s = 1.3;
+        # xi_e2 is left out there, as it reaches 1e3 and its round-off exceeds
+        # 1e-12.  The zeta axis keeps the values given.
+        def sweep(s, observables=OBSERVABLES):
+            return run_sweep(small_config(
+                branch=InitialState.SEPARABLE_ONE_CAVITY, method=method, observables=observables,
+                zeta_grid=GridSpec(0.0, 2.0, 5), time_grid=GridSpec(0.0, 20.0, 41),
+                params=ModelParams(mu=0.13 * s, eta=-0.07 * s, lam=s)))
+
+        one, doubled = sweep(1.0), sweep(2.0)
+        assert doubled.zeta.tobytes() == one.zeta.tobytes()
+        assert {k: v.tobytes() for k, v in doubled.values.items()} == {
+            k: v.tobytes() for k, v in one.values.items()}
+        wide = tuple(o for o in OBSERVABLES if o != "xi_e2")
+        one, scaled = sweep(1.0, wide), sweep(1.3, wide)
+        for name, grid in one.values.items():
+            np.testing.assert_allclose(scaled.values[name], grid, rtol=0, atol=1e-12, err_msg=name)
+
     def test_builds_hamiltonian_once(self, monkeypatch):
         import squeezetransfer.sweep as sweep
 
@@ -1375,14 +1412,12 @@ class TestCli:
     @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings fail the test
     @pytest.mark.parametrize(
         "params, named",
-        [({"e_g": 1e308, "e_e": 1e308}, "e_g=1e+308, e_e=1e+308"),
-         ({"e_g": -1.7e308, "e_e": -1.7e308}, "e_g=-1.7e+308, e_e=-1.7e+308"),
-         ({"mu": 1e308, "eta": -1e308}, "mu=1e+308, eta=-1e+308"),
+        [({"mu": 1e308, "eta": -1e308}, "mu=1e+308, eta=-1e+308"),
          ({"lambda": 1e-320}, "lam=1e-320")],
     )
     def test_main_reports_overflowing_params(self, params, named, tmp_path, capsys):
-        # finite params whose sums overflow H(0), or its block in units of lam,
-        # are named before any row runs
+        # finite params whose detuning overflows H(0), or its block in units of
+        # lam, are named before any row runs
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps(params))
         out = tmp_path / "x.csv"
@@ -1394,6 +1429,26 @@ class TestCli:
         assert "overflows" in err and named in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings fail the test
+    @pytest.mark.parametrize(
+        "params, argv",
+        [({"e_g": 1e308, "e_e": 1e308}, ["--zeta", "0.5", "--steps", "1", "3"]),
+         ({"e_g": -1.7e308, "e_e": -1.7e308}, ["--zeta", "0.5", "--steps", "1", "3"]),
+         ({"e_g": 1e4, "e_e": 1e4}, ["--method", "both", "--steps", "21", "101"]),
+         ({"mu": 1e4, "eta": 1e4}, ["--method", "both", "--steps", "21", "101"])],
+    )
+    def test_offsets_set_only_a_global_phase(self, params, argv, tmp_path, capsys):
+        # e_g + e_e and a common part of mu and eta only add a scalar to H, so
+        # neither its overflow nor its rounding reaches the output
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        runs = []
+        for name, extra in (("zero.csv", []), ("offset.csv", ["--params-file", str(pfile)])):
+            rc = main([*argv, *extra, "--output", str(tmp_path / name)])
+            out, err = capsys.readouterr()
+            runs.append((rc, out.replace(name, "OUT"), err, (tmp_path / name).read_bytes()))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
     def test_main_fails_closed_on_leaky_hopping(self, tmp_path, capsys, monkeypatch):
         import squeezetransfer.hamiltonian as hamiltonian
@@ -1726,6 +1781,28 @@ class TestStream:
             0, summary.replace(str(whole), f"/dev/fd/{write}"), "")
         assert received == [whole.read_bytes()]
         assert [p.name for p in tmp_path.iterdir()] == ["whole"]
+
+    @pytest.mark.parametrize("mode", ["wb", "ab"])
+    def test_redirect_through_dev_stdout_keeps_the_file(self, mode, tmp_path, capsys):
+        """--output /dev/stdout under a shell's `> f` (mode wb) or `>> f` (ab)
+        is written through the descriptor, not by replacing f: f holds its
+        earlier bytes (for >>), the bytes of a file run, then the summary."""
+        whole = tmp_path / "whole.csv"
+        assert main([*self.ARGS, "--output", str(whole)]) == 0
+        capsys.readouterr()
+        redirected = tmp_path / "f.csv"
+        redirected.write_bytes(b"earlier\n")
+        src = Path(squeezetransfer.__file__).resolve().parents[1]
+        with open(redirected, mode) as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "squeezetransfer", *self.ARGS, "--output", "/dev/stdout"],
+                env={**os.environ, "PYTHONPATH": str(src)}, stdout=fh, stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert redirected.read_bytes() == (b"earlier\n" * (mode == "ab") + whole.read_bytes()
+                                           + b"wrote 7007 cells to /dev/stdout\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "whole.csv"]
 
     def test_worst_cell_is_the_grids_first_argmax(self, tmp_path, capsys, monkeypatch):
         """On a real both-route run, then on disagreements tied between the

@@ -12,9 +12,12 @@ The list: the benchmark's argvs with the params of `perfbench/workloads`'
 `make_inputs` seeds 1-3; the default run, `--method both`, `--format json`
 and a `numeric_oracle` grid; a 1x40001 separable row under the three
 methods; the separable all-seven `--method both` run (exit 1); phases
-that overflow, in a short and in a long row (exit 1); and the default run
-as CSV and as JSON into a FIFO (an output path ending in `.fifo`), whose
-bytes are read to EOF as the run writes them.
+that overflow, in a short and in a long row (exit 1); a separable
+`--method both` grid at lam = 2 with a nonzero detuning and offsets, which
+pins zeta in units of lam and H without its global offset; and the default
+run as CSV and as JSON into a FIFO (an output path ending in `.fifo`) and
+into a pipe (`.pipe`, passed as `--output /dev/fd/N`), whose bytes are read
+to EOF as the run writes them.
 """
 
 from __future__ import annotations
@@ -64,20 +67,22 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
     ):
         out = "out.json" if "json" in argv else "out.csv"
         runs.append((label, argv + ["--output", out], None))
-    for fmt in ("csv", "json"):
-        runs.append((f"default {fmt} into a FIFO",
-                     ["--format", fmt, "--output", f"out.{fmt}.fifo"], None))
+    runs.append(("separable 21x101 both at lam 2 with offsets",
+                 ["--branch", "separable", "--method", "both", "--steps", "21", "101",
+                  "--params-file", "params.json", "--output", "out.csv"],
+                 {"lam": 2, "mu": 0.1, "eta": -0.05, "e_g": 3, "e_e": 3}))
+    for target in ("FIFO", "pipe"):
+        for fmt in ("csv", "json"):
+            runs.append((f"default {fmt} into a {target}",
+                         ["--format", fmt, "--output", f"out.{fmt}.{target.lower()}"], None))
     return runs
 
 
-def read_fifo(fifo: Path, start):
-    """(the bytes written into the FIFO while start() runs, start()'s result).
-    The read end opens without waiting for a writer, and this process holds a
-    write end until start() returns, so the reader sees EOF only then, even
-    if the run never opens the FIFO."""
-    read = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-    hold = os.open(fifo, os.O_WRONLY)
-    os.set_blocking(read, True)
+def read_while(read: int, hold: int, start):
+    """(the bytes read from the descriptor read while start() runs, start()'s
+    result).  This process holds hold, a write end of the same FIFO or pipe,
+    until start() returns, so the reader sees EOF only then, even if the run
+    never opens its target."""
     pieces = []
 
     def drain():
@@ -97,21 +102,32 @@ def read_fifo(fifo: Path, start):
 
 def run(tree: Path, argv: list[str], params: dict | None) -> tuple:
     """(output bytes or None, stdout, stderr, exit status) of one CLI run;
-    for a FIFO output, the bytes read from it."""
+    for a FIFO or pipe output, the bytes read from it.  A pipe's write end
+    is passed to the run as /dev/fd/N, with the same N in every run, as
+    each run closes both ends."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="samebytes-") as work:
         if params is not None:
             Path(work, "params.json").write_text(json.dumps(params))
-        out = Path(work, argv[argv.index("--output") + 1])
+        at = argv.index("--output") + 1
+        out, keep = Path(work, argv[at]), ()
 
         def start():
             return subprocess.run([sys.executable, "-m", "squeezetransfer", *argv], cwd=work,
-                                  env=env, capture_output=True, timeout=600)
+                                  env=env, capture_output=True, timeout=600, pass_fds=keep)
 
         if out.suffix == ".fifo":
             os.mkfifo(out)
-            data, proc = read_fifo(out, start)
+            # the read end opens without waiting for a writer
+            read = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+            hold = os.open(out, os.O_WRONLY)
+            os.set_blocking(read, True)
+            data, proc = read_while(read, hold, start)
+        elif out.suffix == ".pipe":
+            read, hold = os.pipe()
+            argv, keep = [*argv[:at], f"/dev/fd/{hold}", *argv[at + 1:]], (hold,)
+            data, proc = read_while(read, hold, start)
         else:
             proc = start()
             data = out.read_bytes() if out.exists() else None
