@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .hilbert import (
     CompositeSpace,
     DensityMatrix,
     DimensionMismatchError,
+    Frozen,
     HermitianOperator,
     Kind,
     NumericalConsistencyError,
@@ -64,8 +64,7 @@ def initial_vector(kind: InitialState, space: CompositeSpace) -> np.ndarray:
     return space.basis_vector(("g", 2, "g", 0))
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldState:
+class ManifoldState(Frozen):
     """Four complex amplitudes over (phi1, phi2, phi3, phi4) at a given time.
 
     Amplitudes of shape (4, nt) with nt times hold one state per column, and
@@ -74,11 +73,8 @@ class ManifoldState:
     not write to it afterwards.
     """
 
-    amplitudes: np.ndarray
-    time: float | np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes: np.ndarray, time: float | np.ndarray):
+        amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape[:1] != (4,):
             raise ValueError(f"need 4 amplitudes, got shape {amp.shape}")
         norm_dev = np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0))
@@ -86,7 +82,7 @@ class ManifoldState:
             raise ValueError(f"manifold state norm deviates from 1 by {norm_dev}")
         amp = amp.view()
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        self._set(amplitudes=amp, time=time)
 
 
 def _time_range(times: np.ndarray) -> str:
@@ -148,8 +144,7 @@ def evolve_closed_form(
     return ManifoldState(amps, t)
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientSet:
+class CoefficientSet(Frozen):
     """Moduli of the manifold amplitudes, and the two cross terms that the
     closed forms read (ac in the quadrature variance, ac and bd in analytic_rho_*).
 
@@ -159,14 +154,10 @@ class CoefficientSet:
     stack of rows.
     """
 
-    abs_a2: float | np.ndarray
-    abs_b2: float | np.ndarray
-    abs_c2: float | np.ndarray
-    abs_d2: float | np.ndarray
-    ac: complex | np.ndarray
-    bd: complex | np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, abs_a2: float | np.ndarray, abs_b2: float | np.ndarray,
+                 abs_c2: float | np.ndarray, abs_d2: float | np.ndarray,
+                 ac: complex | np.ndarray, bd: complex | np.ndarray):
+        self._set(abs_a2=abs_a2, abs_b2=abs_b2, abs_c2=abs_c2, abs_d2=abs_d2, ac=ac, bd=bd)
         total = self.abs_a2 + self.abs_b2 + self.abs_c2 + self.abs_d2
         total_dev = np.max(np.abs(total - 1.0))
         if not total_dev < NORM_TOL:

@@ -25,7 +25,6 @@ the hopping contribution: the hopping operator projects to diag(2, -2, 0, 0).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -33,8 +32,10 @@ import numpy as np
 from .hilbert import (
     HERMITICITY_TOL,
     CompositeSpace,
+    Frozen,
     HermitianOperator,
     Kind,
+    Value,
     hermiticity_deviation,
 )
 from .operators import ladder_matrices, transition_matrices
@@ -46,20 +47,13 @@ class ModelInconsistencyError(RuntimeError):
     """The Hamiltonian does not exhibit the structure the model guarantees."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Value):
     """Model parameters in one energy unit.  The dynamics read mu - eta, lam and
     zeta; omega, e_g and e_e are checked but set only a global phase."""
 
-    omega: float = 0.0
-    mu: float = 0.0
-    eta: float = 0.0
-    lam: float = 1.0
-    zeta: float = 0.0
-    e_g: float = 0.0
-    e_e: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, omega: float = 0.0, mu: float = 0.0, eta: float = 0.0,
+                 lam: float = 1.0, zeta: float = 0.0, e_g: float = 0.0, e_e: float = 0.0):
+        self._set(omega=omega, mu=mu, eta=eta, lam=lam, zeta=zeta, e_g=e_g, e_e=e_e)
         for name, value in vars(self).items():
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -162,8 +156,7 @@ def _ordered_block_eigen(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, np.where(lead.real < 0, -evecs, evecs)
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldBlock:
+class ManifoldBlock(Frozen):
     """Projected 4x4 Hamiltonian with its symmetric/antisymmetric sub-blocks,
     for one zeta or for a stack of them.
 
@@ -175,13 +168,12 @@ class ManifoldBlock:
     block[rows] takes its rows.  The basis (dim, 4) is shared.
     """
 
-    basis: np.ndarray
-    h_sym: np.ndarray
-    h_anti: np.ndarray
-    omegas: np.ndarray
-    vecs_sym: np.ndarray
-    vecs_anti: np.ndarray
     __iter__ = None  # not a sequence: __getitem__ alone would make it iterable
+
+    def __init__(self, basis: np.ndarray, h_sym: np.ndarray, h_anti: np.ndarray,
+                 omegas: np.ndarray, vecs_sym: np.ndarray, vecs_anti: np.ndarray):
+        self._set(basis=basis, h_sym=h_sym, h_anti=h_anti, omegas=omegas, vecs_sym=vecs_sym,
+                  vecs_anti=vecs_anti)
 
     def __getitem__(self, rows) -> "ManifoldBlock":
         return ManifoldBlock(self.basis, self.h_sym[rows], self.h_anti[rows], self.omegas[rows],
@@ -230,23 +222,25 @@ def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBl
 def manifold_blocks(
     h0: HermitianOperator, hop: HermitianOperator, zetas: np.ndarray, lam: float = 1.0
 ) -> ManifoldBlock:
-    """The stack of blocks of H(zeta) = h0 + zeta * hop, row i for zetas[i], from
-    one projection of each: the basis does not depend on zeta, so the block is
-    linear in it.
-    By the triangle inequality, x(h0) + max|zeta| * x(hop) bounds x(H(zeta))
-    for x the leakage and the Hermiticity deviation; both bounds are checked.
-    A block that overflows in units of lam raises a ValueError naming lam and
-    the largest zeta, without numpy's floating-point warnings."""
+    """The stack of blocks of H(zeta) = h0 + zeta * lam * hop, with zeta in
+    units of lam, row i for zetas[i], from one projection of each: the basis
+    does not depend on zeta, so the block is linear in it.
+    By the triangle inequality, x(h0) + max|zeta * lam| * x(hop) bounds
+    x(H(zeta)) for x the leakage and the Hermiticity deviation; both bounds
+    are checked.  A block that overflows in units of lam raises a ValueError
+    naming lam and the largest zeta, without numpy's floating-point
+    warnings."""
     zetas = np.asarray(zetas, dtype=float)
-    z_max = float(np.max(np.abs(zetas)))
+    hoppings = zetas * lam
+    h_max = float(np.max(np.abs(hoppings)))
     phi = manifold_basis(h0.space)
     (h4_0, leak_0), (h4_hop, leak_hop) = _project(h0.matrix, phi), _project(hop.matrix, phi)
-    herm = hermiticity_deviation(h0.matrix) + z_max * hermiticity_deviation(hop.matrix)
+    herm = hermiticity_deviation(h0.matrix) + h_max * hermiticity_deviation(hop.matrix)
     if not herm < HERMITICITY_TOL:
         raise ModelInconsistencyError(f"Hamiltonian deviates from Hermiticity by {herm:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
-        h4 = (h4_0 + zetas[:, None, None] * h4_hop) / lam
+        h4 = (h4_0 + hoppings[:, None, None] * h4_hop) / lam
     if not np.isfinite(h4).all():
         raise ValueError(f"the four-state block overflows in units of lam={lam!r} for zeta up "
-                         f"to {z_max!r}: it has non-finite entries")
-    return _parity_blocks(h4, leak_0 + z_max * leak_hop, phi)
+                         f"to {float(np.max(np.abs(zetas)))!r}: it has non-finite entries")
+    return _parity_blocks(h4, leak_0 + h_max * leak_hop, phi)

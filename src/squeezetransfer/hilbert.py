@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,21 +39,50 @@ class Kind(enum.Enum):
     PHOTON_MODE = "photon_mode"
 
 
-@dataclass(frozen=True)
-class SubsystemSpec:
+class Frozen:
+    """Fields that __init__ sets once, through _set, in order; assigning or
+    deleting an attribute afterwards raises AttributeError.  The repr lists
+    the fields; equality and hashing are by identity (see Value)."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Frozen):
+    """A Frozen that equals another of its exact class with equal fields, and
+    hashes as the tuple of its fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class SubsystemSpec(Value):
     """One tensor factor: a two-level atom or a truncated photon mode."""
 
-    kind: Kind
-    dimension: int
-
-    def __post_init__(self):
-        if self.kind is Kind.ATOM and self.dimension != 2:
-            raise ValueError(f"atom factor must have dimension 2, got {self.dimension}")
-        if self.kind is Kind.PHOTON_MODE and self.dimension < 3:
+    def __init__(self, kind: Kind, dimension: int):
+        if kind is Kind.ATOM and dimension != 2:
+            raise ValueError(f"atom factor must have dimension 2, got {dimension}")
+        if kind is Kind.PHOTON_MODE and dimension < 3:
             raise ValueError(
                 f"photon mode must resolve photon numbers 0..2, need dimension >= 3, "
-                f"got {self.dimension}"
+                f"got {dimension}"
             )
+        self._set(kind=kind, dimension=dimension)
 
     @property
     def labels(self) -> tuple:
@@ -71,15 +99,13 @@ def photon_mode(n_max: int = 2) -> SubsystemSpec:
     return SubsystemSpec(Kind.PHOTON_MODE, n_max + 1)
 
 
-@dataclass(frozen=True)
-class CompositeSpace:
+class CompositeSpace(Value):
     """Ordered tensor product of subsystem factors with labeled basis."""
 
-    factors: tuple[SubsystemSpec, ...]
-
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[SubsystemSpec, ...]):
+        if not factors:
             raise ValueError("composite space needs at least one factor")
+        self._set(factors=factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -148,31 +174,26 @@ def hermiticity_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(diff)))
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(Frozen):
     """Dense complex matrix acting on a labeled composite space."""
 
-    space: CompositeSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.space.total_dim
+    def __init__(self, space: CompositeSpace, matrix: np.ndarray):
+        mat = np.asarray(matrix, dtype=complex)
+        d = space.total_dim
         if mat.shape != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match space dimension {d}"
             )
         mat = mat.copy()
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._set(space=space, matrix=mat)
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator(Operator):
     """Operator verified Hermitian on construction."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, space: CompositeSpace, matrix: np.ndarray):
+        super().__init__(space, matrix)
         dev = hermiticity_deviation(self.matrix)
         if not dev < HERMITICITY_TOL:
             raise NumericalConsistencyError(
@@ -180,20 +201,16 @@ class HermitianOperator(Operator):
             )
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Hermitian, unit-trace, positive-semidefinite operator.
 
     `matrix` is one (d, d) matrix or a stack (..., d, d) of them, such as one
     per time of a grid row; every matrix of a stack passes the same checks.
     """
 
-    space: CompositeSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.space.total_dim
+    def __init__(self, space: CompositeSpace, matrix: np.ndarray):
+        mat = np.asarray(matrix, dtype=complex)
+        d = space.total_dim
         if mat.shape[-2:] != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match space dimension {d}"
@@ -215,7 +232,7 @@ class DensityMatrix:
             )
         mat = mat.copy()
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._set(space=space, matrix=mat)
 
     @classmethod
     def from_state_vector(cls, space: CompositeSpace, vec: np.ndarray) -> "DensityMatrix":

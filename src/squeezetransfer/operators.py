@@ -8,33 +8,29 @@ photon number stays clear of the Fock cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .hilbert import CompositeSpace, HermitianOperator, Kind, Operator, embed
+from .hilbert import CompositeSpace, Frozen, HermitianOperator, Kind, Operator, embed
 
 
-@dataclass(frozen=True, eq=False)
-class SpinTriple:
+class SpinTriple(Frozen):
     """Cartesian components of an SU(2) (pseudo-)spin on the full space."""
 
-    x: HermitianOperator
-    y: HermitianOperator
-    z: HermitianOperator
+    def __init__(self, x: HermitianOperator, y: HermitianOperator, z: HermitianOperator):
+        self._set(x=x, y=y, z=z)
 
     @property
     def components(self) -> tuple[HermitianOperator, ...]:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraturePair:
+class QuadraturePair(Frozen):
     """X1 = (a^dag + a)/2 and X2 = i(a^dag - a)/2 for one photon mode."""
 
-    x1: HermitianOperator
-    x2: HermitianOperator
+    def __init__(self, x1: HermitianOperator, x2: HermitianOperator):
+        self._set(x1=x1, x2=x2)
 
 
 def lowering_matrix(dimension: int) -> np.ndarray:

@@ -29,13 +29,13 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import gc
 import json
 import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,13 @@ from .hamiltonian import (
     manifold_blocks,
     model_operators,
 )
-from .hilbert import HermitianOperator, NumericalConsistencyError, standard_space
+from .hilbert import (
+    Frozen,
+    HermitianOperator,
+    NumericalConsistencyError,
+    Value,
+    standard_space,
+)
 from .operators import collective_atomic_spin, photonic_pseudospin
 from .output import WRITERS, emit_blocks, open_part, read_part, write_part
 from .witness import (
@@ -126,23 +132,20 @@ class Method(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """`steps` evenly spaced values from start to stop: the zeta axis, whose
     errors name the CLI's options for it; a TimeGrid's name the time axis's."""
 
-    start: float
-    stop: float
-    steps: int
     # The errors for one step over a span, and for several over one value.
-    _DEGENERATE: ClassVar[tuple[str, str]] = (
+    _DEGENERATE = (
         "one step cannot span {0.start}..{0.stop}; give more steps, or a single value "
         "(--zeta VALUE, or equal MIN and MAX)",
         "{0.steps} steps over the single value {0.start} repeat it; give 1 step for a "
         "single value (--zeta VALUE for a single hopping value)",
     )
 
-    def __post_init__(self):
+    def __init__(self, start: float, stop: float, steps: int):
+        self._set(start=start, stop=stop, steps=steps)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -169,16 +172,18 @@ class TimeGrid(GridSpec):
     )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    params: ModelParams = field(default_factory=ModelParams)
-    branch: InitialState = InitialState.ENTANGLED_SYMMETRIC
-    zeta_grid: GridSpec = GridSpec(0.0, 2.0, 201)
-    time_grid: GridSpec = TimeGrid(0.0, 20.0, 401)
-    observables: tuple[str, ...] = DEFAULT_OBSERVABLES
-    method: Method = Method.CLOSED_FORM
-
-    def __post_init__(self):
+class SweepConfig(Value):
+    def __init__(
+        self,
+        params: ModelParams = ModelParams(),
+        branch: InitialState = InitialState.ENTANGLED_SYMMETRIC,
+        zeta_grid: GridSpec = GridSpec(0.0, 2.0, 201),
+        time_grid: GridSpec = TimeGrid(0.0, 20.0, 401),
+        observables: tuple[str, ...] = DEFAULT_OBSERVABLES,
+        method: Method = Method.CLOSED_FORM,
+    ):
+        self._set(params=params, branch=branch, zeta_grid=zeta_grid, time_grid=time_grid,
+                  observables=observables, method=method)
         if self.params.zeta != 0:
             raise ValueError(f"params.zeta must be 0, got {self.params.zeta}; use zeta_grid")
         if self.zeta_grid.start < 0:
@@ -197,15 +202,11 @@ class SweepConfig:
         return tuple(c for obs in self.observables for c in _TABLE[obs][0]) + both
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(Frozen):
     """Axes zeta (n_zeta,) and t (n_t,); per column, a grid whose [i, j] is (zeta[i], t[j])."""
 
-    zeta: np.ndarray
-    t: np.ndarray
-    values: dict[str, np.ndarray]
-
-    def __post_init__(self):
+    def __init__(self, zeta: np.ndarray, t: np.ndarray, values: dict[str, np.ndarray]):
+        self._set(zeta=zeta, t=t, values=values)
         if np.ndim(self.zeta) != 1 or np.ndim(self.t) != 1:
             raise ValueError(f"axes must be 1-D, got {np.shape(self.zeta)}, {np.shape(self.t)}")
         shape = (self.zeta.size, self.t.size)
@@ -332,7 +333,7 @@ def _sweep(config: SweepConfig) -> Callable[[slice], Iterator[SweepResult]]:
     oracle = config.method in (Method.NUMERIC_ORACLE, Method.BOTH)
     n_routes = closed + oracle
     hoppings = zetas * config.params.lam  # zeta is in units of lam
-    blocks = manifold_blocks(h0, hop, hoppings, config.params.lam)
+    blocks = manifold_blocks(h0, hop, zetas, config.params.lam)
     if closed:
         matrices = {s: moment_matrix(moment_operators(_SPINS[s](space)), blocks.basis)
                     for s in sides}
@@ -536,20 +537,12 @@ def _tracked(blocks: Iterator[SweepResult], worst: list) -> Iterator[SweepResult
         yield block
 
 
-@dataclass
-class _Child:
-    """A forked process writing one part: its pid, 0 once it is reaped, and
-    the read end of the pipe it reports through."""
-
-    pid: int
-    report: int
-
-
-def _fork(run: Callable[..., list], *args) -> _Child:
+def _fork(run: Callable[..., list], *args) -> list[int]:
     """Fork a child that runs run(*args) and reports, as JSON through a
-    pipe, the worst cell that it returns or the error that ended it.  The
-    child prints nothing, and leaves only through os._exit, never into the
-    caller."""
+    pipe, the worst cell that it returns or the error that ended it; return
+    [its pid, the pipe's read end], whose pid becomes 0 once it is reaped.
+    The child prints nothing, and leaves only through os._exit, never into
+    the caller."""
     report, write = os.pipe()
     try:
         pid = os.fork()
@@ -571,18 +564,18 @@ def _fork(run: Callable[..., list], *args) -> _Child:
         finally:
             os._exit(0)
     os.close(write)
-    return _Child(pid, report)
+    return [pid, report]
 
 
-def _joined(children: list[_Child], files: list[int], worsts: list) -> Iterator[bytes]:
+def _joined(children: list[list[int]], files: list[int], worsts: list) -> Iterator[bytes]:
     """The children's parts in zeta order, each once its child has exited:
     its bytes, then the error that ended it, if any; each worst cell is
     appended to worsts in that order."""
     for child, fd in zip(children, files):
-        with open(child.report, "rb", closefd=False) as fh:
+        with open(child[1], "rb", closefd=False) as fh:
             report = fh.read()  # to end of file: the child has exited
-        _, status = os.waitpid(child.pid, 0)
-        child.pid = 0
+        _, status = os.waitpid(child[0], 0)
+        child[0] = 0
         if not report:
             raise RuntimeError(f"a sweep part's process ended without a report ({status=})")
         report = json.loads(report)
@@ -594,15 +587,15 @@ def _joined(children: list[_Child], files: list[int], worsts: list) -> Iterator[
         worsts.append(report["worst"])
 
 
-def _reap(children: list[_Child]) -> None:
+def _reap(children: list[list[int]]) -> None:
     """Kill each child not yet reaped, then reap it; close every pipe."""
-    for child in children:
-        if child.pid:
+    for pid, report in children:
+        if pid:
             from signal import SIGKILL  # only on a failure: the module is not loaded otherwise
 
-            os.kill(child.pid, SIGKILL)
-            os.waitpid(child.pid, 0)
-        os.close(child.report)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(report)
 
 
 def _part_files(path: str, count: int) -> list[int]:
@@ -662,6 +655,13 @@ def _write(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the CLI on argv (default: sys.argv[1:]) and return its exit status.
+
+    It first freezes every object alive at the call (gc.freeze): the
+    imports', and an in-process caller's too.  No later collection walks
+    them, here, in a forked part or at the interpreter's exit; reference
+    counting still frees them, and gc.unfreeze() hands them back."""
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     if args.output is None:
         args.output = f"sweep.{args.format}"

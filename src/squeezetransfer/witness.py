@@ -22,7 +22,6 @@ it is satisfied, so negative slack (beyond tolerance) means "violated".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .hilbert import (
     DimensionMismatchError,
     NumericalConsistencyError,
     Operator,
+    Value,
     expectation,
     hermiticity_deviation,
 )
@@ -124,19 +124,18 @@ def moment_matrix(operators: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return contraction_matrix(blocks)
 
 
-@dataclass(frozen=True)
-class OssiReport:
+class OssiReport(Value):
     """Signed slack of each collective-spin inequality.
 
     slack_c and slack_d are keyed by the singled-out axis m; the remaining
     two axes play the symmetric (k, l) roles.
     """
 
-    n_particles: int
-    slack_a: float | np.ndarray
-    slack_b: float | np.ndarray
-    slack_c: dict[str, float | np.ndarray]
-    slack_d: dict[str, float | np.ndarray]
+    def __init__(self, n_particles: int, slack_a: float | np.ndarray,
+                 slack_b: float | np.ndarray, slack_c: dict[str, float | np.ndarray],
+                 slack_d: dict[str, float | np.ndarray]):
+        self._set(n_particles=n_particles, slack_a=slack_a, slack_b=slack_b, slack_c=slack_c,
+                  slack_d=slack_d)
 
     @property
     def slacks(self) -> list:
@@ -174,12 +173,11 @@ def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
     return ossi_of(*spin_moments(rho, spin), n_particles)
 
 
-@dataclass(frozen=True)
-class BranchWitnesses:
+class BranchWitnesses(Value):
     """The paper's closed-form witness values of one branch."""
 
-    ineq_a: float | np.ndarray
-    ineq_p: float | np.ndarray
+    def __init__(self, ineq_a: float | np.ndarray, ineq_p: float | np.ndarray):
+        self._set(ineq_a=ineq_a, ineq_p=ineq_p)
 
 
 def branch_witnesses(coeffs: CoefficientSet, branch: InitialState) -> BranchWitnesses:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -103,7 +101,7 @@ class TestBuildHamiltonian:
         # float arithmetic as a direct build, not merely close to it.
         params = ModelParams(mu=0.13, eta=-0.07, e_g=0.3, e_e=-0.1)
         h_local, hop = (op.matrix for op in model_operators(params, space))
-        direct = build_hamiltonian(dataclasses.replace(params, zeta=zeta), space).matrix
+        direct = build_hamiltonian(ModelParams(**{**vars(params), "zeta": zeta}), space).matrix
         assert np.array_equal(h_local + zeta * hop, direct)
 
     def test_swap_symmetry(self, space, default_hamiltonian):
@@ -213,13 +211,14 @@ class TestManifoldBlocks:
     PARAMS = ModelParams(mu=0.13, eta=-0.07, lam=1.3, e_g=0.3, e_e=-0.1)
 
     def test_matches_per_zeta_extraction(self, space):
+        # zetas in units of lam, and ModelParams.zeta the absolute hopping
         zetas = np.array([0.0, 0.25, 2.0])
         h0, hop = model_operators(self.PARAMS, space)
         blocks = manifold_blocks(h0, hop, zetas, self.PARAMS.lam)
         assert blocks.omegas.shape == (zetas.size, 4)
         for i, zeta in enumerate(zetas):
             block = blocks[i]
-            params = dataclasses.replace(self.PARAMS, zeta=zeta)
+            params = ModelParams(**{**vars(self.PARAMS), "zeta": zeta * self.PARAMS.lam})
             ref = extract_manifold_block(build_hamiltonian(params, space), params.lam)
             for name in ("omegas", "vecs_sym", "vecs_anti", "h_sym", "h_anti"):
                 # allclose on the eigenvectors also pins their signs

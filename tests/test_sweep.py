@@ -38,12 +38,26 @@ def _forbid_checked_and_analytic_states(monkeypatch) -> list:
     from squeezetransfer import dynamics, hilbert, witness
 
     calls = []
-    monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__",
-                        lambda self: calls.append("DensityMatrix"))
+    monkeypatch.setattr(hilbert.DensityMatrix, "__init__",
+                        lambda self, *args: calls.append("DensityMatrix"))
     for module, name in ((dynamics, "analytic_rho_atoms"), (dynamics, "analytic_rho_photons"),
                          (witness, "spin_moments")):
         monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
     return calls
+
+
+def test_forbidding_helper_records_each_density_matrix(monkeypatch):
+    """_forbid_checked_and_analytic_states records one call per DensityMatrix
+    built, however it is built, so the tests that expect none cannot pass
+    vacuously."""
+    from squeezetransfer import hilbert
+
+    calls = _forbid_checked_and_analytic_states(monkeypatch)
+    space = hilbert.CompositeSpace((hilbert.atom(),))
+    hilbert.DensityMatrix(space, np.eye(2) / 2)
+    assert calls == ["DensityMatrix"]
+    hilbert.DensityMatrix.from_state_vector(space, np.array([1.0, 0.0]))
+    assert calls == ["DensityMatrix"] * 2
 
 
 def one_row_per_block(monkeypatch, cfg):
@@ -1413,7 +1427,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "params, named",
         [({"mu": 1e308, "eta": -1e308}, "mu=1e+308, eta=-1e+308"),
-         ({"lambda": 1e-320}, "lam=1e-320")],
+         ({"lambda": 1e-320}, "lam=1e-320 for zeta up to 0.5")],
     )
     def test_main_reports_overflowing_params(self, params, named, tmp_path, capsys):
         # finite params whose detuning overflows H(0), or its block in units of
@@ -2152,8 +2166,10 @@ class TestParts:
 
 
 def test_import_leaves_scipy_out():
-    """Nor does it import fractions/decimal, or call any function that builds
-    an operator or the CSV encoder's tables, so no per-run work hides in it."""
+    """Nor does it import fractions/decimal, or dataclasses (whose classes
+    generate and compile their methods at import), or call any function that
+    builds an operator or the CSV encoder's tables, so no per-run work hides
+    in it."""
     src = Path(squeezetransfer.__file__).resolve().parents[1]
     code = """
 import json, sys
@@ -2169,7 +2185,8 @@ import squeezetransfer.sweep
 sys.setprofile(None)
 from squeezetransfer import csvtext
 print(json.dumps([calls, csvtext._tables.cache_info().currsize,
-                  [m for m in ("scipy", "fractions", "decimal") if m in sys.modules]]))
+                  [m for m in ("scipy", "fractions", "decimal", "dataclasses")
+                   if m in sys.modules]]))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -2180,6 +2197,33 @@ print(json.dumps([calls, csvtext._tables.cache_info().currsize,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], 0, []]
+
+
+def test_main_freezes_the_objects_alive_at_the_call(tmp_path):
+    """In a fresh process, main() moves the objects alive at the call, the
+    imports' and the caller's, out of every generation the collector walks
+    (gc.freeze), and still writes its file."""
+    src = Path(squeezetransfer.__file__).resolve().parents[1]
+    code = """
+import gc, json, sys
+from squeezetransfer.sweep import main
+held = [object()]
+tracked = lambda: any(o is held for o in gc.get_objects())
+before = tracked(), gc.get_freeze_count()
+status = main(["--zeta", "0.5", "--steps", "1", "3", "--output", sys.argv[1]])
+print(json.dumps([before, tracked(), gc.get_freeze_count() > before[1], status]))
+"""
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[True, 0], False, True, 0]
+    assert len(out.read_text().splitlines()) == 1 + 3
 
 
 def test_python_m_runs_the_cli():

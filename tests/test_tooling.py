@@ -66,3 +66,36 @@ def test_call_trace_targets_exist():
     targets = list(_trace_targets(ROOT / "perfbench" / "calltrace.py"))
     assert ("dynamics", "evolve_closed_form_grid") in targets
     assert [f"{module}.{attr}" for module, attr in targets if not _resolves(module, attr)] == []
+
+
+def _pairs_tool():
+    """tools/pairs.py, loaded from its file; loading it runs no benchmark."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_summary_on_fixed_numbers():
+    summarize = _pairs_tool().summarize
+    base = [float(v) for v in range(10, 20)]  # quartiles 11.75, 14.5, 17.25: IQR 5.5
+
+    def verdict(change, better="lower"):
+        summary = summarize(base, change, better)
+        return summary["wins"], summary["gap"], summary["resolved"]
+
+    assert summarize(base, [v - 6 for v in base], "lower") == {
+        "baseline": [11.75, 14.5, 17.25], "change": [5.75, 8.5, 11.25],
+        "pairs": 10, "wins": 10, "gap": 6.0, "baseline_iqr": 5.5, "resolved": True}
+    assert verdict([v + 6 for v in base], "higher") == (10, 6.0, True)
+    assert verdict([v + 6 for v in base]) == (0, -6.0, False)
+    # every pair won, but a median gap inside the baseline's IQR
+    assert verdict([v - 5 for v in base]) == (10, 5.0, False)
+    # a tie is not a win: 9 of 10 still resolves, 8 of 10 does not
+    tied = [v - 8 for v in base]
+    tied[0] = base[0]
+    assert verdict(tied) == (9, 7.0, True)
+    tied[1] = base[1] + 1
+    assert verdict(tied) == (8, 6.0, False)
