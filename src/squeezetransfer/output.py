@@ -5,7 +5,7 @@ A block is a SweepResult over consecutive zeta rows and the whole t axis,
 or over one row and a run of consecutive times; the blocks of one file come
 in cell order, zeta-major, over the file's axes.  A file's columns are zeta,
 t and the columns its caller names, each read from the blocks' values.
-One generator, _records, takes the blocks as they come and writes them in
+One generator, records, takes the blocks as they come and writes them in
 sub-blocks of cells, and an axis's text is encoded a window at a time, all
 sized by one budget, _BLOCK_BYTES; so memory grows neither with the grid
 nor with the file, and along the t axis only by that axis's text, 32 bytes
@@ -13,12 +13,8 @@ a time, when several rows read it again (see _axis_text).  Identical
 blocks give identical bytes.  An array that a block holds under several
 column names is encoded once per sub-block, and its text copied into each
 of those columns.  Every record carries its leading separator, and the
-file drops its first one.
-
-A file can also be written in parts: the records of each later part of its
-blocks go to an unlinked part file (open_part, write_part), whose bytes the
-file's writer appends after the first part's records, in zeta order
-(emit_blocks' `parts`).  A part file is just its records.
+file drops its first one, so the records of a later part of a file's
+blocks are bytes that emit_blocks can append (its `parts`).
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ if TYPE_CHECKING:
     from .sweep import SweepResult
 
 # Bytes of record buffer per sub-block, which also size the gathered cell
-# values and an axis's text window (see _records and _axis_text).  A
+# values and an axis's text window (see records and _axis_text).  A
 # sub-block's encoder arrays and text set the run's peak RSS, and fewer,
 # larger ones pay less numpy call overhead.
 _BLOCK_BYTES = 1 << 17
@@ -99,30 +95,34 @@ def _axis_text(
     return text_of
 
 
-def _records(
-    fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
+def records(
+    zeta: np.ndarray,
+    t: np.ndarray,
     blocks: Iterable[SweepResult],
+    columns: Sequence[str],
+    output_format: str,
 ) -> Iterator[bytes]:
-    """The records of the blocks in format fmt, each with its leading
+    """The records of the columns of the blocks over the axes zeta and t in
+    the format output_format, as emit_blocks writes them, each with its
     separator, one chunk per zeta-major sub-block of cells, so the whole file
     is never held at once.  If a block fails, the records of the blocks
     before it come first, then its error.
 
     The cells are gathered across block boundaries into one buffer of whole
     sub-blocks, about _BLOCK_BYTES of values, with one column for each
-    distinct array of the columns names[2:] (one array under two names is
-    gathered once).  Computing a block and writing text each evict the
-    other's cache contents, so the buffer is written out only when it is
-    full, at the end, or at a block that shares its arrays among the columns
-    unlike the block before it; alternating per block cost about 10% of a
-    default CSV run's time.  Each sub-block's values are encoded at once, and
+    distinct array of the columns (one array under two names is gathered
+    once).  Computing a block and writing text each evict the other's cache
+    contents, so the buffer is written out only when it is full, at the
+    end, or at a block that shares its arrays among the columns unlike the
+    block before it; alternating per block cost about 10% of a default CSV
+    run's time.  Each sub-block's values are encoded at once, and
     each array's text copied into the slot of every column of that array;
     each axis is encoded a window at a time (see _axis_text).  The records
     are laid out in one reused (records, record bytes) buffer, filled once
     with the record's constant bytes; every slot of a sub-block's records is
     written, and the zero bytes are dropped in one pass.
     """
-    encode, _, record, slots, *_ = WRITERS[fmt](names)
+    encode, _, record, slots, *_ = WRITERS[output_format](["zeta", "t", *columns])
     record = np.frombuffer(record, np.uint8)
     buffer = np.empty((max(1, _BLOCK_BYTES // record.size), record.size), np.uint8)
     buffer[:] = record
@@ -130,7 +130,7 @@ def _records(
     zeta_text = _axis_text(encode, zeta, reread=False)
     t_text = _axis_text(encode, t, reread=zeta.size > 1)
     blocks, block, i, error = iter(blocks), None, 0, None  # the block taken, its next cell
-    index, columns = None, None  # the array of each column in the block, and in values
+    index, gathered = None, None  # the array of each column in the block, and in values
     values, filled, start = np.empty((0, 0)), 0, 0  # the gathered cells, their count, the first's
     while True:
         if block is None or i == len(block):
@@ -140,11 +140,11 @@ def _records(
                 block, error = None, exc
             if block is not None:
                 grids = block.values
-                arrays = {id(grids[name]): grids[name] for name in names[2:]}
+                arrays = {id(grids[name]): grids[name] for name in columns}
                 position = {key: k for k, key in enumerate(arrays)}
-                index = [position[id(grids[name])] for name in names[2:]]
+                index = [position[id(grids[name])] for name in columns]
                 flat = [np.ravel(grid) for grid in arrays.values()]
-        if block is not None and index == columns and filled < len(values):
+        if block is not None and index == gathered and filled < len(values):
             n = min(len(values) - filled, len(block) - i)
             for k, col in enumerate(flat):
                 values[filled:filled + n, k] = col[i:i + n]
@@ -154,7 +154,7 @@ def _records(
             zi, tj = np.divmod(np.arange(start + j, start + min(j + rows, filled)), t.size)
             buf = buffer[:zi.size]
             text = encode(values[j:j + zi.size])
-            fields = [zeta_text(zi), t_text(tj), *(text[:, k] for k in columns)]
+            fields = [zeta_text(zi), t_text(tj), *(text[:, k] for k in gathered)]
             for slot, field in zip(slots, fields):
                 buf[:, slot:slot + WIDTH] = field
             del text, fields, field  # freed before the next encode, which sets the peak RSS
@@ -162,8 +162,8 @@ def _records(
         if block is None:
             break
         start, filled = start + filled, 0
-        if index != columns:
-            columns = index
+        if index != gathered:
+            gathered = index
             size = rows * max(1, _BLOCK_BYTES // (rows * 8 * max(1, len(flat))))
             values = np.empty((size, len(flat)))
     if error is not None:
@@ -171,28 +171,19 @@ def _records(
 
 
 def _chunks(
-    fmt: str, names: list[str], zeta: np.ndarray, t: np.ndarray,
-    blocks: Iterable[SweepResult], parts: Iterable[bytes] = (),
+    zeta: np.ndarray, t: np.ndarray, blocks: Iterable[SweepResult], columns: Sequence[str],
+    output_format: str, parts: Iterable[bytes] = (),
 ) -> Iterator[bytes]:
-    """The bytes of the file in format fmt: its head, the records of the
-    blocks, less the first record's leading separator, the bytes of the
-    later parts, and its tail."""
-    _, head, *_, skip, tail = WRITERS[fmt](names)
-    records = _records(fmt, names, zeta, t, blocks)
+    """The bytes of the file: its head, the records (see records), less the
+    first one's leading separator, the bytes of the later parts, and its
+    tail."""
+    _, head, *_, skip, tail = WRITERS[output_format](["zeta", "t", *columns])
+    body = records(zeta, t, blocks, columns, output_format)
     yield head
-    yield next(records, b"")[skip:]
-    yield from records
+    yield next(body, b"")[skip:]
+    yield from body
     yield from parts
     yield tail
-
-
-def _target(path: str) -> str:
-    """path's real target, symlinks resolved; an IsADirectoryError that
-    names path if that is a directory."""
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    return target
 
 
 def _descriptor(path: str) -> int | None:
@@ -215,7 +206,9 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     device, is written in place, through `path`: replacing it would delete
     it.  A failure is an OSError that names `path`, not the target or the
     temporary file."""
-    target, fd = _target(path), _descriptor(path)
+    target, fd = os.path.realpath(path), _descriptor(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
     in_place = fd is not None or os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{target}.tmp{os.getpid()}"
     try:
@@ -242,7 +235,7 @@ def emit_blocks(
     """Write the columns of a stream of blocks over the axes zeta and t, such
     as sweep.sweep_blocks, to `path` atomically (see _write_atomic), each
     block as it is taken; then `parts`, the bytes of the records of the
-    file's later parts (see write_part), before the file's tail.
+    file's later parts (see records), before the file's tail.
 
     The format is checked, and the target checked and opened, before the
     first block is taken.  An error from a block or a part propagates after
@@ -253,42 +246,5 @@ def emit_blocks(
         raise ValueError(f"unknown output format {output_format!r}")
     if not path:
         raise ValueError("empty output path ''")
-    names = ["zeta", "t", *columns]
-    _write_atomic(path, _chunks(output_format, names, zeta, t, blocks, parts))
+    _write_atomic(path, _chunks(zeta, t, blocks, columns, output_format, parts))
 
-
-def open_part(path: str) -> int:
-    """A new unlinked file, open for reading and writing, in the directory of
-    `path`'s real target: it has no name, so it goes with its last
-    descriptor, whatever ends the process.  An OSError where the file system
-    cannot make one."""
-    return os.open(os.path.dirname(_target(path)), os.O_TMPFILE | os.O_RDWR, 0o600)
-
-
-def write_part(
-    fd: int,
-    zeta: np.ndarray,
-    t: np.ndarray,
-    blocks: Iterable[SweepResult],
-    columns: Sequence[str],
-    output_format: str,
-    path: str,
-) -> None:
-    """Write to the part file fd the records of a stream of blocks that is a
-    later part of `path`'s file, as emit_blocks would write them there.  An
-    error from a block propagates after the complete lines of the blocks
-    before it; a failed write is an OSError that names `path`."""
-    names = ["zeta", "t", *columns]
-    try:
-        with open(fd, "wb", closefd=False) as fh:
-            fh.writelines(_records(output_format, names, zeta, t, blocks))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def read_part(fd: int) -> Iterator[bytes]:
-    """The bytes of the part file fd, from its start, in pieces of
-    _BLOCK_BYTES, so copying a part does not raise the peak RSS."""
-    os.lseek(fd, 0, os.SEEK_SET)
-    while piece := os.read(fd, _BLOCK_BYTES):
-        yield piece

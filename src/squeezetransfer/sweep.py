@@ -18,10 +18,11 @@ give byte-identical files.
 The CLI cuts the blocks' rows into one contiguous part per CPU that the
 process may run on (at most one per block of rows).  It builds the model
 once, then forks a child for each later part, which writes that part's
-records to an unlinked file; it writes the first part itself and appends
-the children's bytes in zeta order.  The file, the messages and the exit
-status are those of one part: the first failing row in zeta order is the
-error, and the worst cell is the grid's first argmax.
+records to a temporary file (tempfile.TemporaryFile, in $TMPDIR, whatever
+the target); it writes the first part itself and appends the children's
+bytes in zeta order.  The file, the messages and the exit status are those
+of one part: the first failing row in zeta order is the error, and the
+worst cell is the grid's first argmax.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import math
 import os
 import sys
+import tempfile  # numpy imports it anyway
 import threading
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -64,7 +66,7 @@ from .hilbert import (
     standard_space,
 )
 from .operators import collective_atomic_spin, photonic_pseudospin
-from .output import WRITERS, emit_blocks, open_part, read_part, write_part
+from .output import _BLOCK_BYTES, WRITERS, emit_blocks, records
 from .witness import (
     branch_witnesses,
     closed_form_quadrature_variance,
@@ -503,10 +505,9 @@ def _part_count(blocks: int) -> int:
     """The parts of a CLI run of `blocks` blocks of rows (_block_shape's
     rows, whatever its time chunks): one per CPU this process may run on, at
     most one per block of rows.  One part where the process cannot fork
-    safely: without os.fork, os.sched_getaffinity or unlinked files
-    (os.O_TMPFILE), off the main thread, or with another Python thread
-    alive."""
-    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "O_TMPFILE")):
+    safely: without os.fork or os.sched_getaffinity, off the main thread,
+    or with another Python thread alive."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")):
         return 1
     if threading.current_thread() is not threading.main_thread() or threading.active_count() > 1:
         return 1
@@ -567,11 +568,12 @@ def _fork(run: Callable[..., list], *args) -> list[int]:
     return [pid, report]
 
 
-def _joined(children: list[list[int]], files: list[int], worsts: list) -> Iterator[bytes]:
+def _joined(children: list[list[int]], files: list, worsts: list) -> Iterator[bytes]:
     """The children's parts in zeta order, each once its child has exited:
-    its bytes, then the error that ended it, if any; each worst cell is
-    appended to worsts in that order."""
-    for child, fd in zip(children, files):
+    its bytes, read from its part file in pieces of _BLOCK_BYTES, so copying
+    a part does not raise the peak RSS, then the error that ended it, if
+    any; each worst cell is appended to worsts in that order."""
+    for child, file in zip(children, files):
         with open(child[1], "rb", closefd=False) as fh:
             report = fh.read()  # to end of file: the child has exited
         _, status = os.waitpid(child[0], 0)
@@ -579,7 +581,8 @@ def _joined(children: list[list[int]], files: list[int], worsts: list) -> Iterat
         if not report:
             raise RuntimeError(f"a sweep part's process ended without a report ({status=})")
         report = json.loads(report)
-        yield from read_part(fd)
+        file.seek(0)
+        yield from iter(functools.partial(file.read, _BLOCK_BYTES), b"")
         if "error" in report:
             raise SweepError(report["error"])
         if "crash" in report:
@@ -598,16 +601,18 @@ def _reap(children: list[list[int]]) -> None:
         os.close(report)
 
 
-def _part_files(path: str, count: int) -> list[int]:
-    """count part files beside path's target (output.open_part), or none if
-    one cannot be made there; the run then has one part."""
+def _part_files(count: int) -> list:
+    """count part files, each a tempfile.TemporaryFile in $TMPDIR, which has
+    no name (or loses it at once), so it goes with its last descriptor,
+    whatever ends the process; or none if one cannot be made, and the run
+    then has one part."""
     files = []
     try:
         for _ in range(count):
-            files.append(open_part(path))
+            files.append(tempfile.TemporaryFile())
     except OSError:
-        for fd in files:
-            os.close(fd)
+        for file in files:
+            file.close()
         return []
     return files
 
@@ -621,36 +626,41 @@ def _write(
     """Write the sweep of stream (see _sweep) to path in the parts of
     _part_rows; return the worst cell of them all (_tracked), the first in
     zeta order of a tie, or -inf under one route.  Each later part is
-    written by a forked child to an unlinked part file and appended, in zeta
-    order, after the first, which this process writes: the file, and the
-    first failing row in zeta order, are those of one part.  Every child is
-    reaped on every path out, killed first if it still runs."""
+    written by a forked child to a part file (_part_files) and appended, in
+    zeta order, after the first, which this process writes: the file, and
+    the first failing row in zeta order, are those of one part.  Every child
+    is reaped on every path out, killed first if it still runs."""
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     both = config.method is Method.BOTH
     rows = _part_rows(config)
-    files = _part_files(path, len(rows) - 1)
+    files = _part_files(len(rows) - 1)
     if not files:
         rows = [slice(0, zetas.size)]
 
     def blocks(part: slice, worst: list) -> Iterator[SweepResult]:
         return _tracked(stream(part), worst) if both else stream(part)
 
-    def write_child_part(part: slice, fd: int) -> list:
+    def write_child_part(part: slice, file) -> list:
         worst = [-np.inf, 0.0, 0.0]
-        write_part(fd, zetas[part], times, blocks(part, worst), config.columns,
-                   output_format, path)
+        try:
+            with file:  # flushed before the child reports
+                file.writelines(records(zetas[part], times, blocks(part, worst), config.columns,
+                                        output_format))
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: a temporary part could not be written: "
+                          f"{exc.strerror or exc}") from exc
         return worst
 
     children, worsts = [], [[-np.inf, 0.0, 0.0]]
     try:
-        for part, fd in zip(rows[1:], files):
-            children.append(_fork(write_child_part, part, fd))
+        for part, file in zip(rows[1:], files):
+            children.append(_fork(write_child_part, part, file))
         emit_blocks(zetas[rows[0]], times, blocks(rows[0], worsts[0]), config.columns,
                     output_format, path, _joined(children, files, worsts))
     finally:
         _reap(children)
-        for fd in files:
-            os.close(fd)
+        for file in files:
+            file.close()
     return max(worsts, key=lambda worst: worst[0])  # a tie keeps the earlier part's cell
 
 

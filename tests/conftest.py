@@ -12,7 +12,9 @@ from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospi
 def no_leftover_process_or_file(request):
     """After every test: no child process of this one is left, reaped or
     not, and the test's tmp_path, if it has one, holds no temporary file of
-    the atomic writer (the CLI's part files are unlinked, so never seen)."""
+    the atomic writer.  The CLI's part files are tempfile.TemporaryFile
+    files in $TMPDIR, not in tmp_path, and have no name; TestParts checks
+    that they leave nothing behind."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

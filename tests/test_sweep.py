@@ -1135,7 +1135,7 @@ class TestEmit:
         emit(result, ("a", "b"), "csv", str(path))
         expected = reference_text(result, ("a", "b"), "csv").encode("utf-8")
         assert path.read_bytes() == expected
-        assert b"".join(output._chunks("csv", names, zeta, t, [result])) == expected
+        assert b"".join(output._chunks(zeta, t, [result], names[2:], "csv")) == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, "block", "block+1"])
@@ -1155,7 +1155,7 @@ class TestEmit:
         path = tmp_path / f"out.{fmt}"
         emit(result, ("a", "b", "c"), fmt, str(path))
         assert path.read_bytes() == reference_text(result, ("a", "b", "c"), fmt).encode()
-        chunks = list(output._chunks(fmt, names, result.zeta, result.t, [result]))
+        chunks = list(output._chunks(result.zeta, result.t, [result], names[2:], fmt))
         # the head, one chunk per sub-block of records, the tail
         assert len(chunks) == 2 + -(-n // block)
         head_tail = {"csv": (b"zeta,t,a,b,c\n", b""), "json": (b"[\n", b"\n]\n")}
@@ -2146,6 +2146,128 @@ class TestParts:
         with pytest.raises(RuntimeError, match="^a sweep part failed: TypeError: injected defect$"):
             main([*self.ARGS, "--output", str(tmp_path / "x.csv")])
         assert list(tmp_path.iterdir()) == []
+
+    def test_default_grid_into_a_pipe_runs_in_parts(self, tmp_path, capsys, monkeypatch):
+        """--output /dev/fd/N onto a pipe that another process reads: the part
+        files do not depend on the target, so the default grid runs as two
+        parts, and the reader gets the bytes of a file run.  The reader is a
+        process, since a thread would keep the run to one part."""
+        whole, received = tmp_path / "whole.csv", tmp_path / "received.csv"
+        assert main(["--output", str(whole)]) == 0
+        capsys.readouterr()
+        read, write = os.pipe()
+        try:
+            reader = subprocess.Popen(
+                [sys.executable, "-c", "import shutil, sys\nwith open(sys.argv[1], 'wb') as fh:\n"
+                 "    shutil.copyfileobj(sys.stdin.buffer, fh)", str(received)], stdin=read)
+        finally:
+            os.close(read)
+        self.cpus(monkeypatch, 2)
+        forks = self.count_forks(monkeypatch)
+        try:
+            rc = main(["--output", f"/dev/fd/{write}"])
+        finally:
+            os.close(write)
+            assert reader.wait(timeout=60) == 0
+        assert (rc, *capsys.readouterr(), forks) == (
+            0, f"wrote 80601 cells to /dev/fd/{write}\n", "", [1])
+        assert received.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_without_a_temporary_file_a_run_has_one_part(self, fails, tmp_path, capsys,
+                                                         monkeypatch):
+        """Three parts want two part files; when the first or the second
+        cannot be made, those made are closed and the run has one part, with
+        the same bytes."""
+        import tempfile
+
+        import squeezetransfer.sweep as sweep
+
+        argv = [*self.ARGS, "--method", "both"]
+        made, real = [], tempfile.TemporaryFile
+
+        def temporary_file():
+            if len(made) + 1 == fails:
+                raise OSError(30, "Read-only file system")
+            made.append(real())
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        self.cpus(monkeypatch, 3)
+        forks = self.count_forks(monkeypatch)
+        many = self.run([*argv, "--output", str(tmp_path / "many")], capsys)
+        assert forks == [] and len(made) == fails - 1 and all(f.closed for f in made)
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
+        one = self.run([*argv, "--output", str(tmp_path / "one")], capsys)
+        assert many == (0, one[1].replace("one", "many"), "")
+        assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
+
+    @pytest.mark.parametrize("ending", ["two parts", "a failing row in the child",
+                                        "KeyboardInterrupt"])
+    def test_part_files_leave_nothing_in_the_temporary_directory(self, ending, tmp_path,
+                                                                 capsys, monkeypatch):
+        """The part files are made in tempfile's directory, which holds no
+        file after the run, however it ends."""
+        import tempfile
+        import time
+
+        import squeezetransfer.sweep as sweep
+
+        tmpdir = tmp_path / "tmpdir"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        made, real = [], tempfile.TemporaryFile
+
+        def temporary_file():
+            file = real()
+            made.append(os.path.dirname(os.readlink(f"/proc/self/fd/{file.fileno()}")))
+            return file
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        if ending == "a failing row in the child":
+            TestStream.fail_row(monkeypatch, 4)
+        elif ending == "KeyboardInterrupt":
+            parent = os.getpid()
+
+            def evolve(branch, blocks, times, out=None):
+                if os.getpid() != parent:
+                    time.sleep(60)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
+        self.cpus(monkeypatch, 2)
+        forks = self.count_forks(monkeypatch)
+        argv = [*self.ARGS, "--output", str(tmp_path / "x.csv")]
+        if ending == "KeyboardInterrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert self.run(argv, capsys)[0] == (ending != "two parts")
+        assert forks == [1] and made == [str(tmpdir.resolve())]
+        assert list(tmpdir.iterdir()) == []
+
+    def test_a_part_that_cannot_be_written_names_the_output(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A full disk under the part file: one error line that names the
+        --output path and the temporary part, not the errno alone."""
+        import errno
+        import io
+        import tempfile
+
+        real = tempfile.TemporaryFile
+
+        class Full(io.BufferedRandom):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: Full(real(buffering=0)))
+        self.cpus(monkeypatch, 2)
+        forks = self.count_forks(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert self.run([*self.ARGS, "--output", str(out)], capsys) == (
+            1, "", f"error: cannot write {out}: a temporary part could not be written: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+        assert forks == [1] and list(tmp_path.iterdir()) == []
 
     def test_python_w_error_runs_parts_without_a_warning(self, tmp_path):
         """A fresh process, where any warning (one about forking, say) is an

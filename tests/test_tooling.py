@@ -7,6 +7,9 @@ The files are parsed, not imported or run."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,3 +102,23 @@ def test_pairs_summary_on_fixed_numbers():
     assert verdict(tied) == (9, 7.0, True)
     tied[1] = base[1] + 1
     assert verdict(tied) == (8, 6.0, False)
+
+
+def test_pairs_records_the_load_before_each_run(monkeypatch):
+    """bench reads the host's load averages before it starts run.py (here a
+    stand-in that returns a fixed line) and keeps them in the run's entry."""
+    pairs = _pairs_tool()
+    line = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": 0.2}}}
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        return subprocess.CompletedProcess(argv, 0, f"log\n{json.dumps(line)}\n", "")
+
+    monkeypatch.setattr(os, "getloadavg", lambda: calls.append("load") or (0.5, 1.25, 2.0))
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    entry = pairs.bench(ROOT, "grid_closed_form", 7, 6)
+    assert entry == {**line, "load": [0.5, 1.25, 2.0]}
+    assert all(isinstance(v, float) for v in entry["load"])
+    assert calls == ["load", [pairs.sys.executable, "perfbench/run.py", "--workload", "grid_closed_form",
+                      "--seed", "7", "--seconds", "6", "--trace", "0"]]

@@ -8,14 +8,16 @@ length of the paths it imports from.  Then, per workload of BENCHMARK.json,
 it runs `perfbench/run.py --workload W --seed S --seconds N --trace 0` in
 each copy, N the benchmark's run_seconds, the two trees one after the
 other, for --pairs pairs; pair k uses the seed --seed + k on both sides, and
-the trees take turns at running first.
+the trees take turns at running first.  The host's load averages
+(os.getloadavg) are read just before each run, and printed per pair, since
+this host's speed moves in phases.
 
 Per workload and end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the pairs that the change wins, and whether the gain
 resolves: the change wins at least 9 in 10 of the pairs, and the medians
 differ by more than the baseline's interquartile range.  The same data, with
-every run's metrics, the seeds, the settings and the host, go to --output
-as JSON.
+every run's metrics and load, the seeds, the settings and the host, go to
+--output as JSON.
 """
 
 from __future__ import annotations
@@ -62,15 +64,17 @@ def copy_tree(source: Path, target: Path) -> Path:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The last stdout line of one perfbench/run.py in tree: {"correct",
-    "attempted", "failed", "metrics"}."""
+    """The last stdout line of one perfbench/run.py in tree, {"correct",
+    "attempted", "failed", "metrics"}, with "load": the host's 1, 5 and 15
+    minute load averages just before the run."""
+    load = list(os.getloadavg())
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=30 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: run.py exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return {**json.loads(proc.stdout.splitlines()[-1]), "load": load}
 
 
 def label(tree: Path) -> str:
@@ -118,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
             for seed, first in zip(report["settings"]["seeds"], report["settings"]["first"]):
                 for side in sorted(trees, key=lambda side: side != first):
                     runs[side].append(bench(trees[side], workload, seed, seconds))
+                print(f"{workload} seed {seed} load: " + ", ".join(
+                    f"{side} {'/'.join(f'{v:.2f}' for v in runs[side][-1]['load'])}"
+                    for side in sorted(trees, key=lambda side: side != first)), flush=True)
             summary = {}
             for metric, better in metrics.items():
                 values = {side: [r["metrics"][metric]["value"] for r in runs[side]]

@@ -3,10 +3,10 @@
 Runs one fixed list of CLI argvs on this tree and on BASELINE_DIR (a
 checkout of another commit, with its `src/`), each once per tree in a fresh
 process with one BLAS thread and in a fresh directory, and compares the
-output file (absent in both counts as equal), stdout, stderr and the exit
-status.  The output and params paths are relative, so the messages of both
-trees name the same files.  It prints one line per argv and exits 1 on any
-difference.
+output file (absent in both counts as equal; for a directory target, the
+names it holds), stdout, stderr and the exit status.  The output and params
+paths are relative, so the messages of both trees name the same files.  It
+prints one line per argv and exits 1 on any difference.
 
 The list: the benchmark's argvs with the params of `perfbench/workloads`'
 `make_inputs` seeds 1-3; the default run, `--method both`, `--format json`
@@ -17,7 +17,9 @@ that overflow, in a short and in a long row (exit 1); a separable
 pins zeta in units of lam and H without its global offset; and the default
 run as CSV and as JSON into a FIFO (an output path ending in `.fifo`) and
 into a pipe (`.pipe`, passed as `--output /dev/fd/N`), whose bytes are read
-to EOF as the run writes them.
+to EOF as the run writes them; and the default run into a directory (`.dir`,
+made with os.mkdir), which exits 1 after any part that it started is
+killed.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
         for fmt in ("csv", "json"):
             runs.append((f"default {fmt} into a {target}",
                          ["--format", fmt, "--output", f"out.{fmt}.{target.lower()}"], None))
+    runs.append(("default into a directory", ["--output", "out.dir"], None))
     return runs
 
 
@@ -102,9 +105,10 @@ def read_while(read: int, hold: int, start):
 
 def run(tree: Path, argv: list[str], params: dict | None) -> tuple:
     """(output bytes or None, stdout, stderr, exit status) of one CLI run;
-    for a FIFO or pipe output, the bytes read from it.  A pipe's write end
-    is passed to the run as /dev/fd/N, with the same N in every run, as
-    each run closes both ends."""
+    for a FIFO or pipe output, the bytes read from it; for a directory, the
+    names it holds after the run.  A pipe's write end is passed to the run
+    as /dev/fd/N, with the same N in every run, as each run closes both
+    ends."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="samebytes-") as work:
@@ -128,6 +132,10 @@ def run(tree: Path, argv: list[str], params: dict | None) -> tuple:
             read, hold = os.pipe()
             argv, keep = [*argv[:at], f"/dev/fd/{hold}", *argv[at + 1:]], (hold,)
             data, proc = read_while(read, hold, start)
+        elif out.suffix == ".dir":
+            os.mkdir(out)
+            proc = start()
+            data = "\n".join(sorted(os.listdir(out))).encode()
         else:
             proc = start()
             data = out.read_bytes() if out.exists() else None
