@@ -131,11 +131,9 @@ class OssiReport(Value):
     two axes play the symmetric (k, l) roles.
     """
 
-    def __init__(self, n_particles: int, slack_a: float | np.ndarray,
-                 slack_b: float | np.ndarray, slack_c: dict[str, float | np.ndarray],
-                 slack_d: dict[str, float | np.ndarray]):
-        self._set(n_particles=n_particles, slack_a=slack_a, slack_b=slack_b, slack_c=slack_c,
-                  slack_d=slack_d)
+    def __init__(self, slack_a: float | np.ndarray, slack_b: float | np.ndarray,
+                 slack_c: dict[str, float | np.ndarray], slack_d: dict[str, float | np.ndarray]):
+        self._set(slack_a=slack_a, slack_b=slack_b, slack_c=slack_c, slack_d=slack_d)
 
     @property
     def slacks(self) -> list:
@@ -165,7 +163,7 @@ def ossi_of(mean: np.ndarray, cov: np.ndarray, n_particles: int) -> OssiReport:
         slack_d[_AXES[m]] = (
             (n - 1) * (var[..., k] + var[..., l]) - second[..., m] - n * (n - 2) / 4
         )
-    return OssiReport(n, slack_a, slack_b, slack_c, slack_d)
+    return OssiReport(slack_a, slack_b, slack_c, slack_d)
 
 
 def ossi(rho: DensityMatrix, spin: SpinTriple, n_particles: int) -> OssiReport:
@@ -220,10 +218,7 @@ def _transverse_basis(n0: np.ndarray) -> np.ndarray:
     axis = np.eye(3)[np.argmin(np.abs(n0), axis=-1)]
     e1 = axis - np.sum(axis * n0, axis=-1, keepdims=True) * n0
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(n0, -1, 0), np.moveaxis(e1, -1, 0)
-    # e2 = n0 x e1, each component's products and difference in np.cross's order
-    e2 = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-    return np.stack([e1, e2], axis=-1)
+    return np.stack([e1, np.cross(n0, e1)], axis=-1)
 
 
 def _smallest_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:

@@ -67,6 +67,10 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             ManifoldState(np.array([1.0, 1.0, 0.0, 0.0]), 0.0)
 
+    def test_manifold_state_needs_four_amplitudes(self):
+        with pytest.raises(ValueError, match=r"need 4 amplitudes, got shape \(3, 2\)"):
+            ManifoldState(np.ones((3, 2)) / np.sqrt(3), np.arange(2.0))
+
     def test_manifold_state_rejects_nan(self):
         with pytest.raises(ValueError):
             ManifoldState(np.array([np.nan, 0.0, 0.0, 0.0]), 0.0)

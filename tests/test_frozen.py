@@ -56,7 +56,7 @@ CASES = {
         build_hamiltonian(ModelParams(zeta=k), standard_space())), False),
     ManifoldState: (_state, False),
     CoefficientSet: (lambda k: coefficients(_state(k)), False),
-    OssiReport: (lambda k: OssiReport(2, 0.5 * k, 0.0, {"x": 0.0}, {"x": 1.0}), True),
+    OssiReport: (lambda k: OssiReport(0.5 * k, 0.0, {"x": 0.0}, {"x": 1.0}), True),
     BranchWitnesses: (lambda k: BranchWitnesses(1.0, 0.5 * k), True),
     GridSpec: (lambda k: GridSpec(0.0, 1.0, 2 + k), True),
     TimeGrid: (lambda k: TimeGrid(0.0, 1.0, 2 + k), True),

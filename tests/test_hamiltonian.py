@@ -200,6 +200,19 @@ class TestManifoldBlock:
         with pytest.raises(ModelInconsistencyError):
             extract_manifold_block(HermitianOperator(space, bad))
 
+    @pytest.mark.parametrize("i,j,phase,message", [
+        (0, 2, 1j, "projected block is not real"),
+        (0, 1, 1.0, "symmetric and antisymmetric sectors mix by 1.000e-06"),
+    ])
+    def test_rejects_a_term_inside_the_manifold(self, space, default_hamiltonian, i, j, phase,
+                                                message):
+        # phase * |phi_i><phi_j| + h.c., small and Hermitian, leaks nothing
+        phi = manifold_basis(space)
+        term = phase * np.outer(phi[:, i], phi[:, j].conj())
+        bad = HermitianOperator(space, default_hamiltonian.matrix + 1e-6 * (term + term.conj().T))
+        with pytest.raises(ModelInconsistencyError, match=message):
+            extract_manifold_block(bad)
+
     def test_closed_for_larger_cutoff(self):
         sp = CompositeSpace((atom(), photon_mode(5), atom(), photon_mode(5)))
         block = extract_manifold_block(build_hamiltonian(ModelParams(zeta=0.5), sp))

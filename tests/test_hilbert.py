@@ -31,6 +31,17 @@ def test_photon_mode_needs_two_photons():
         photon_mode(1)
 
 
+def test_composite_space_needs_a_factor():
+    with pytest.raises(ValueError, match="composite space needs at least one factor"):
+        CompositeSpace(())
+
+
+def test_basis_index_rejects_a_label_of_the_wrong_length(space):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"label \('g', 0, 'g'\) has 3 entries for 4 factors"):
+        space.basis_index(("g", 0, "g"))
+
+
 def test_basis_enumeration_row_major(space):
     labels = space.basis_labels
     assert len(labels) == space.total_dim == 36
@@ -126,6 +137,24 @@ def test_hermitian_operator_rejects_non_hermitian():
     sp = CompositeSpace((atom(), atom()))
     with pytest.raises(NumericalConsistencyError):
         HermitianOperator(sp, np.triu(np.ones((4, 4))))
+
+
+def test_shape_mismatches_name_the_shape(atom_space):
+    message = r"matrix shape \(3, 3\) does not match space dimension 4"
+    with pytest.raises(DimensionMismatchError, match=message):
+        Operator(atom_space, np.eye(3))
+    with pytest.raises(DimensionMismatchError, match=message):
+        DensityMatrix(atom_space, np.eye(3) / 3)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"vector shape \(3,\) does not match space dimension 4"):
+        DensityMatrix.from_state_vector(atom_space, np.ones(3) / np.sqrt(3))
+
+
+def test_expectation_across_two_spaces(atom_space, photon_space, atom_spin):
+    rho = DensityMatrix.from_state_vector(photon_space, photon_space.basis_vector((2, 0)))
+    with pytest.raises(DimensionMismatchError,
+                       match="operator and state live on different spaces"):
+        expectation(atom_spin.z, rho)
 
 
 def test_expectation_identity(space, rng):

@@ -89,6 +89,12 @@ class TestTransitionMatrices:
             transition_matrices(space, cavity, pairs)
 
 
+    def test_rejects_a_cavity_without_an_atom(self):
+        one_atom = CompositeSpace((atom(), photon_mode(2)))
+        with pytest.raises(ValueError, match="space has 1 atom factors, cavity 2 requested"):
+            transition_matrices(one_atom, 2, [("g", "e")])
+
+
 class TestCollectiveSpin:
     def test_sz_ground_ground(self, atom_space, atom_spin):
         rho = DensityMatrix.from_state_vector(atom_space, atom_space.basis_vector(("g", "g")))
@@ -153,6 +159,12 @@ class TestPseudoSpin:
         twist = 2 * (spin.x.matrix @ spin.x.matrix - spin.y.matrix @ spin.y.matrix)
         proj = total_photon_projector(sp, n_max - 2)
         assert np.max(np.abs((hop - twist) @ proj)) < 1e-12
+
+
+    def test_requires_two_modes(self):
+        with pytest.raises(ValueError,
+                           match="space must contain exactly two photon modes, found 1"):
+            photonic_pseudospin(CompositeSpace((atom(), photon_mode(2))))
 
 
 class TestQuadratures:

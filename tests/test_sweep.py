@@ -931,6 +931,21 @@ class TestEmit:
         assert taken == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_rejects_unknown_format_before_taking_a_block(self, tmp_path):
+        from squeezetransfer.output import emit_blocks
+
+        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
+        taken = []
+
+        def blocks():
+            taken.append(result)
+            yield result
+
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            emit_blocks(result.zeta, result.t, blocks(), ("xi",), "xml", str(tmp_path / "out"))
+        assert taken == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_special_values_match_reference_formatter(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, -2.5e-300, 6.02214076e23]
         rng = np.random.default_rng(0)
@@ -2052,6 +2067,22 @@ class TestParts:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive() and sweep._part_count(2) == 2
+
+    def test_without_fork_a_run_has_one_part(self, tmp_path, capsys, monkeypatch):
+        import squeezetransfer.sweep as sweep
+
+        self.cpus(monkeypatch, 2)
+        forks = self.count_forks(monkeypatch)
+        parts = self.run([*self.ARGS, "--output", str(tmp_path / "parts")], capsys)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert sweep._part_count(2) == 1
+        children = []
+        monkeypatch.setattr(sweep, "_fork", lambda *args: children.append(args))
+        whole = self.run([*self.ARGS, "--output", str(tmp_path / "whole")], capsys)
+        assert children == []
+        assert parts == (0, whole[1].replace("whole", "parts"), "")
+        assert (tmp_path / "parts").read_bytes() == (tmp_path / "whole").read_bytes()
 
     @staticmethod
     def benchmark_workloads(monkeypatch):

@@ -9,12 +9,14 @@ paths are relative, so the messages of both trees name the same files.  It
 prints one line per argv and exits 1 on any difference.
 
 The list: the benchmark's argvs with the params of `perfbench/workloads`'
-`make_inputs` seeds 1-3; the default run, `--method both`, `--format json`
-and a `numeric_oracle` grid; a 1x40001 separable row under the three
-methods; the separable all-seven `--method both` run (exit 1); phases
-that overflow, in a short and in a long row (exit 1); a separable
-`--method both` grid at lam = 2 with a nonzero detuning and offsets, which
-pins zeta in units of lam and H without its global offset; and the default
+`make_inputs` seeds 1-3; the default run, `--method both`, `--format json`,
+`--format json --method both` (whose `method_disagreement` zeros go
+through the JSON encoder's special kinds) and a `numeric_oracle` grid; a
+1x40001 separable row under the three methods; the separable all-seven
+`--method both` run (exit 1); phases that overflow, in a short and in a
+long row (exit 1); a separable `--method both` grid at lam = 2 with a
+nonzero detuning and offsets, which pins zeta in units of lam and H
+without its global offset; and the default
 run as CSV and as JSON into a FIFO (an output path ending in `.fifo`) and
 into a pipe (`.pipe`, passed as `--output /dev/fd/N`), whose bytes are read
 to EOF as the run writes them; and the default run into a directory (`.dir`,
@@ -56,6 +58,7 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
         ("default", []),
         ("both", ["--method", "both"]),
         ("json", ["--format", "json"]),
+        ("json both", ["--format", "json", "--method", "both"]),
         ("numeric_oracle 21x101", ["--method", "numeric_oracle", "--steps", "21", "101"]),
         *((f"separable 1x40001 {m}", ["--branch", "separable", "--zeta", "0.5", "--steps", "1",
                                       "40001", "--observables", WIDE, "--method", m])
