@@ -912,37 +912,27 @@ class TestEmit:
             emit(result, columns, fmt, str(tmp_path / f"out.{fmt}"))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rejects_empty_path_before_taking_a_block(self, fmt, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt, path, message", [
+        ("csv", "", "empty output path"),
+        ("json", "", "empty output path"),
+        ("xml", "out", "unknown output format 'xml'"),
+    ])
+    def test_rejects_bad_arguments_before_taking_a_block(self, fmt, path, message, tmp_path,
+                                                         monkeypatch):
         from squeezetransfer.output import emit_blocks
 
         monkeypatch.chdir(tmp_path)
         result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
-        with pytest.raises(ValueError, match="empty output path"):
-            emit(result, ("xi",), fmt, "")
+        with pytest.raises(ValueError, match=message):
+            emit(result, ("xi",), fmt, path)
         taken = []
 
         def blocks():
             taken.append(result)
             yield result
 
-        with pytest.raises(ValueError, match="empty output path"):
-            emit_blocks(result.zeta, result.t, blocks(), ("xi",), fmt, "")
-        assert taken == []
-        assert list(tmp_path.iterdir()) == []
-
-    def test_rejects_unknown_format_before_taking_a_block(self, tmp_path):
-        from squeezetransfer.output import emit_blocks
-
-        result = SweepResult(np.zeros(1), np.zeros(2), {"xi": np.zeros((1, 2))})
-        taken = []
-
-        def blocks():
-            taken.append(result)
-            yield result
-
-        with pytest.raises(ValueError, match="unknown output format 'xml'"):
-            emit_blocks(result.zeta, result.t, blocks(), ("xi",), "xml", str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=message):
+            emit_blocks(result.zeta, result.t, blocks(), ("xi",), fmt, path)
         assert taken == []
         assert list(tmp_path.iterdir()) == []
 
