@@ -19,8 +19,10 @@ The CLI cuts the blocks' rows into one contiguous part per CPU that the
 process may run on (at most one per block of rows).  It builds the model
 once, then forks a child for each later part, which writes that part's
 records to a temporary file (tempfile.TemporaryFile, in $TMPDIR, whatever
-the target); it writes the first part itself and appends the children's
-bytes in zeta order.  The file, the messages and the exit status are those
+the target); it writes the first part itself and appends each later part in
+zeta order: the bytes that its child finished, or else (no part file, no
+fork, or a child that did not finish) the records that it writes itself in
+that part's turn.  So the file, the messages and the exit status are those
 of one part: the first failing row in zeta order is the error, and the
 worst cell is the grid's first argmax.
 """
@@ -28,6 +30,7 @@ worst cell is the grid's first argmax.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import functools
 import gc
@@ -539,11 +542,11 @@ def _tracked(blocks: Iterator[SweepResult], worst: list) -> Iterator[SweepResult
 
 
 def _fork(run: Callable[..., list], *args) -> list[int]:
-    """Fork a child that runs run(*args) and reports, as JSON through a
-    pipe, the worst cell that it returns or the error that ended it; return
-    [its pid, the pipe's read end], whose pid becomes 0 once it is reaped.
-    The child prints nothing, and leaves only through os._exit, never into
-    the caller."""
+    """Fork a child that runs run(*args) and reports the worst cell that it
+    returns, as JSON through a pipe; return [its pid, the pipe's read end],
+    whose pid becomes 0 once it is reaped.  A child that does not finish
+    reports nothing: it catches nothing, prints nothing, and leaves only
+    through os._exit, never into the caller."""
     report, write = os.pipe()
     try:
         pid = os.fork()
@@ -554,67 +557,24 @@ def _fork(run: Callable[..., list], *args) -> list[int]:
     if pid == 0:
         try:
             os.close(report)
-            try:
-                result = {"worst": run(*args)}
-            except _CLI_ERRORS as exc:
-                result = {"error": str(exc)}
-            except Exception as exc:  # a defect, which the parent raises again
-                result = {"crash": f"{type(exc).__name__}: {exc}"}
+            worst = run(*args)
             with open(write, "w", encoding="utf-8") as fh:
-                json.dump(result, fh)
+                json.dump(worst, fh)
         finally:
             os._exit(0)
     os.close(write)
     return [pid, report]
 
 
-def _joined(children: list[list[int]], files: list, worsts: list) -> Iterator[bytes]:
-    """The children's parts in zeta order, each once its child has exited:
-    its bytes, read from its part file in pieces of _BLOCK_BYTES, so copying
-    a part does not raise the peak RSS, then the error that ended it, if
-    any; each worst cell is appended to worsts in that order."""
-    for child, file in zip(children, files):
-        with open(child[1], "rb", closefd=False) as fh:
-            report = fh.read()  # to end of file: the child has exited
-        _, status = os.waitpid(child[0], 0)
-        child[0] = 0
-        if not report:
-            raise RuntimeError(f"a sweep part's process ended without a report ({status=})")
-        report = json.loads(report)
-        file.seek(0)
-        yield from iter(functools.partial(file.read, _BLOCK_BYTES), b"")
-        if "error" in report:
-            raise SweepError(report["error"])
-        if "crash" in report:
-            raise RuntimeError(f"a sweep part failed: {report['crash']}")
-        worsts.append(report["worst"])
+def _reap(child: list[int]) -> None:
+    """Kill the child if it is not yet reaped, then reap it; close its pipe."""
+    pid, report = child
+    if pid:
+        from signal import SIGKILL  # only on a failure: the module is not loaded otherwise
 
-
-def _reap(children: list[list[int]]) -> None:
-    """Kill each child not yet reaped, then reap it; close every pipe."""
-    for pid, report in children:
-        if pid:
-            from signal import SIGKILL  # only on a failure: the module is not loaded otherwise
-
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(report)
-
-
-def _part_files(count: int) -> list:
-    """count part files, each a tempfile.TemporaryFile in $TMPDIR, which has
-    no name (or loses it at once), so it goes with its last descriptor,
-    whatever ends the process; or none if one cannot be made, and the run
-    then has one part."""
-    files = []
-    try:
-        for _ in range(count):
-            files.append(tempfile.TemporaryFile())
-    except OSError:
-        for file in files:
-            file.close()
-        return []
-    return files
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+    os.close(report)
 
 
 def _write(
@@ -625,42 +585,59 @@ def _write(
 ) -> list:
     """Write the sweep of stream (see _sweep) to path in the parts of
     _part_rows; return the worst cell of them all (_tracked), the first in
-    zeta order of a tie, or -inf under one route.  Each later part is
-    written by a forked child to a part file (_part_files) and appended, in
-    zeta order, after the first, which this process writes: the file, and
-    the first failing row in zeta order, are those of one part.  Every child
-    is reaped on every path out, killed first if it still runs."""
+    zeta order of a tie, or -inf under one route.  This process writes the
+    first part, then appends each later one in zeta order: the bytes that a
+    forked child finished in its part file (tempfile.TemporaryFile, in
+    $TMPDIR), or, where there is no part file, no fork or no finished
+    child, the records that this process writes in that part's turn.  So the
+    file, the messages and the exit status are those of one part.  Every
+    child is reaped on every path out, killed first if it still runs."""
     zetas, times = config.zeta_grid.values(), config.time_grid.values()
     both = config.method is Method.BOTH
-    rows = _part_rows(config)
-    files = _part_files(len(rows) - 1)
-    if not files:
-        rows = [slice(0, zetas.size)]
+    first, *later = _part_rows(config)
 
     def blocks(part: slice, worst: list) -> Iterator[SweepResult]:
         return _tracked(stream(part), worst) if both else stream(part)
 
+    def part_records(part: slice, worst: list) -> Iterator[bytes]:
+        return records(zetas[part], times, blocks(part, worst), config.columns, output_format)
+
     def write_child_part(part: slice, file) -> list:
         worst = [-np.inf, 0.0, 0.0]
-        try:
-            with file:  # flushed before the child reports
-                file.writelines(records(zetas[part], times, blocks(part, worst), config.columns,
-                                        output_format))
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: a temporary part could not be written: "
-                          f"{exc.strerror or exc}") from exc
+        with file:  # flushed before the child reports
+            file.writelines(part_records(part, worst))
         return worst
 
-    children, worsts = [], [[-np.inf, 0.0, 0.0]]
-    try:
-        for part, file in zip(rows[1:], files):
-            children.append(_fork(write_child_part, part, file))
-        emit_blocks(zetas[rows[0]], times, blocks(rows[0], worsts[0]), config.columns,
-                    output_format, path, _joined(children, files, worsts))
-    finally:
-        _reap(children)
-        for file in files:
-            file.close()
+    parts, worsts = [], [[-np.inf, 0.0, 0.0]]  # (rows, part file, child) of each later part
+
+    def later_parts() -> Iterator[bytes]:
+        for part, file, child in parts:
+            worsts.append([-np.inf, 0.0, 0.0])
+            report = b""
+            if child:
+                with open(child[1], "rb", closefd=False) as fh:
+                    report = fh.read()  # to end of file: the child has exited
+                os.waitpid(child[0], 0)
+                child[0] = 0
+            if report:
+                worsts[-1] = json.loads(report)
+                file.seek(0)
+                yield from iter(functools.partial(file.read, _BLOCK_BYTES), b"")
+            else:
+                yield from part_records(part, worsts[-1])
+
+    with contextlib.ExitStack() as stack:
+        for part in later:
+            file = child = None
+            try:
+                file = stack.enter_context(tempfile.TemporaryFile())
+                child = _fork(write_child_part, part, file)
+                stack.callback(_reap, child)
+            except OSError:  # this process writes the part
+                pass
+            parts.append((part, file, child))
+        emit_blocks(zetas[first], times, blocks(first, worsts[0]), config.columns,
+                    output_format, path, later_parts())
     return max(worsts, key=lambda worst: worst[0])  # a tie keeps the earlier part's cell
 
 

@@ -11,13 +11,23 @@ from squeezetransfer.operators import collective_atomic_spin, photonic_pseudospi
 @pytest.fixture(autouse=True)
 def no_leftover_process_or_file(request):
     """After every test: no child process of this one is left, reaped or
-    not, and the test's tmp_path, if it has one, holds no temporary file of
-    the atomic writer.  The CLI's part files are tempfile.TemporaryFile
-    files in $TMPDIR, not in tmp_path, and have no name; TestParts checks
-    that they leave nothing behind."""
+    not; no descriptor that the test opened is still open (each leaked one
+    is named with its target), which covers the CLI's part pipes and part
+    files however a run ends; and the test's tmp_path, if it has one, holds
+    no temporary file of the atomic writer.  The CLI's part files are
+    tempfile.TemporaryFile files in $TMPDIR, not in tmp_path, and have no
+    name; TestParts checks that they leave nothing behind."""
+    before = set(os.listdir("/proc/self/fd"))
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    leaked = {}
+    for fd in set(os.listdir("/proc/self/fd")) - before:
+        try:
+            leaked[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the listing's own descriptor, closed since
+            pass
+    assert leaked == {}
     tmp_path = request.node.funcargs.get("tmp_path")
     if tmp_path is not None:
         assert [p.name for p in tmp_path.rglob("*.tmp*")] == []

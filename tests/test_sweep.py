@@ -1665,8 +1665,9 @@ class TestStream:
     ZETAS = GridSpec(0.0, 1.2, 7).values()
 
     @staticmethod
-    def fail_row(monkeypatch, index):
-        """Make the closed form fail on any block that holds zeta row `index`."""
+    def fail_row(monkeypatch, index, error=NumericalConsistencyError):
+        """Make the closed form raise error on any block that holds zeta row
+        `index`."""
         import squeezetransfer.sweep as sweep
 
         made = []
@@ -1678,7 +1679,7 @@ class TestStream:
 
         def failing(branch, blocks, times, out=None):
             if made[0].omegas[index, 0] in blocks.omegas[:, 0]:
-                raise NumericalConsistencyError("injected failure")
+                raise error("injected failure")
             return real_evolve(branch, blocks, times, out)
 
         monkeypatch.setattr(sweep, "manifold_blocks", recording_blocks)
@@ -2152,21 +2153,81 @@ class TestParts:
         assert time.perf_counter() - start < 30 and forks == [1]
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_defect_in_a_child_is_raised(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ending, children", [
+        ("no part file 1", 1), ("no part file 2", 1), ("fork 1 fails", 1), ("fork 2 fails", 1),
+        ("child killed", 2), ("part file full", 2), ("defect in the child", 2)])
+    def test_an_unfinished_part_is_written_by_the_run(self, ending, children, tmp_path, capsys,
+                                                      monkeypatch):
+        """Three parts want two part files and two forks.  A later part that
+        no child finished (no part file, no fork, a child killed or failing)
+        is written by the run's own process: the run exits 0 with the stdout
+        and the bytes of one part, and tempfile's directory holds nothing."""
+        import errno
+        import io
+        import signal
+        import tempfile
+
         import squeezetransfer.sweep as sweep
 
-        parent, real = os.getpid(), sweep.evolve_closed_form_grid
+        tmpdir = tmp_path / "tmpdir"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        self.cpus(monkeypatch, 3)
+        forks = self.count_forks(monkeypatch)
+        calls, parent = [], os.getpid()
+        real_file, real_fork = tempfile.TemporaryFile, os.fork
+        real_evolve = sweep.evolve_closed_form_grid
+
+        def temporary_file():
+            calls.append(1)
+            if ending == f"no part file {len(calls)}":
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+            return real_file()
+
+        def fork():
+            calls.append(1)
+            if ending == f"fork {len(calls)} fails":
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        class Full(io.BufferedRandom):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         def evolve(branch, blocks, times, out=None):
             if os.getpid() != parent:
+                if ending == "child killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
                 raise TypeError("injected defect")
-            return real(branch, blocks, times, out)
+            return real_evolve(branch, blocks, times, out)
 
-        monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
+        if ending.startswith("no part file"):
+            monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        elif ending.startswith("fork"):
+            monkeypatch.setattr(os, "fork", fork)
+        elif ending == "part file full":
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda: Full(real_file(buffering=0)))
+        else:
+            monkeypatch.setattr(sweep, "evolve_closed_form_grid", evolve)
+        argv = [*self.ARGS, "--method", "both"]
+        many = self.run([*argv, "--output", str(tmp_path / "many")], capsys)
+        assert len(forks) == children
+        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
+        one = self.run([*argv, "--output", str(tmp_path / "one")], capsys)
+        assert many == (0, one[1].replace("one", "many"), "")
+        assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
+        assert list(tmpdir.iterdir()) == []
+
+    def test_a_defect_in_a_later_part_is_raised_by_main(self, tmp_path, monkeypatch):
+        """A defect in the rows of the second part, in every process: its
+        child does not finish, so the run's own process writes that part and
+        main raises the defect itself."""
+        TestStream.fail_row(monkeypatch, 4, TypeError)  # the second part's first row
         self.cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="^a sweep part failed: TypeError: injected defect$"):
+        forks = self.count_forks(monkeypatch)
+        with pytest.raises(TypeError, match="^injected failure$"):
             main([*self.ARGS, "--output", str(tmp_path / "x.csv")])
-        assert list(tmp_path.iterdir()) == []
+        assert forks == [1] and list(tmp_path.iterdir()) == []
 
     def test_default_grid_into_a_pipe_runs_in_parts(self, tmp_path, capsys, monkeypatch):
         """--output /dev/fd/N onto a pipe that another process reads: the part
@@ -2193,35 +2254,6 @@ class TestParts:
         assert (rc, *capsys.readouterr(), forks) == (
             0, f"wrote 80601 cells to /dev/fd/{write}\n", "", [1])
         assert received.read_bytes() == whole.read_bytes()
-
-    @pytest.mark.parametrize("fails", [1, 2])
-    def test_without_a_temporary_file_a_run_has_one_part(self, fails, tmp_path, capsys,
-                                                         monkeypatch):
-        """Three parts want two part files; when the first or the second
-        cannot be made, those made are closed and the run has one part, with
-        the same bytes."""
-        import tempfile
-
-        import squeezetransfer.sweep as sweep
-
-        argv = [*self.ARGS, "--method", "both"]
-        made, real = [], tempfile.TemporaryFile
-
-        def temporary_file():
-            if len(made) + 1 == fails:
-                raise OSError(30, "Read-only file system")
-            made.append(real())
-            return made[-1]
-
-        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-        self.cpus(monkeypatch, 3)
-        forks = self.count_forks(monkeypatch)
-        many = self.run([*argv, "--output", str(tmp_path / "many")], capsys)
-        assert forks == [] and len(made) == fails - 1 and all(f.closed for f in made)
-        monkeypatch.setattr(sweep, "_part_count", lambda blocks: 1)
-        one = self.run([*argv, "--output", str(tmp_path / "one")], capsys)
-        assert many == (0, one[1].replace("one", "many"), "")
-        assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
 
     @pytest.mark.parametrize("ending", ["two parts", "a failing row in the child",
                                         "KeyboardInterrupt"])
@@ -2266,29 +2298,6 @@ class TestParts:
             assert self.run(argv, capsys)[0] == (ending != "two parts")
         assert forks == [1] and made == [str(tmpdir.resolve())]
         assert list(tmpdir.iterdir()) == []
-
-    def test_a_part_that_cannot_be_written_names_the_output(self, tmp_path, capsys,
-                                                            monkeypatch):
-        """A full disk under the part file: one error line that names the
-        --output path and the temporary part, not the errno alone."""
-        import errno
-        import io
-        import tempfile
-
-        real = tempfile.TemporaryFile
-
-        class Full(io.BufferedRandom):
-            def write(self, data):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: Full(real(buffering=0)))
-        self.cpus(monkeypatch, 2)
-        forks = self.count_forks(monkeypatch)
-        out = tmp_path / "x.csv"
-        assert self.run([*self.ARGS, "--output", str(out)], capsys) == (
-            1, "", f"error: cannot write {out}: a temporary part could not be written: "
-                   f"{os.strerror(errno.ENOSPC)}\n")
-        assert forks == [1] and list(tmp_path.iterdir()) == []
 
     def test_python_w_error_runs_parts_without_a_warning(self, tmp_path):
         """A fresh process, where any warning (one about forking, say) is an
