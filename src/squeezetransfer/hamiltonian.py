@@ -190,18 +190,20 @@ def _project(h: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
     return h4, float(np.max(np.abs(h @ phi - phi @ h4)))
 
 
-def _parity_blocks(h4: np.ndarray, leakage: float, phi: np.ndarray) -> ManifoldBlock:
-    """Check (n, 4, 4) projected blocks in units of lam, of Hamiltonians that leak
-    by at most `leakage`, and split them into one stack of parity sub-blocks."""
-    if not leakage < LEAKAGE_TOL:
+def _parity_blocks(h4: np.ndarray, leak: float, scale: float, phi: np.ndarray) -> ManifoldBlock:
+    """Check (n, 4, 4) projected blocks in units of lam, of Hamiltonians whose
+    entries are at most `scale` and that leak by at most `leak` (each check is
+    relative to the size of what it checks), and split them into parity sub-blocks."""
+    if not leak <= LEAKAGE_TOL * scale:
         raise ModelInconsistencyError(
-            f"Hamiltonian leaks out of the four-state manifold by {leakage:.3e}"
+            f"Hamiltonian leaks out of the four-state manifold by {leak:.3e}"
         )
-    if not np.max(np.abs(h4.imag)) < LEAKAGE_TOL:
+    bound = LEAKAGE_TOL * np.max(np.abs(h4))
+    if not np.max(np.abs(h4.imag)) <= bound:
         raise ModelInconsistencyError("projected block is not real")
     h4 = h4.real
     cross = np.max(np.abs(h4[:, [[0], [2]], [1, 3]]))
-    if not cross < LEAKAGE_TOL:
+    if not cross <= bound:
         raise ModelInconsistencyError(
             f"symmetric and antisymmetric sectors mix by {cross:.3e}"
         )
@@ -216,7 +218,7 @@ def extract_manifold_block(h: HermitianOperator, lam: float = 1.0) -> ManifoldBl
     """Project onto span{phi1..phi4} and split into parity sub-blocks."""
     phi = manifold_basis(h.space)
     h4, leakage = _project(h.matrix, phi)
-    return _parity_blocks(h4[None] / lam, leakage, phi)[0]
+    return _parity_blocks(h4[None] / lam, leakage, np.max(np.abs(h.matrix)), phi)[0]
 
 
 def manifold_blocks(
@@ -226,21 +228,22 @@ def manifold_blocks(
     units of lam, row i for zetas[i], from one projection of each: the basis
     does not depend on zeta, so the block is linear in it.
     By the triangle inequality, x(h0) + max|zeta * lam| * x(hop) bounds
-    x(H(zeta)) for x the leakage and the Hermiticity deviation; both bounds
-    are checked.  A block that overflows in units of lam raises a ValueError
-    naming lam and the largest zeta, without numpy's floating-point
-    warnings."""
+    x(H(zeta)) for x the leakage, the Hermiticity deviation and the largest
+    entry; the first two bounds are checked relative to the third.  A block
+    that overflows in units of lam raises a ValueError naming lam and the
+    largest zeta, without numpy's floating-point warnings."""
     zetas = np.asarray(zetas, dtype=float)
     hoppings = zetas * lam
     h_max = float(np.max(np.abs(hoppings)))
     phi = manifold_basis(h0.space)
     (h4_0, leak_0), (h4_hop, leak_hop) = _project(h0.matrix, phi), _project(hop.matrix, phi)
+    scale = np.max(np.abs(h0.matrix)) + h_max * np.max(np.abs(hop.matrix))
     herm = hermiticity_deviation(h0.matrix) + h_max * hermiticity_deviation(hop.matrix)
-    if not herm < HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL * scale:
         raise ModelInconsistencyError(f"Hamiltonian deviates from Hermiticity by {herm:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
         h4 = (h4_0 + hoppings[:, None, None] * h4_hop) / lam
     if not np.isfinite(h4).all():
         raise ValueError(f"the four-state block overflows in units of lam={lam!r} for zeta up "
                          f"to {float(np.max(np.abs(zetas)))!r}: it has non-finite entries")
-    return _parity_blocks(h4, leak_0 + h_max * leak_hop, phi)
+    return _parity_blocks(h4, leak_0 + h_max * leak_hop, scale, phi)

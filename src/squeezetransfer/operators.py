@@ -82,22 +82,16 @@ def transition_matrices(
     return embed(space, _on_factor(space, atoms[cavity - 1], local))
 
 
-def _single_atom_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
-    sy = np.array([[0, 1j], [-1j, 0]], dtype=complex) / 2  # basis order (g, e)
-    sz = np.array([[-1, 0], [0, 1]], dtype=complex) / 2
-    return sx, sy, sz
-
-
 def collective_atomic_spin(space: CompositeSpace) -> SpinTriple:
-    """S = S^(1) x 1 + 1 x S^(2), summed over the two atom factors."""
+    """S = S^(1) + S^(2), each atom's spin from its transition_matrices."""
     atoms = space.factor_indices(Kind.ATOM)
     if len(atoms) != 2:
         raise ValueError(f"space must contain exactly two atoms, found {len(atoms)}")
-    singles = np.stack(_single_atom_spin())
-    totals = np.zeros((3, space.total_dim, space.total_dim), dtype=complex)
-    for idx in atoms:
-        totals = totals + embed(space, _on_factor(space, idx, singles))
+    totals = 0
+    for cavity in (1, 2):
+        seg, sge, see, sgg = transition_matrices(  # |e><g|, |g><e|, |e><e| and |g><g|
+            space, cavity, [("g", "e"), ("e", "g"), ("e", "e"), ("g", "g")])
+        totals = totals + np.stack([(seg + sge) / 2, 1j * (sge - seg) / 2, (see - sgg) / 2])
     return SpinTriple(*(HermitianOperator(space, m) for m in totals))
 
 

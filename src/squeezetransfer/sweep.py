@@ -257,9 +257,9 @@ def _block_shape(config: SweepConfig) -> tuple[int, list[slice]]:
     a a^dag's bytes if spin moments are read, else every route's 4 amplitudes.
     Rows that fit in _SWEEP_BLOCK_BYTES go as many to a block as fit, over the
     whole t axis; a longer row is a block of its own, cut into the fewest time
-    chunks that fit, as even as they can be, the longer ones first.  A chunk
-    has at least 2 times: numpy multiplies a one-column matrix through BLAS's
-    matrix-vector route, whose sums round differently."""
+    chunks that fit, as even as they can be, sizes differing by at most one.
+    A chunk has at least 2 times: numpy multiplies a one-column matrix through
+    BLAS's matrix-vector route, whose sums round differently."""
     routes = 1 + (config.method is Method.BOTH)
     cell = _AAD_CELL_BYTES if _moment_sides(config.observables) else routes * _AAD_CELL_BYTES // 4
     fit, nt = max(1, _SWEEP_BLOCK_BYTES // cell), config.time_grid.steps
@@ -268,8 +268,8 @@ def _block_shape(config: SweepConfig) -> tuple[int, list[slice]]:
 
 def _time_chunks(nt: int, fit: int) -> list[slice]:
     """nt times cut into the fewest chunks of at most fit times, as even as
-    they can be, the longer ones first, each of at least 2 times (or one
-    chunk of nt < 2)."""
+    they can be (sizes differ by at most one, in no fixed order), each of at
+    least 2 times (or one chunk of nt < 2)."""
     chunks = max(1, min(-(-nt // fit), nt // 2))
     edges = [-(-k * nt // chunks) for k in range(chunks + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]

@@ -221,6 +221,15 @@ def _transverse_basis(n0: np.ndarray) -> np.ndarray:
     return np.stack([e1, np.cross(n0, e1)], axis=-1)
 
 
+def _transverse_frame(mean: np.ndarray, cov: np.ndarray, defined: np.ndarray,
+                      m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit mean spin where `defined`, from m2 = |mean|^2; its
+    _transverse_basis; and cov projected on that basis, shape (..., 2, 2)."""
+    m_hat = mean / np.sqrt(np.where(defined, m2, 1.0))[..., None]
+    basis = _transverse_basis(m_hat)
+    return m_hat, basis, basis.swapaxes(-1, -2) @ cov @ basis
+
+
 def _smallest_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each real symmetric block of a (..., 2, 2) stack,
     read from the lower triangle as eigvalsh does.
@@ -247,12 +256,10 @@ def kitagawa_ueda_xi_of(
 
     Returns nan when the mean spin direction is undefined (|<J>| too small).
     """
-    norm = np.linalg.norm(mean, axis=-1)
-    defined = norm > MEAN_SPIN_FLOOR
-    n0 = mean / np.where(defined, norm, 1.0)[..., None]
-    basis = _transverse_basis(n0)
-    m = basis.swapaxes(-1, -2) @ cov @ basis
-    lam_min = np.maximum(_smallest_eigenvalue_2x2(m), 0.0)
+    m2 = np.sum(mean**2, axis=-1)
+    defined = np.sqrt(m2) > MEAN_SPIN_FLOOR
+    c_perp = _transverse_frame(mean, cov, defined, m2)[2]
+    lam_min = np.maximum(_smallest_eigenvalue_2x2(c_perp), 0.0)
     j_total = n_particles / 2
     xi = np.sqrt(lam_min) / math.sqrt(j_total / 2)
     return np.where(defined, xi, math.nan)[()]  # [()]: a scalar for one state
@@ -284,9 +291,7 @@ def sorensen_xi_e2_of(
     """
     m2 = np.sum(mean**2, axis=-1)
     defined = m2 > DENOMINATOR_FLOOR
-    m_hat = mean / np.sqrt(np.where(defined, m2, 1.0))[..., None]
-    basis = _transverse_basis(m_hat)
-    c_perp = basis.swapaxes(-1, -2) @ cov @ basis
+    m_hat, basis, c_perp = _transverse_frame(mean, cov, defined, m2)
     c = np.einsum("...ia,...ij,...j->...a", basis, cov, m_hat)
     c_mm = np.einsum("...i,...ij,...j->...", m_hat, cov, m_hat)
     c_mm = np.where(c_mm > DENOMINATOR_FLOOR, c_mm, math.inf)

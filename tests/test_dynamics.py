@@ -308,6 +308,32 @@ class TestCoefficients:
 
 class TestReducedDensityMatrices:
     @pytest.mark.parametrize("branch", BRANCHES)
+    def test_atoms_and_photons_share_one_spectrum(self, branch, space):
+        """The global state is pure, so rho_atoms (4x4) and rho_photons (9x9)
+        have one nonzero spectrum (the Schmidt identity): the two closed forms
+        agree with each other, the photons' other five eigenvalues are 0, and
+        both equal the oracle's reduced states, on 20 seeded draws."""
+        rng = np.random.default_rng(27)
+        times = np.array([0.0, 0.6, 2.3, 7.1, 15.4])
+        psi0 = initial_vector(branch, space)
+        for _ in range(20):
+            mu, eta = rng.uniform(-1.0, 1.0, 2)
+            lam, zeta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0)
+            h = build_hamiltonian(ModelParams(mu=mu, eta=eta, lam=lam, zeta=zeta), space)
+            block = extract_manifold_block(h, lam)
+            coeffs = coefficients(ManifoldState(evolve_closed_form_grid(branch, block, times),
+                                                times))
+            atoms = np.linalg.eigvalsh(analytic_rho_atoms(coeffs))
+            photons = np.linalg.eigvalsh(analytic_rho_photons(coeffs))
+            np.testing.assert_allclose(photons[:, 5:], atoms, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(photons[:, :5], 0.0, rtol=0, atol=1e-12)
+            oracle = reduced_states(SpectralPropagator(h, lam).evolve_grid(psi0, times), space)
+            np.testing.assert_allclose(np.linalg.eigvalsh(oracle["atoms"]), atoms, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(np.linalg.eigvalsh(oracle["photons"]), photons, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("t", [0.0, 1.3, 4.7])
     def test_analytic_matches_partial_trace(self, branch, t, default_hamiltonian, space):
         psi = evolve_numeric_oracle(branch, default_hamiltonian, t)

@@ -248,19 +248,56 @@ class TestManifoldBlocks:
 
     @pytest.mark.parametrize("defect,message", [("leakage", "leaks"), ("hermiticity", "Hermiticity")])
     def test_checks_bound_over_largest_zeta(self, space, defect, message):
-        # A 1e-13 defect in Hop passes every single-matrix check, but at
-        # zeta = 20 it moves H(zeta) by more than the 1e-12 tolerances.
-        bad = model_operators(ModelParams(), space)[1].matrix.copy()
+        # Hop at a hundredth of the model's, with a 5e-13 defect: it passes
+        # HermitianOperator's own check and the bound at zeta = 1, where H(0)
+        # sets the scale, but at zeta = 20 the defect is more than 1e-12 of
+        # H(zeta)'s largest entry.
+        bad = model_operators(ModelParams(), space)[1].matrix / 100
         i = space.basis_index(("e", 1, "g", 0))
         if defect == "leakage":
             j = space.basis_index(("e", 0, "g", 0))  # a manifold state
-            bad[i, j] += 1e-13
-            bad[j, i] += 1e-13
+            bad[i, j] += 5e-13
+            bad[j, i] += 5e-13
         else:
             j = space.basis_index(("g", 1, "g", 1))  # outside the manifold
-            bad[i, j] += 1e-13
+            bad[i, j] += 5e-13
         hop = HermitianOperator(space, bad)
         h0 = build_hamiltonian(ModelParams(), space)
         assert manifold_blocks(h0, hop, [0.0, 1.0]).omegas.shape == (2, 4)
         with pytest.raises(ModelInconsistencyError, match=message):
             manifold_blocks(h0, hop, [0.0, 1.0, 20.0])
+
+
+SCALES = {"default": ModelParams(zeta=0.5), "mu 1e8": ModelParams(mu=1e8, zeta=0.5),
+          "lam 1e4": ModelParams(lam=1e4, zeta=0.5e4), "zeta 1e6": ModelParams(zeta=1e6)}
+
+
+class TestChecksScaleWithH:
+    """Each structural check is relative to the size of H: its round-off passes
+    at every energy scale, and a defect of 1e-6 of H's size fails at each."""
+
+    @pytest.mark.parametrize("params", SCALES.values(), ids=SCALES)
+    def test_round_off_passes(self, space, params):
+        h0, hop = model_operators(ModelParams(**{**vars(params), "zeta": 0.0}), space)
+        blocks = manifold_blocks(h0, hop, [0.0, params.zeta / params.lam], params.lam)
+        block = extract_manifold_block(build_hamiltonian(params, space), params.lam)
+        np.testing.assert_allclose(blocks.omegas[1], block.omegas, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(block.omegas)))
+
+    @pytest.mark.parametrize("params", SCALES.values(), ids=SCALES)
+    @pytest.mark.parametrize("defect,message", [("leak", "leaks out of the four-state manifold"),
+                                                ("imaginary", "projected block is not real"),
+                                                ("cross", "sectors mix")])
+    def test_a_millionth_of_h_fails(self, space, params, defect, message):
+        h = build_hamiltonian(params, space).matrix
+        phi = manifold_basis(space)
+        if defect == "leak":  # phi3 -> |e,1;g,0>, outside the manifold
+            term = np.outer(space.basis_vector(("e", 1, "g", 0)), phi[:, 2].conj())
+        else:  # i|phi1><phi3| or |phi1><phi2|, inside it
+            term = 1j * np.outer(phi[:, 0], phi[:, 2]) if defect == "imaginary" else np.outer(
+                phi[:, 0], phi[:, 1])
+        bad = HermitianOperator(space, h + 1e-6 * np.max(np.abs(h)) * (term + term.conj().T))
+        with pytest.raises(ModelInconsistencyError, match=message):
+            extract_manifold_block(bad, params.lam)
+        with pytest.raises(ModelInconsistencyError, match=message):
+            manifold_blocks(bad, model_operators(params, space)[1], [0.0], params.lam)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from squeezetransfer.dynamics import reduced_spaces
 from squeezetransfer.hilbert import (
     CompositeSpace,
     DensityMatrix,
+    Kind,
     atom,
     expectation,
     photon_mode,
@@ -124,6 +126,27 @@ class TestCollectiveSpin:
     def test_requires_two_atoms(self, photon_space):
         with pytest.raises(ValueError):
             collective_atomic_spin(photon_space)
+
+    @pytest.mark.parametrize("side", ["full", "atoms"])
+    def test_is_the_pauli_embedding_bit_for_bit(self, side):
+        # (sigma_x, sigma_y, sigma_z)/2 in the basis order (g, e), Kronecker-
+        # embedded on each atom factor and summed, on the full space and on the
+        # atoms' reduced space that the oracle's moments contract with
+        space = standard_space()
+        if side == "atoms":
+            space = reduced_spaces(space)["atoms"]
+        paulis = ([[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[-1, 0], [0, 1]])
+        spin = collective_atomic_spin(space)
+        for op, pauli in zip(spin.components, paulis):
+            want = np.zeros((space.total_dim,) * 2, dtype=complex)
+            for idx in space.factor_indices(Kind.ATOM):
+                term = np.ones((1, 1), dtype=complex)
+                for i, factor in enumerate(space.factors):
+                    local = np.array(pauli, dtype=complex) / 2 if i == idx else np.eye(
+                        factor.dimension, dtype=complex)
+                    term = np.kron(term, local)
+                want = want + term
+            assert op.matrix.tobytes() == want.tobytes()
 
 
 class TestPseudoSpin:

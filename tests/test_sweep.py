@@ -13,7 +13,7 @@ import pytest
 import squeezetransfer
 from squeezetransfer.dynamics import InitialState, coefficients, evolve_closed_form
 from squeezetransfer.hamiltonian import ModelParams
-from squeezetransfer.hilbert import NumericalConsistencyError
+from squeezetransfer.hilbert import HermitianOperator, NumericalConsistencyError
 from squeezetransfer.sweep import (
     DEFAULT_OBSERVABLES,
     OBSERVABLES,
@@ -1418,15 +1418,82 @@ class TestCli:
         assert err.startswith("error:") and "--output" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_main_reports_model_error(self, tmp_path, capsys):
-        # At zeta = 1e5 the round-off in H(zeta) alone leaks out of the manifold
-        # by more than LEAKAGE_TOL.
+    @staticmethod
+    def leak_from_h0(monkeypatch):
+        """Give every run's H(0) a Hermitian term that takes phi3's |e,0;g,0>
+        out of the manifold to |e,1;g,0>, at 1e-6 of H(0)'s largest entry."""
+        import squeezetransfer.sweep as sweep
+
+        real = sweep.model_operators
+
+        def leaking(params, space):
+            h0, hop = real(params, space)
+            h = h0.matrix.copy()
+            i, j = space.basis_index(("e", 1, "g", 0)), space.basis_index(("e", 0, "g", 0))
+            h[i, j] = h[j, i] = 1e-6 * np.max(np.abs(h))
+            return HermitianOperator(space, h), hop
+
+        monkeypatch.setattr(sweep, "model_operators", leaking)
+
+    def test_main_reports_model_error(self, tmp_path, capsys, monkeypatch):
+        self.leak_from_h0(monkeypatch)
         out = tmp_path / "x.csv"
-        rc = main(["--zeta", "1e5", "--steps", "1", "3", "--output", str(out)])
+        rc = main(["--zeta", "0.5", "--steps", "1", "3", "--output", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "leaks out of the four-state manifold" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("params", [{}, {"mu": 1e8}, {"lambda": 1e4}])
+    def test_main_reports_a_leak_at_every_scale(self, params, tmp_path, capsys, monkeypatch):
+        # the leak check is relative to H's size, so a leak that is not
+        # round-off fails however large the energies
+        self.leak_from_h0(monkeypatch)
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        rc = main(["--params-file", str(pfile), "--zeta", "0.5", "--steps", "1", "3",
+                   "--output", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error: Hamiltonian leaks out of the four-state manifold by")
+
+    @staticmethod
+    def run_wide_both(branch, params, zeta, tmp_path, capsys):
+        """(exit status, stdout, stderr) of a --method both row of 41 times over
+        the six observables other than xi_e2, at the given params and zeta."""
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        rc = main(["--branch", branch, "--method", "both", "--zeta", zeta, "--steps", "1", "41",
+                   "--observables", "ineq_a,ineq_p,ossi_full,xi,var_x1,var_x2",
+                   "--params-file", str(pfile), "--output", str(tmp_path / "x.csv")])
+        return (rc, *capsys.readouterr())
+
+    @pytest.mark.parametrize("branch, params, zeta", [
+        *((branch, params, zeta) for branch in ("entangled", "separable")
+          for params, zeta in (({"mu": 1e6}, "0.5"), ({"lambda": 1e4}, "0.5"), ({}, "1e4"))),
+        ("entangled", {"mu": 1e8}, "0.5"),
+        ("entangled", {}, "1e6"),
+    ])
+    def test_far_detuning_and_strong_hopping_run(self, branch, params, zeta, tmp_path, capsys):
+        # the structural checks scale with H, so round-off at these energies
+        # passes them, and the two routes agree to DISAGREEMENT_TOL
+        rc, out, err = self.run_wide_both(branch, params, zeta, tmp_path, capsys)
+        assert rc == 0 and err == ""
+        assert float(out.split("max method disagreement ")[1].split()[0]) <= 1e-8
+
+    def test_separable_strong_hopping_fails_on_the_routes_gap(self, tmp_path, capsys):
+        # past the leak check, what fails is the closed form's phase error,
+        # which grows as eps |omega| t
+        rc, _, err = self.run_wide_both("separable", {}, "1e6", tmp_path, capsys)
+        assert rc == 1 and err.startswith("error: the dynamics routes disagree by 1.4")
+        assert err.endswith("above 1e-08\n") and "leak" not in err
+
+    def test_huge_hopping_is_no_leak(self, tmp_path, capsys):
+        # zeta = 1e160 leaves every entry finite, and its round-off is no leak
+        rc = main(["--zeta-range", "0", "1e160", "--steps", "3", "3",
+                   "--output", str(tmp_path / "x.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "" and out.startswith("wrote 9 cells")
 
     @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings fail the test
     @pytest.mark.parametrize(
@@ -1477,19 +1544,21 @@ class TestCli:
         space = standard_space()
 
         def leaky_hopping(ladders):
-            # 1e-13 of leakage passes at zeta = 1 but not over zeta up to 20
+            # zeta * 4e-12 / sqrt(2) of leakage is below 1e-12 of the bound
+            # sqrt(2) + 2 zeta on H(zeta)'s largest entry at zeta = 1, not at 20
             bad = real(ladders)
             i = space.basis_index(("e", 1, "g", 0))
             j = space.basis_index(("e", 0, "g", 0))
-            bad[i, j] += 1e-13
-            bad[j, i] += 1e-13
+            bad[i, j] += 4e-12
+            bad[j, i] += 4e-12
             return bad
 
         monkeypatch.setattr(hamiltonian, "hopping_matrix", leaky_hopping)
+        assert main(["--zeta", "1", "--steps", "1", "2", "--output", str(tmp_path / "y.csv")]) == 0
         out = tmp_path / "x.csv"
         rc = main(["--zeta-range", "0", "20", "--steps", "3", "2", "--output", str(out)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: Hamiltonian leaks" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("rows_per_block", [1, 3])

@@ -39,6 +39,8 @@ from squeezetransfer.operators import (
     quadratures,
 )
 from squeezetransfer.witness import (
+    DENOMINATOR_FLOOR,
+    MEAN_SPIN_FLOOR,
     BranchMismatchError,
     _smallest_eigenvalue_2x2,
     _transverse_basis,
@@ -290,6 +292,51 @@ class TestTransverseBasis:
         assert basis.shape == shape + (2,)
         e1, e2 = basis[..., 0], basis[..., 1]
         assert e2.tobytes() == np.cross(n0, e1).tobytes()
+
+
+class TestTransverseFrame:
+    """xi and xi_e2 share one frame; each keeps its own floor and its bits."""
+
+    @staticmethod
+    def reference_xi(mean, cov, n):
+        norm = np.linalg.norm(mean, axis=-1)
+        defined = norm > MEAN_SPIN_FLOOR
+        n0 = mean / np.where(defined, norm, 1.0)[..., None]
+        basis = _transverse_basis(n0)
+        lam_min = np.maximum(_smallest_eigenvalue_2x2(basis.swapaxes(-1, -2) @ cov @ basis), 0.0)
+        return np.where(defined, np.sqrt(lam_min) / math.sqrt(n / 2 / 2), math.nan)
+
+    @staticmethod
+    def reference_xi_e2(mean, cov, n):
+        m2 = np.sum(mean**2, axis=-1)
+        defined = m2 > DENOMINATOR_FLOOR
+        m_hat = mean / np.sqrt(np.where(defined, m2, 1.0))[..., None]
+        basis = _transverse_basis(m_hat)
+        c_perp = basis.swapaxes(-1, -2) @ cov @ basis
+        c = np.einsum("...ia,...ij,...j->...a", basis, cov, m_hat)
+        c_mm = np.einsum("...i,...ij,...j->...", m_hat, cov, m_hat)
+        c_mm = np.where(c_mm > DENOMINATOR_FLOOR, c_mm, math.inf)
+        schur = c_perp - c[..., :, None] * c[..., None, :] / c_mm[..., None, None]
+        return n * _smallest_eigenvalue_2x2(schur) / np.where(defined, m2, math.nan)
+
+    def test_both_match_their_reference_forms_bit_for_bit(self, rng):
+        # mean lengths from 1e-10 to 1 straddle |<J>| = MEAN_SPIN_FLOOR and
+        # |<J>|^2 = DENOMINATOR_FLOOR, and six lengths sit at or beside them
+        n = 20000
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        length = 10.0 ** rng.uniform(-10.0, 0.0, n)
+        length[:6] = [0.0, MEAN_SPIN_FLOOR, np.nextafter(MEAN_SPIN_FLOOR, 1.0),
+                      math.sqrt(DENOMINATOR_FLOOR), np.nextafter(1e-6, 1.0), 1.0]
+        mean = direction * length[:, None]
+        mean[rng.random(n) < 0.05, rng.integers(0, 3)] = 0.0  # a zero component
+        a = rng.normal(size=(n, 3, 3))
+        cov = a @ a.swapaxes(-1, -2) * 10.0 ** rng.uniform(-14.0, 0.0, (n, 1, 1))
+        for of, reference in ((kitagawa_ueda_xi_of, self.reference_xi),
+                              (sorensen_xi_e2_of, self.reference_xi_e2)):
+            got, want = of(mean, cov, 2), reference(mean, cov, 2)
+            assert got.tobytes() == want.tobytes()
+            assert 0 < np.isnan(got).sum() < n
 
 
 class TestMomentForms:

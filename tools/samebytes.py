@@ -16,7 +16,11 @@ through the JSON encoder's special kinds) and a `numeric_oracle` grid; a
 `--method both` run (exit 1); phases that overflow, in a short and in a
 long row (exit 1); a separable `--method both` grid at lam = 2 with a
 nonzero detuning and offsets, which pins zeta in units of lam and H
-without its global offset; and the default
+without its global offset; three 1x41 `--method both` rows over the six
+observables other than xi_e2 whose H is large, which pin the structural
+checks relative to H's size: the entangled branch at mu = 1e8 and the
+separable one at lambda = 1e4 (both at zeta = 0.5) and at zeta = 1e4; and
+the default
 run as CSV and as JSON into a FIFO (an output path ending in `.fifo`) and
 into a pipe (`.pipe`, passed as `--output /dev/fd/N`), whose bytes are read
 to EOF as the run writes them; and the default run into a directory (`.dir`,
@@ -76,6 +80,13 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
                  ["--branch", "separable", "--method", "both", "--steps", "21", "101",
                   "--params-file", "params.json", "--output", "out.csv"],
                  {"lam": 2, "mu": 0.1, "eta": -0.05, "e_g": 3, "e_e": 3}))
+    for label, branch, params, zeta in (("mu 1e8", "entangled", {"mu": 1e8}, "0.5"),
+                                        ("lambda 1e4", "separable", {"lambda": 1e4}, "0.5"),
+                                        ("zeta 1e4", "separable", {}, "1e4")):
+        runs.append((f"{branch} 1x41 both at {label}",
+                     ["--branch", branch, "--method", "both", "--zeta", zeta, "--steps", "1",
+                      "41", "--observables", WIDE, "--params-file", "params.json",
+                      "--output", "out.csv"], params))
     for target in ("FIFO", "pipe"):
         for fmt in ("csv", "json"):
             runs.append((f"default {fmt} into a {target}",
